@@ -29,7 +29,6 @@ from .errors import (
     NonFinite,
     NotFeasible,
     ParseError,
-    SizeCap,
     SparselpError,
     TooLarge,
     TrivialInstance,
@@ -46,15 +45,12 @@ from .npg import NpgOutcome, npg_solve
 from .oracle import (
     ExactSolutionSet,
     PStarEstimate,
-    VertexSet,
     all_orthant_vertices,
     boundary_scaling_alpha,
     build_sign_matrix,
-    enumerate_orthant_vertices,
     estimate_p_star,
     is_l0_optimal,
     l1_ball_halfspaces,
-    lp_solve_small,
     residual_sandwich_check,
     solve_exact_l0,
     solve_exact_lp_quasinorm,

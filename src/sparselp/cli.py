@@ -18,7 +18,7 @@ import numpy as np
 
 from . import experiments
 from .core import read_instance, replace_p, write_instance
-from .errors import SizeCap, SparselpError, TooLarge
+from .errors import SparselpError, TooLarge
 from .gen import GenSpec, gen_instance
 from .oracle import (
     all_orthant_vertices,
@@ -41,6 +41,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _oracle_exponent(text: str) -> float:
+    """argparse type for the oracle's --p: 0 (sparsest) or p in (0, 1]."""
+    p = float(text)
+    if not 0.0 <= p <= 1.0:
+        raise argparse.ArgumentTypeError(f"exponent must be 0 or in (0, 1], got {text}")
+    return p
 
 
 def _emit(payload: dict, args) -> None:
@@ -274,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("oracle", help="exact small-instance solutions by enumeration")
     sub.add_argument("--instance", type=str, required=True)
-    sub.add_argument("--p", type=float, action="append",
+    sub.add_argument("--p", type=_oracle_exponent, action="append",
                      help="exponent to solve exactly (repeatable; 0 = sparsest)")
     sub.add_argument("--p-star", action="store_true", help="estimate the exponent threshold")
     sub.add_argument("--check-inclusion", action="store_true",
@@ -339,7 +347,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (TooLarge, SizeCap) as exc:
+    except TooLarge as exc:
         print(f"sparselp: cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
     except SparselpError as exc:

@@ -201,7 +201,6 @@ class NpgParams:
     """Tuning constants of the inner nonmonotone proximal-gradient loop."""
 
     l_min: float = 1e-6
-    l_max_formula_enabled: bool = True
     tau: float = 2.0
     c: float = 1e-4
     memory: int = 2

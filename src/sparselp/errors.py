@@ -41,10 +41,6 @@ class TooLarge(SparselpError):
     """Instance is too large for an exhaustive oracle computation."""
 
 
-class SizeCap(SparselpError):
-    """LP exceeds the dense solver's size limits."""
-
-
 class NotFeasible(SparselpError):
     """The given point is not feasible for the residual constraint."""
 

@@ -103,7 +103,7 @@ def npg_solve(
         penalty = L1SmoothedPenalty(inst, sp)
     if a_norm_sq is None:
         a_norm_sq = spectral_norm_sq(inst.a)
-    l_max = penalty.lipschitz_bound(a_norm_sq) if par.l_max_formula_enabled else np.inf
+    l_max = penalty.lipschitz_bound(a_norm_sq)
     p = inst.p
 
     x = np.array(x0, dtype=np.float64)

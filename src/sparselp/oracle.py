@@ -6,12 +6,13 @@ intersection with each (closed) orthant is a polyhedron whose extreme
 points carry at least one global minimizer of the power objective for every
 0 < p <= 1, so exhaustive vertex enumeration gives exact solution sets on
 tiny instances.  A candidate vertex is the solution of n active constraints
-chosen among the 2^m ball facets and the n coordinate planes; the same
-candidate list serves every orthant, filtered by sign feasibility.
+chosen among the 2^m ball facets and the n coordinate planes; one scan
+of these active sets yields the extreme points of every orthant at once.
 
-Also here: a dense two-phase simplex (Bland's rule) used for exact l1
-regression, the sparsest-solution search, the exponent threshold estimate,
-and two inequality checks used by the test suites.
+The sparsest-solution search uses the same active-set idea: the best l1
+fit on a support interpolates as many rows as the support has columns, so
+it too is a scan over square subsystems.  Also here: the exponent threshold
+estimate and two inequality checks used by the test suites.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from math import comb
 import numpy as np
 
 from .core import ProblemInstance
-from .errors import NotFeasible, SizeCap, TooLarge
+from .errors import NotFeasible, TooLarge
 from .linalg import RANK_REL_TOL_FACTOR, lq_norm
 from .smoothing import lp_power_sum
 
@@ -56,14 +57,6 @@ def l1_ball_halfspaces(inst: ProblemInstance):
     """(A_tilde, b_tilde) with {||Ax-b||_1 <= sigma} = {A_tilde x <= b_tilde}."""
     u = build_sign_matrix(inst.m)
     return u @ inst.a, u @ inst.b + inst.sigma
-
-
-@dataclass(frozen=True)
-class VertexSet:
-    """Extreme points of (one orthant) intersect (the residual ball)."""
-
-    orthant_signs: tuple
-    vertices: tuple  # tuple of read-only float arrays
 
 
 @dataclass(frozen=True)
@@ -107,6 +100,29 @@ def _dedup(vectors):
     return kept
 
 
+def _solve_square(rows: np.ndarray, rhs: np.ndarray, subsets: np.ndarray):
+    """Solve rows[s] x = rhs[s] for every row subset s (a row of subsets)
+    whose square system is nonsingular.
+
+    A system counts as singular when |det| <= 1e-10, so callers pass rows
+    scaled to unit norm.  Returns the subsets solved with a finite solution,
+    and those solutions as rows.
+    """
+    dets = np.abs(np.linalg.det(rows[subsets]))
+    subsets = subsets[dets > 1e-10]
+    try:
+        sols = np.linalg.solve(rows[subsets], rhs[subsets][:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        sols = np.full(subsets.shape, np.nan)
+        for i, s in enumerate(subsets):
+            try:
+                sols[i] = np.linalg.solve(rows[s], rhs[s])
+            except np.linalg.LinAlgError:
+                pass
+    finite = np.isfinite(sols).all(axis=1)
+    return subsets[finite], sols[finite]
+
+
 def all_orthant_vertices(inst: ProblemInstance):
     """Union over all orthants of the extreme points of orthant-and-ball.
 
@@ -143,23 +159,7 @@ def all_orthant_vertices(inst: ProblemInstance):
 
     found = []
     for lo in range(0, n_combos, 131072):
-        idx = idx_all[lo : lo + 131072]
-        dets = np.abs(np.linalg.det(nrows[idx]))
-        ok = dets > 1e-10
-        if not np.any(ok):
-            continue
-        idx = idx[ok]
-        try:
-            sols = np.linalg.solve(nrows[idx], nrhs[idx][:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            sols = np.full((idx.shape[0], n), np.nan)
-            for row_i in range(idx.shape[0]):
-                try:
-                    sols[row_i] = np.linalg.solve(nrows[idx[row_i]], nrhs[idx[row_i]])
-                except np.linalg.LinAlgError:
-                    pass
-        finite = np.isfinite(sols).all(axis=1)
-        idx, sols = idx[finite], sols[finite]
+        idx, sols = _solve_square(nrows, nrhs, idx_all[lo : lo + 131072])
         # coordinate rows in the active set pin those coordinates to zero
         coord_rows, coord_slots = np.nonzero(idx >= n_facets)
         sols[coord_rows, idx[coord_rows, coord_slots] - n_facets] = 0.0
@@ -172,21 +172,6 @@ def all_orthant_vertices(inst: ProblemInstance):
         found.extend(sols[keep])
 
     return tuple(_freeze(v) for v in _dedup(found))
-
-
-def enumerate_orthant_vertices(inst: ProblemInstance, signs, candidates=None) -> VertexSet:
-    """Extreme points of {sign_i x_i >= 0 for all i} intersect the ball."""
-    signs = np.asarray(signs, dtype=np.float64)
-    if signs.shape != (inst.n,) or not np.all(np.abs(signs) == 1.0):
-        raise ValueError("signs must be a vector of +-1 of length n")
-    if candidates is None:
-        candidates = all_orthant_vertices(inst)
-    verts = [
-        v
-        for v in candidates
-        if np.all(signs * v >= -FEAS_TOL * (1.0 + np.max(np.abs(v), initial=0.0)))
-    ]
-    return VertexSet(orthant_signs=tuple(float(s) for s in signs), vertices=tuple(verts))
 
 
 def solve_exact_lp_quasinorm(inst: ProblemInstance, p: float, vertices=None) -> ExactSolutionSet:
@@ -209,162 +194,45 @@ def solve_exact_lp_quasinorm(inst: ProblemInstance, p: float, vertices=None) -> 
     return ExactSolutionSet(p=p, optimal_value=best, minimizers=mins)
 
 
-# ---------------------------------------------------------------------------
-# dense two-phase simplex with Bland's rule
+def l1_regression(a_sub, b):
+    """Exact min_x ||a_sub x - b||_1 by scanning square row subsystems.
 
+    Solves every nonsingular k-row subsystem of a_sub x = b (k = number of
+    columns) and returns (x, ||a_sub x - b||_1) for the smallest residual,
+    or None when no k-row subsystem is nonsingular.
 
-@dataclass(frozen=True)
-class LpResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
-    x: np.ndarray | None
-    value: float | None
-
-
-_LP_TOL = 1e-9
-
-
-def _pivot(tab, basis, row, col):
-    tab[row] /= tab[row, col]
-    for i in range(tab.shape[0]):
-        if i != row and tab[i, col] != 0.0:
-            tab[i] -= tab[i, col] * tab[row]
-    basis[row] = col
-
-
-def _bland_loop(tab, basis, allowed_cols, cap=200000):
-    m = tab.shape[0] - 1
-    for _ in range(cap):
-        enter = -1
-        for j in allowed_cols:
-            if tab[-1, j] < -_LP_TOL:
-                enter = j
-                break
-        if enter < 0:
-            return "optimal"
-        leave = -1
-        best = np.inf
-        for i in range(m):
-            aij = tab[i, enter]
-            if aij > _LP_TOL:
-                ratio = tab[i, -1] / aij
-                if ratio < best - 1e-12 or (
-                    abs(ratio - best) <= 1e-12 and (leave < 0 or basis[i] < basis[leave])
-                ):
-                    best = ratio
-                    leave = i
-        if leave < 0:
-            return "unbounded"
-        _pivot(tab, basis, leave, enter)
-    raise RuntimeError("simplex did not terminate; cycling guard tripped")
-
-
-def lp_solve_small(c, a_ub, b_ub) -> LpResult:
-    """min c'x subject to a_ub x <= b_ub, x free; dense two-phase simplex.
-
-    Bland's rule everywhere, so the method terminates under degeneracy.
-    Returns an optimal basic solution.  Sizes are capped (rows <= 200,
-    cols <= 40); this is an exactness oracle, not a production LP solver.
+    This is exact whenever a_sub has full column rank.  The fit is then an
+    LP over a pointed polyhedron, so an optimum sits at a vertex, where k
+    linearly independent rows are fitted exactly (Barrodale & Roberts,
+    SIAM J. Numer. Anal. 1973); the scan visits that vertex.  With k = 0
+    the one empty subsystem gives x = () and the residual ||b||_1.
     """
-    c = np.asarray(c, dtype=np.float64)
-    a_ub = np.atleast_2d(np.asarray(a_ub, dtype=np.float64))
-    b_ub = np.asarray(b_ub, dtype=np.float64)
-    m, n = a_ub.shape
-    if m > 200 or n > 40:
-        raise SizeCap(f"LP of size {m}x{n} exceeds the dense solver caps")
-    if b_ub.shape != (m,) or c.shape != (n,):
-        raise ValueError("inconsistent LP shapes")
-
-    # free x = u - w with u, w >= 0; slacks close the inequalities
-    n_var = 2 * n + m
-    a_eq = np.hstack([a_ub, -a_ub, np.eye(m)])
-    rhs = b_ub.copy()
-    flip = rhs < 0.0
-    a_eq[flip] *= -1.0
-    rhs[flip] *= -1.0
-
-    art_rows = np.flatnonzero(flip)
-    n_art = art_rows.size
-    tab = np.zeros((m + 1, n_var + n_art + 1))
-    tab[:m, :n_var] = a_eq
-    tab[:m, -1] = rhs
-    basis = [0] * m
-    for i in range(m):
-        if flip[i]:
-            j = n_var + int(np.flatnonzero(art_rows == i)[0])
-            tab[i, j] = 1.0
-            basis[i] = j
-        else:
-            basis[i] = 2 * n + i  # slack entered with +1 coefficient
-
-    if n_art:
-        # phase 1: minimize the artificial sum
-        tab[-1, n_var : n_var + n_art] = 1.0
-        for i in range(m):
-            if basis[i] >= n_var:
-                tab[-1] -= tab[i]
-        status = _bland_loop(tab, basis, range(n_var + n_art))
-        if status != "optimal" or -tab[-1, -1] > 1e-8 * (1.0 + np.abs(rhs).max()):
-            return LpResult(status="infeasible", x=None, value=None)
-        # drive leftover artificials out of the basis (or drop dead rows)
-        dead = []
-        for i in range(m):
-            if basis[i] >= n_var:
-                pivot_col = -1
-                for j in range(n_var):
-                    if abs(tab[i, j]) > _LP_TOL:
-                        pivot_col = j
-                        break
-                if pivot_col >= 0:
-                    _pivot(tab, basis, i, pivot_col)
-                else:
-                    dead.append(i)
-        if dead:
-            live = [i for i in range(m) if i not in dead]
-            tab = tab[live + [m]]
-            basis = [basis[i] for i in live]
-            m = len(live)
-    tab = np.delete(tab, np.s_[n_var : n_var + n_art], axis=1)
-
-    cost = np.concatenate([c, -c, np.zeros(n_var - 2 * n)])
-    tab[-1, :-1] = cost
-    tab[-1, -1] = 0.0
-    for i in range(m):
-        if cost[basis[i]] != 0.0:
-            tab[-1] -= cost[basis[i]] * tab[i]
-    status = _bland_loop(tab, basis, range(n_var))
-    if status == "unbounded":
-        return LpResult(status="unbounded", x=None, value=None)
-
-    y = np.zeros(n_var)
-    for i in range(m):
-        y[basis[i]] = tab[i, -1]
-    x = y[:n] - y[n : 2 * n]
-    return LpResult(status="optimal", x=_freeze(x), value=float(c @ x))
-
-
-def l1_fit(a_sub, b) -> tuple[np.ndarray, float]:
-    """Exact min_x ||a_sub x - b||_1 via the epigraph LP."""
-    a_sub = np.atleast_2d(np.asarray(a_sub, dtype=np.float64))
-    if a_sub.size == 0:
-        a_sub = a_sub.reshape(len(b), 0)
+    a_sub = np.asarray(a_sub, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
     m, k = a_sub.shape
-    eye = np.eye(m)
-    a_ub = np.block([[a_sub, -eye], [-a_sub, -eye]])
-    b_ub = np.concatenate([b, -np.asarray(b, dtype=np.float64)])
-    c = np.concatenate([np.zeros(k), np.ones(m)])
-    res = lp_solve_small(c, a_ub, b_ub)
-    if res.status != "optimal":
-        raise RuntimeError(f"l1 regression LP came back {res.status}")
-    return res.x[:k], float(res.value)
+    subsets = np.array(list(itertools.combinations(range(m), k)), dtype=np.intp)
+    subsets = subsets.reshape(comb(m, k), k)  # also for k = 0 and k > m
+    scale = np.linalg.norm(a_sub, axis=1)
+    scale[scale == 0.0] = 1.0
+    _, sols = _solve_square(a_sub / scale[:, None], b / scale, subsets)
+    if not len(sols):
+        return None
+    values = np.abs(a_sub @ sols.T - b[:, None]).sum(axis=0)
+    best = int(np.argmin(values))
+    return sols[best], float(values[best])
 
 
 def solve_exact_l0(inst: ProblemInstance) -> ExactSolutionSet:
     """Smallest support size admitting a feasible point, with witnesses.
 
-    Scans support sizes upward; for each candidate support solves the exact
-    l1 regression LP restricted to it and accepts values <= sigma.  Every
-    witness at the minimal size k has exactly k nonzeros (a zero inside the
-    support would contradict minimality).
+    Scans support sizes upward; for each candidate support computes the
+    exact l1 fit restricted to it and accepts values <= sigma.  A support
+    whose columns are rank-deficient has no nonsingular square subsystem
+    and is skipped: its column space is spanned by a strict subset of it,
+    which reaches the same residuals at a smaller size, so such a support
+    is never among the first feasible ones.  Every witness at the minimal
+    size k has exactly k nonzeros (a zero inside the support would
+    contradict minimality).
     """
     if inst.n > L0_MAX_N or inst.m > L0_MAX_M:
         raise TooLarge(f"sparsest-solution search capped at n<={L0_MAX_N}, m<={L0_MAX_M}")
@@ -372,11 +240,10 @@ def solve_exact_l0(inst: ProblemInstance) -> ExactSolutionSet:
     for k in range(inst.n + 1):
         witnesses = []
         for support in itertools.combinations(range(inst.n), k):
-            cols = inst.a[:, list(support)] if k else np.zeros((inst.m, 0))
-            xj, value = l1_fit(cols, inst.b)
-            if value <= inst.sigma + tol:
+            fit = l1_regression(inst.a[:, list(support)], inst.b)
+            if fit is not None and fit[1] <= inst.sigma + tol:
                 x = np.zeros(inst.n)
-                x[list(support)] = xj
+                x[list(support)] = fit[0]
                 witnesses.append(_freeze(x))
         if witnesses:
             return ExactSolutionSet(p=0.0, optimal_value=float(k), minimizers=tuple(witnesses))

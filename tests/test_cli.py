@@ -186,3 +186,12 @@ def test_plot_smoothing_stdout(capsys):
     assert lines[0] == "t,plus_value,plus_deriv,abs_value,abs_deriv"
     assert len(lines) == 6
     assert lines[5] == "2.0,2.0,1.0,2.0,1.0"
+
+
+def test_oracle_rejects_out_of_range_p(tmp_path, capsys, golden):
+    inst_path = golden_file(tmp_path, golden)
+    for bad in ("1.5", "-0.2", "nan"):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--instance", inst_path, "--p", bad])
+        assert exc.value.code == 64
+        assert "--p: exponent must be 0 or in (0, 1]" in capsys.readouterr().err

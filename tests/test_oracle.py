@@ -1,25 +1,24 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
-from refs import exact_l1_fit, exact_polytope_lp
+from refs import exact_l1_fit
 from sparselp import (
     NotFeasible,
     ProblemInstance,
-    SizeCap,
     TooLarge,
     all_orthant_vertices,
     boundary_scaling_alpha,
     build_sign_matrix,
-    enumerate_orthant_vertices,
     estimate_p_star,
     is_l0_optimal,
     l1_ball_halfspaces,
-    lp_solve_small,
     residual_sandwich_check,
     solve_exact_l0,
     solve_exact_lp_quasinorm,
 )
-from sparselp.oracle import l1_fit
+from sparselp.oracle import l1_regression
 from conftest import GOLDEN_VERTEX_SET
 
 
@@ -59,22 +58,6 @@ def test_golden_vertex_union(golden_vertices):
     assert as_set(golden_vertices) == GOLDEN_VERTEX_SET
     for v in golden_vertices:
         assert not v.flags.writeable
-
-
-def test_orthant_filter(golden, golden_vertices):
-    pos = enumerate_orthant_vertices(golden, [1.0, 1.0, 1.0], candidates=golden_vertices)
-    assert as_set(pos.vertices) == {
-        (3.5, 0.0, 0.5),
-        (0.0, 3.5, 0.5),
-        (2.5, 0.0, 0.5),
-        (0.0, 2.5, 0.5),
-        (3.5, 0.0, 0.0),
-        (0.0, 3.5, 0.0),
-        (2.5, 0.0, 0.0),
-        (0.0, 2.5, 0.0),
-    }
-    with pytest.raises(ValueError):
-        enumerate_orthant_vertices(golden, [1.0, 0.0, 1.0])
 
 
 def test_golden_quasinorm_solution(golden, golden_vertices):
@@ -165,71 +148,19 @@ def test_boundary_scaling_golden(golden):
         boundary_scaling_alpha(golden, np.array([9.0, 0.0, 0.0]))
 
 
-# -- dense simplex against the exact rational enumeration oracle --
-
-
-def test_lp_against_exact_oracle(rng):
-    box = 50
-    checked = 0
-    for _ in range(100):
-        n = int(rng.integers(1, 5))
-        m = int(rng.integers(1, 7))
-        a = rng.integers(-4, 5, size=(m, n)).astype(float)
-        b = rng.integers(-6, 7, size=m).astype(float)
-        c = rng.integers(-5, 6, size=n).astype(float)
-        # box rows keep the polytope bounded for both solvers
-        rows = np.vstack([a, np.eye(n), -np.eye(n)])
-        rhs = np.concatenate([b, np.full(2 * n, float(box))])
-        got = lp_solve_small(c, rows, rhs)
-        status, val, _ = exact_polytope_lp(
-            [int(v) for v in c],
-            [[int(v) for v in row] for row in rows],
-            [int(v) for v in rhs],
-        )
-        assert got.status == status
-        if status == "optimal":
-            checked += 1
-            assert got.value == pytest.approx(float(val), abs=1e-9 * (1 + abs(float(val))))
-            # returned point is feasible and attains the value
-            assert np.all(rows @ got.x <= rhs + 1e-9)
-            assert float(c @ got.x) == pytest.approx(got.value, abs=1e-12)
-    assert checked >= 30  # the draw must not degenerate into all-infeasible
-
-
-def test_lp_unbounded_and_infeasible():
-    assert lp_solve_small([1.0], [[1.0]], [5.0]).status == "unbounded"
-    assert lp_solve_small([1.0], [[1.0], [-1.0]], [-1.0, -3.0]).status == "infeasible"
-    # x <= -1 and x >= 3 is empty; x >= 3 alone makes min x hit 3
-    r = lp_solve_small([1.0], [[-1.0]], [-3.0])
-    assert r.status == "optimal" and r.value == pytest.approx(3.0, abs=1e-12)
-
-
-def test_lp_degenerate_rows():
-    # redundant and zero rows must not break the pivoting
-    res = lp_solve_small(
-        [-1.0, -1.0],
-        [[1.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 1.0]],
-        [2.0, 2.0, 1.0, 3.0],
-    )
-    assert res.status == "optimal"
-    assert res.value == pytest.approx(-5.0, abs=1e-12)
-
-
-def test_lp_size_cap():
-    with pytest.raises(SizeCap):
-        lp_solve_small(np.zeros(41), np.zeros((1, 41)), np.zeros(1))
+# -- exact l1 fit and sparsest search against rational-arithmetic references --
 
 
 def test_l1_fit_median():
     # fitting a constant column is the l1 location problem: any median works
     ones = np.ones((3, 1))
-    coef, value = l1_fit(ones, np.array([1.0, 2.0, 10.0]))
+    coef, value = l1_regression(ones, np.array([1.0, 2.0, 10.0]))
     assert value == pytest.approx(9.0, abs=1e-12)
     assert coef[0] == pytest.approx(2.0, abs=1e-9)
 
 
 def test_l1_fit_empty_support():
-    coef, value = l1_fit(np.zeros((3, 0)), np.array([1.0, -2.0, 3.0]))
+    coef, value = l1_regression(np.zeros((3, 0)), np.array([1.0, -2.0, 3.0]))
     assert coef.shape == (0,)
     assert value == pytest.approx(6.0, abs=1e-12)
 
@@ -242,9 +173,44 @@ def test_l1_fit_against_exact(rng):
         while np.linalg.matrix_rank(cols) < min(m, k):
             cols = rng.integers(-3, 4, size=(m, k))
         b = rng.integers(-5, 6, size=m)
-        _, value = l1_fit(cols.astype(float), b.astype(float))
+        _, value = l1_regression(cols.astype(float), b.astype(float))
         exact = exact_l1_fit([list(r) for r in cols], [int(v) for v in b])
         assert value == pytest.approx(float(exact), abs=1e-9)
+
+
+def test_sparsest_against_exact_scan(rng):
+    # brute force: fit every support with the rational-arithmetic l1 fit,
+    # size by size, up to the first size whose fit reaches sigma.  The
+    # reference enumerates (m + k)-subsets of 4m + 2k rows over Fractions,
+    # about 1 s per support at m = 4, so the draws stay at m <= 2.
+    sigmas = set()
+    for _ in range(200):
+        m = int(rng.integers(1, 3))
+        n = int(rng.integers(1, 5))
+        sigma = int(rng.integers(0, 3))
+        a = rng.integers(-3, 4, size=(m, n))
+        b = rng.integers(-5, 6, size=m)
+        inst = ProblemInstance(m=m, n=n, a=a.astype(float), b=b.astype(float), sigma=sigma)
+        for level in range(n + 1):
+            expected = [
+                supp
+                for supp in combinations(range(n), level)
+                if exact_l1_fit(a[:, list(supp)].tolist(), b.tolist()) <= sigma
+            ]
+            if expected:
+                break
+        else:
+            with pytest.raises(NotFeasible):
+                solve_exact_l0(inst)
+            continue
+        got = solve_exact_l0(inst)
+        assert got.optimal_value == level
+        assert [tuple(np.flatnonzero(x)) for x in got.minimizers] == expected
+        for x in got.minimizers:
+            assert np.count_nonzero(x) == level
+            assert np.abs(inst.residual(x)).sum() <= sigma + 1e-9 * (1 + sigma)
+        sigmas.add(sigma)
+    assert sigmas == {0, 1, 2}
 
 
 def test_is_l0_optimal(golden):
