@@ -25,6 +25,7 @@ from .errors import (
     InfeasibleStart,
     InvalidNorm,
     InvalidParam,
+    InvariantViolation,
     LineSearchStalled,
     NonFinite,
     NotFeasible,
@@ -60,7 +61,6 @@ from .smoothing import (
     L1SmoothedPenalty,
     SmoothingParams,
     lp_power_sum,
-    objective_value,
     smoothed_abs,
     smoothed_plus,
 )

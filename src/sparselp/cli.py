@@ -51,6 +51,14 @@ def _oracle_exponent(text: str) -> float:
     return p
 
 
+def _solver_exponent(text: str) -> float:
+    """argparse type for the solver commands' --p: p in (0, 1)."""
+    p = float(text)
+    if not 0.0 < p < 1.0:
+        raise argparse.ArgumentTypeError(f"exponent must be in (0, 1), got {text}")
+    return p
+
+
 def _emit(payload: dict, args) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
@@ -62,11 +70,10 @@ def _emit(payload: dict, args) -> None:
 
 def _write_rows(header, rows, args) -> None:
     if args.out:
-        experiments.write_csv(args.out, header, rows)
+        with open(args.out, "w", newline="") as fh:
+            experiments.write_csv(fh, header, rows)
     else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(experiments._fmt(v) for v in row))
+        experiments.write_csv(sys.stdout, header, rows)
 
 
 def _load_vector(path) -> np.ndarray:
@@ -172,60 +179,14 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def cmd_table1(args) -> int:
-    records = experiments.run_table1(
-        profile=args.profile, seeds=args.seeds, delta=args.delta,
-        p_grid=tuple(args.p) if args.p else experiments.TABLE_P_GRID,
-        noises=tuple(args.noise) if args.noise else experiments.NOISES,
-        base_seed=args.seed,
-    )
+def cmd_grid(args) -> int:
+    """table1, table2, sparsity-vs-p and success-curve: the subparser supplies
+    the cell builder, the row aggregator and the CSV header."""
+    records = experiments.run_grid(args.cells(args))
     if args.json:
         _emit({"records": [r.__dict__ for r in records]}, args)
     else:
-        _write_rows(experiments.TABLE1_HEADER, experiments.table1_rows(records), args)
-    return EXIT_OK
-
-
-def cmd_table2(args) -> int:
-    records = experiments.run_table2(
-        profile=args.profile, seeds=args.seeds, delta=args.delta, p=args.p,
-        noises=tuple(args.noise) if args.noise else experiments.NOISES,
-        base_seed=args.seed,
-    )
-    if args.json:
-        _emit({"records": [r.__dict__ for r in records]}, args)
-    else:
-        _write_rows(experiments.TABLE2_HEADER, experiments.table2_rows(records), args)
-    return EXIT_OK
-
-
-def cmd_sparsity_vs_p(args) -> int:
-    records = experiments.run_sparsity_vs_p(
-        profile=args.profile, delta=args.delta,
-        noises=tuple(args.noise) if args.noise else experiments.NOISES,
-        base_seed=args.seed,
-    )
-    if args.json:
-        _emit({"records": [r.__dict__ for r in records]}, args)
-    else:
-        _write_rows(experiments.SPARSITY_HEADER, experiments.sparsity_rows(records), args)
-    return EXIT_OK
-
-
-def cmd_success_curve(args) -> int:
-    records = experiments.run_success_curve(
-        m=args.m, n=args.n,
-        s_values=tuple(range(args.s_min, args.s_max + 1, args.s_step)),
-        trials=args.trials, p_grid=tuple(args.p) if args.p else (0.5,),
-        delta=args.delta,
-        noises=tuple(args.noise) if args.noise else ("gauss",),
-        solvers=tuple(args.solver) if args.solver else ("l1",),
-        base_seed=args.seed,
-    )
-    if args.json:
-        _emit({"records": [r.__dict__ | {"rate": r.rate} for r in records]}, args)
-    else:
-        _write_rows(experiments.SUCCESS_HEADER, experiments.success_rows(records), args)
+        _write_rows(args.header, args.rows(records), args)
     return EXIT_OK
 
 
@@ -295,26 +256,48 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--profile", choices=sorted(experiments.PROFILES), default="desk")
     sub.add_argument("--seeds", type=int, default=10)
     sub.add_argument("--delta", type=float, default=1e-3)
-    sub.add_argument("--p", type=float, action="append")
+    sub.add_argument("--p", type=_solver_exponent, action="append")
     sub.add_argument("--noise", choices=("gauss", "t2"), action="append")
     _add_common(sub)
-    sub.set_defaults(func=cmd_table1)
+    sub.set_defaults(
+        func=cmd_grid, header=experiments.TABLE1_HEADER, rows=experiments.table1_rows,
+        cells=lambda a: experiments.table1_cells(
+            profile=a.profile, seeds=a.seeds, delta=a.delta,
+            p_grid=tuple(a.p) if a.p else experiments.TABLE_P_GRID,
+            noises=tuple(a.noise) if a.noise else experiments.NOISES,
+            base_seed=a.seed,
+        ),
+    )
 
     sub = subs.add_parser("table2", help="l1 solver vs l2 baseline; CSV: noise,m,n,s,delta,solver,nnz,feas,recerr,time")
     sub.add_argument("--profile", choices=sorted(experiments.PROFILES), default="desk")
     sub.add_argument("--seeds", type=int, default=10)
     sub.add_argument("--delta", type=float, default=1e-3)
-    sub.add_argument("--p", type=float, default=0.5)
+    sub.add_argument("--p", type=_solver_exponent, default=0.5)
     sub.add_argument("--noise", choices=("gauss", "t2"), action="append")
     _add_common(sub)
-    sub.set_defaults(func=cmd_table2)
+    sub.set_defaults(
+        func=cmd_grid, header=experiments.TABLE2_HEADER, rows=experiments.table2_rows,
+        cells=lambda a: experiments.table2_cells(
+            profile=a.profile, seeds=a.seeds, delta=a.delta, p=a.p,
+            noises=tuple(a.noise) if a.noise else experiments.NOISES,
+            base_seed=a.seed,
+        ),
+    )
 
     sub = subs.add_parser("sparsity-vs-p", help="solution sparsity across the exponent grid; CSV: noise,p,nnz")
     sub.add_argument("--profile", choices=sorted(experiments.PROFILES), default="desk")
     sub.add_argument("--delta", type=float, default=1e-3)
     sub.add_argument("--noise", choices=("gauss", "t2"), action="append")
     _add_common(sub)
-    sub.set_defaults(func=cmd_sparsity_vs_p)
+    sub.set_defaults(
+        func=cmd_grid, header=experiments.SPARSITY_HEADER, rows=experiments.sparsity_rows,
+        cells=lambda a: experiments.sparsity_cells(
+            profile=a.profile, delta=a.delta,
+            noises=tuple(a.noise) if a.noise else experiments.NOISES,
+            base_seed=a.seed,
+        ),
+    )
 
     sub = subs.add_parser("success-curve", help="recovery success rate vs planted sparsity; CSV: noise,solver,p,s,trials,successes,rate")
     sub.add_argument("--m", type=int, default=64)
@@ -324,11 +307,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--s-step", type=int, default=5)
     sub.add_argument("--trials", type=int, default=50)
     sub.add_argument("--delta", type=float, default=1e-3)
-    sub.add_argument("--p", type=float, action="append")
+    sub.add_argument("--p", type=_solver_exponent, action="append")
     sub.add_argument("--noise", choices=("gauss", "t2"), action="append")
     sub.add_argument("--solver", choices=("l1", "l2"), action="append")
     _add_common(sub)
-    sub.set_defaults(func=cmd_success_curve)
+    sub.set_defaults(
+        func=cmd_grid, header=experiments.SUCCESS_HEADER, rows=experiments.success_rows,
+        cells=lambda a: experiments.success_cells(
+            m=a.m, n=a.n, s_values=tuple(range(a.s_min, a.s_max + 1, a.s_step)),
+            trials=a.trials, p_grid=tuple(a.p) if a.p else (0.5,), delta=a.delta,
+            noises=tuple(a.noise) if a.noise else ("gauss",),
+            solvers=tuple(a.solver) if a.solver else ("l1",),
+            base_seed=a.seed,
+        ),
+    )
 
     sub = subs.add_parser("plot-smoothing", help="sample the smoothing kernels on a grid; CSV: t,plus_value,plus_deriv,abs_value,abs_deriv")
     sub.add_argument("--mu", type=float, default=1.0)

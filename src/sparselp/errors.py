@@ -37,6 +37,11 @@ class InfeasibleStart(SparselpError):
     """The starting point violates the residual constraint."""
 
 
+class InvariantViolation(SparselpError):
+    """A guarantee the method rests on failed at run time: a solver descent
+    anchor, or the full rank of a generated matrix."""
+
+
 class TooLarge(SparselpError):
     """Instance is too large for an exhaustive oracle computation."""
 

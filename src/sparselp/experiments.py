@@ -1,12 +1,16 @@
-"""Experiment drivers behind the table and figure CLI commands.
+"""One grid runner behind the table and figure CLI commands.
 
-Each driver generates seeded instances, runs the solver(s), and returns a
-flat list of per-run records; separate writers aggregate them into the CSV
-layouts the CLI documents.  Seeds are derived as base_seed plus a global
-instance index, so runs are deterministic and instances stay disjoint under
-parallel execution.  SPARSELP_THREADS > 1 fans instances out to a process
-pool; results are collected in task order either way, so the CSV bytes do
-not depend on the worker count (wall-time columns excepted).
+Every experiment table is a grid of cells (spec, p, solver): one seeded
+draw, one exponent, and the l1-ball or l2-ball solver.  A per-table cell
+generator lists the cells, run_grid runs them all with the same cell task
+and returns one RunRecord per cell, and a per-table aggregator turns the
+records into the CSV rows the CLI documents.  Seeds are base_seed plus a
+global instance index, so runs are deterministic and instances stay
+disjoint under parallel execution.  SPARSELP_THREADS > 1 fans the cells of
+a grid out to one process pool; records come back in cell order either
+way, so the CSV bytes do not depend on the worker count (wall-time columns
+excepted).  A failure in one cell is recorded in that cell
+(nnz = -1, stop reason "error: ...") and the rest of the grid still runs.
 """
 
 from __future__ import annotations
@@ -15,12 +19,13 @@ import csv
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import replace_p
 from .errors import SparselpError
-from .gen import GenSpec, gen_instance, gen_matched_pair
+from .gen import GenSpec, gen_matched_pair
 from .linalg import lq_norm
 from .smoothing import smoothed_abs, smoothed_plus
 from .solver import solve_l1, solve_l2
@@ -44,91 +49,109 @@ def thread_count() -> int:
     return max(1, int(raw))
 
 
-def _map_ordered(fn, tasks):
-    workers = thread_count()
-    if workers == 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
-
-
 def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
 
 
-def write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+def write_csv(stream, header, rows) -> None:
+    """CSV to an open text stream (open files with newline="")."""
+    writer = csv.writer(stream)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(v) for v in row])
 
 
-# ---------------------------------------------------------------------------
-# table 1: solver quality per (noise, p), l1 ball only
+# -- the grid: cells, the cell task, one record per cell ---------------------
+class Cell(NamedTuple):
+    spec: GenSpec
+    p: float
+    solver: str  # "l1" or "l2"
 
 
 @dataclass(frozen=True)
-class Table1Record:
+class RunRecord:
     noise: str
+    m: int
+    n: int
+    s: int
+    delta: float
     p: float
+    solver: str
     seed: int
     nnz: int
     rank_aj: int
     err1: float
     err2: float
+    feas: float
+    recerr: float
     outer_iters: int
     inner_iters: int
     wall_time: float
     stop_reason: str
 
 
-def _table1_task(args) -> Table1Record:
-    m, n, s, delta, noise, p, seed = args
-    spec = GenSpec(m=m, n=n, s=s, delta=delta, noise=noise, seed=seed, q_for_sigma=1.0)
-    inst, _, _ = gen_instance(spec)
+def run_cell(cell: Cell) -> RunRecord:
+    """Draw the matched pair, solve on the cell's ball, measure the point."""
+    spec, p, solver = cell
+    head = dict(
+        noise=spec.noise, m=spec.m, n=spec.n, s=spec.s, delta=spec.delta,
+        p=p, solver=solver, seed=spec.seed,
+    )
     try:
-        report = solve_l1(replace_p(inst, p))
-        props = kkt_property_report(inst, report.x_star, q=1.0)
+        inst1, inst2, x_hat, _ = gen_matched_pair(spec)
+        solve, inst, q = (solve_l1, inst1, 1.0) if solver == "l1" else (solve_l2, inst2, 2.0)
+        report = solve(replace_p(inst, p))
+        x = report.x_star
+        props = kkt_property_report(inst, x, q=q)
+        feas = max(lq_norm(inst.residual(x), q) - inst.sigma, 0.0)
+        recerr = float(np.linalg.norm(x - x_hat)) / float(np.linalg.norm(x_hat))
     except SparselpError as exc:
-        return Table1Record(
-            noise=noise, p=p, seed=seed, nnz=-1, rank_aj=-1,
-            err1=np.nan, err2=np.nan, outer_iters=0, inner_iters=0,
-            wall_time=np.nan, stop_reason=f"error: {exc}",
+        return RunRecord(
+            **head, nnz=-1, rank_aj=-1, err1=np.nan, err2=np.nan, feas=np.nan,
+            recerr=np.nan, outer_iters=0, inner_iters=0, wall_time=np.nan,
+            stop_reason=f"error: {exc}",
         )
-    return Table1Record(
-        noise=noise,
-        p=p,
-        seed=seed,
-        nnz=props.nnz,
-        rank_aj=props.rank_aj,
-        err1=props.err1,
-        err2=props.err2,
-        outer_iters=report.outer_iters,
-        inner_iters=report.inner_iters_total,
-        wall_time=report.wall_time,
+    return RunRecord(
+        **head, nnz=props.nnz, rank_aj=props.rank_aj, err1=props.err1, err2=props.err2,
+        feas=float(feas), recerr=recerr, outer_iters=report.outer_iters,
+        inner_iters=report.inner_iters_total, wall_time=report.wall_time,
         stop_reason=report.stop_reason,
     )
 
 
-def run_table1(
-    profile: str = "desk",
-    seeds: int = 10,
-    p_grid=TABLE_P_GRID,
-    delta: float = 1e-3,
-    noises=NOISES,
-    base_seed: int = 0,
-) -> list[Table1Record]:
+def run_grid(cells) -> list[RunRecord]:
+    """Run every cell, in a process pool when SPARSELP_THREADS > 1."""
+    cells = list(cells)
+    workers = thread_count()
+    if workers == 1 or len(cells) <= 1:
+        return [run_cell(c) for c in cells]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run_cell, cells))
+
+
+def _groups(records, *keys) -> dict[tuple, list[RunRecord]]:
+    """Records grouped by the given fields, in first-appearance order."""
+    groups: dict[tuple, list[RunRecord]] = {}
+    for rec in records:
+        groups.setdefault(tuple(getattr(rec, k) for k in keys), []).append(rec)
+    return groups
+
+
+def _means(recs, *fields) -> tuple:
+    return tuple(float(np.mean([getattr(r, f) for r in recs])) for f in fields)
+
+
+# -- table 1: solver quality per (noise, p), l1 ball only --------------------
+def table1_cells(
+    profile="desk", seeds=10, p_grid=TABLE_P_GRID, delta=1e-3, noises=NOISES, base_seed=0
+):
     m, n, s = PROFILES[profile]
-    tasks = []
     for ni, noise in enumerate(noises):
         for p in p_grid:
             for si in range(seeds):
-                inst_seed = base_seed + ni * seeds + si
-                tasks.append((m, n, s, delta, noise, p, inst_seed))
-    return _map_ordered(_table1_task, tasks)
+                yield Cell(GenSpec(m, n, s, delta, noise, base_seed + ni * seeds + si), p, "l1")
 
 
 TABLE1_HEADER = ("noise", "p", "nnz", "rank", "err1", "err2")
@@ -136,161 +159,43 @@ TABLE1_HEADER = ("noise", "p", "nnz", "rank", "err1", "err2")
 
 def table1_rows(records) -> list[tuple]:
     """Mean over seeds per (noise, p), in first-appearance order."""
-    groups: dict[tuple, list[Table1Record]] = {}
-    for rec in records:
-        groups.setdefault((rec.noise, rec.p), []).append(rec)
-    rows = []
-    for (noise, p), recs in groups.items():
-        rows.append(
-            (
-                noise,
-                p,
-                float(np.mean([r.nnz for r in recs])),
-                float(np.mean([r.rank_aj for r in recs])),
-                float(np.mean([r.err1 for r in recs])),
-                float(np.mean([r.err2 for r in recs])),
-            )
-        )
-    return rows
+    return [
+        key + _means(recs, "nnz", "rank_aj", "err1", "err2")
+        for key, recs in _groups(records, "noise", "p").items()
+    ]
 
 
-# ---------------------------------------------------------------------------
-# table 2: l1-ball solver vs l2-ball baseline on matched instances
-
-
-@dataclass(frozen=True)
-class Table2Record:
-    noise: str
-    m: int
-    n: int
-    s: int
-    delta: float
-    solver: str
-    seed: int
-    nnz: int
-    feas: float
-    recerr: float
-    wall_time: float
-    stop_reason: str
-
-
-def _table2_task(args) -> tuple:
-    m, n, s, delta, noise, p, seed = args
-    spec = GenSpec(m=m, n=n, s=s, delta=delta, noise=noise, seed=seed, q_for_sigma=1.0)
-    inst1, inst2, x_hat, _ = gen_matched_pair(spec)
-    x_hat_norm = float(np.linalg.norm(x_hat))
-    out = []
-    for solver_name, solve, inst, q in (
-        ("l1", solve_l1, inst1, 1.0),
-        ("l2", solve_l2, inst2, 2.0),
-    ):
-        try:
-            report = solve(replace_p(inst, p))
-            x = report.x_star
-            feas = max(lq_norm(inst.residual(x), q) - inst.sigma, 0.0)
-            recerr = float(np.linalg.norm(x - x_hat)) / x_hat_norm
-            out.append(
-                Table2Record(
-                    noise=noise, m=m, n=n, s=s, delta=delta, solver=solver_name,
-                    seed=seed, nnz=len(report.support), feas=float(feas),
-                    recerr=recerr, wall_time=report.wall_time,
-                    stop_reason=report.stop_reason,
-                )
-            )
-        except SparselpError as exc:
-            out.append(
-                Table2Record(
-                    noise=noise, m=m, n=n, s=s, delta=delta, solver=solver_name,
-                    seed=seed, nnz=-1, feas=np.nan, recerr=np.nan,
-                    wall_time=np.nan, stop_reason=f"error: {exc}",
-                )
-            )
-    return tuple(out)
-
-
-def run_table2(
-    profile: str = "desk",
-    seeds: int = 10,
-    delta: float = 1e-3,
-    p: float = 0.5,
-    noises=NOISES,
-    base_seed: int = 0,
-) -> list[Table2Record]:
+# -- table 2: l1-ball solver vs l2-ball baseline on matched instances --------
+def table2_cells(profile="desk", seeds=10, delta=1e-3, p=0.5, noises=NOISES, base_seed=0):
     m, n, s = PROFILES[profile]
-    tasks = []
     for ni, noise in enumerate(noises):
         for si in range(seeds):
-            tasks.append((m, n, s, delta, noise, p, base_seed + ni * seeds + si))
-    records: list[Table2Record] = []
-    for pair in _map_ordered(_table2_task, tasks):
-        records.extend(pair)
-    return records
+            spec = GenSpec(m, n, s, delta, noise, base_seed + ni * seeds + si)
+            yield Cell(spec, p, "l1")
+            yield Cell(spec, p, "l2")
 
 
 TABLE2_HEADER = ("noise", "m", "n", "s", "delta", "solver", "nnz", "feas", "recerr", "time")
 
 
 def table2_rows(records) -> list[tuple]:
-    groups: dict[tuple, list[Table2Record]] = {}
-    for rec in records:
-        groups.setdefault((rec.noise, rec.solver), []).append(rec)
     rows = []
-    for (noise, solver), recs in groups.items():
-        first = recs[0]
+    for (noise, solver), recs in _groups(records, "noise", "solver").items():
+        r = recs[0]
         rows.append(
-            (
-                noise,
-                first.m,
-                first.n,
-                first.s,
-                first.delta,
-                solver,
-                float(np.mean([r.nnz for r in recs])),
-                float(np.mean([r.feas for r in recs])),
-                float(np.mean([r.recerr for r in recs])),
-                float(np.mean([r.wall_time for r in recs])),
-            )
+            (noise, r.m, r.n, r.s, r.delta, solver)
+            + _means(recs, "nnz", "feas", "recerr", "wall_time")
         )
     return rows
 
 
-# ---------------------------------------------------------------------------
-# sparsity of the solution across the exponent grid (figure-style)
-
-
-@dataclass(frozen=True)
-class SparsityRecord:
-    noise: str
-    p: float
-    nnz: int
-    stop_reason: str
-
-
-def _sparsity_task(args) -> SparsityRecord:
-    m, n, s, delta, noise, p, seed = args
-    spec = GenSpec(m=m, n=n, s=s, delta=delta, noise=noise, seed=seed, q_for_sigma=1.0)
-    inst, _, _ = gen_instance(spec)
-    try:
-        report = solve_l1(replace_p(inst, p))
-        return SparsityRecord(noise=noise, p=p, nnz=len(report.support), stop_reason=report.stop_reason)
-    except SparselpError as exc:
-        return SparsityRecord(noise=noise, p=p, nnz=-1, stop_reason=f"error: {exc}")
-
-
-def run_sparsity_vs_p(
-    profile: str = "desk",
-    p_grid=SPARSITY_P_GRID,
-    delta: float = 1e-3,
-    noises=NOISES,
-    base_seed: int = 0,
-) -> list[SparsityRecord]:
+# -- sparsity of the solution across the exponent grid (figure-style) --------
+def sparsity_cells(profile="desk", p_grid=SPARSITY_P_GRID, delta=1e-3, noises=NOISES, base_seed=0):
     """One instance per noise family, re-solved across the whole p grid."""
     m, n, s = PROFILES[profile]
-    tasks = []
     for ni, noise in enumerate(noises):
         for p in p_grid:
-            tasks.append((m, n, s, delta, noise, p, base_seed + ni))
-    return _map_ordered(_sparsity_task, tasks)
+            yield Cell(GenSpec(m, n, s, delta, noise, base_seed + ni), p, "l1")
 
 
 SPARSITY_HEADER = ("noise", "p", "nnz")
@@ -300,80 +205,35 @@ def sparsity_rows(records) -> list[tuple]:
     return [(r.noise, r.p, r.nnz) for r in records]
 
 
-# ---------------------------------------------------------------------------
-# success-rate curve over the planted sparsity
-
-
-@dataclass(frozen=True)
-class SuccessRecord:
-    noise: str
-    solver: str
-    p: float
-    s: int
-    trials: int
-    successes: int
-
-    @property
-    def rate(self) -> float:
-        return self.successes / self.trials
-
-
-def _success_task(args) -> bool:
-    m, n, s, delta, noise, p, solver, seed = args
-    spec = GenSpec(m=m, n=n, s=s, delta=delta, noise=noise, seed=seed, q_for_sigma=1.0)
-    inst1, inst2, x_hat, _ = gen_matched_pair(spec)
-    solve, inst = (solve_l1, inst1) if solver == "l1" else (solve_l2, inst2)
-    try:
-        report = solve(replace_p(inst, p))
-    except SparselpError:
-        return False
-    recerr = float(np.linalg.norm(report.x_star - x_hat)) / float(np.linalg.norm(x_hat))
-    return recerr < SUCCESS_THRESHOLD
-
-
-def run_success_curve(
-    m: int = 64,
-    n: int = 256,
-    s_values=(10, 15, 20, 25, 30, 35),
-    trials: int = 50,
-    p_grid=(0.5,),
-    delta: float = 1e-3,
-    noises=("gauss",),
-    solvers=("l1",),
-    base_seed: int = 0,
-) -> list[SuccessRecord]:
-    records = []
-    index = 0
+# -- success-rate curve over the planted sparsity ----------------------------
+def success_cells(
+    m=64, n=256, s_values=(10, 15, 20, 25, 30, 35), trials=50, p_grid=(0.5,),
+    delta=1e-3, noises=("gauss",), solvers=("l1",), base_seed=0,
+):
+    seed = base_seed
     for noise in noises:
         for solver in solvers:
             for p in p_grid:
                 for s in s_values:
-                    tasks = [
-                        (m, n, s, delta, noise, p, solver, base_seed + index + t)
-                        for t in range(trials)
-                    ]
-                    index += trials
-                    wins = _map_ordered(_success_task, tasks)
-                    records.append(
-                        SuccessRecord(
-                            noise=noise, solver=solver, p=p, s=s,
-                            trials=trials, successes=int(sum(wins)),
-                        )
-                    )
-    return records
+                    for _ in range(trials):
+                        yield Cell(GenSpec(m, n, s, delta, noise, seed), p, solver)
+                        seed += 1
 
 
 SUCCESS_HEADER = ("noise", "solver", "p", "s", "trials", "successes", "rate")
 
 
 def success_rows(records) -> list[tuple]:
-    return [
-        (r.noise, r.solver, r.p, r.s, r.trials, r.successes, r.rate) for r in records
-    ]
+    """Trials with relative recovery error below SUCCESS_THRESHOLD; a
+    failed cell (recerr nan) counts as a miss."""
+    rows = []
+    for key, recs in _groups(records, "noise", "solver", "p", "s").items():
+        wins = sum(r.recerr < SUCCESS_THRESHOLD for r in recs)
+        rows.append(key + (len(recs), wins, wins / len(recs)))
+    return rows
 
 
-# ---------------------------------------------------------------------------
-# smoothing-kernel sampling for plots
+# -- smoothing-kernel sampling for plots -------------------------------------
 
 SMOOTHING_HEADER = ("t", "plus_value", "plus_deriv", "abs_value", "abs_deriv")
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ProblemInstance, validate_instance
-from .errors import InvalidParam
+from .errors import InvalidParam, InvariantViolation
 from .linalg import lq_norm, numerical_rank
 
 log = logging.getLogger("sparselp.gen")
@@ -58,11 +58,6 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def sample_gaussian(count: int, rng: np.random.Generator) -> np.ndarray:
-    """i.i.d. standard normals (ziggurat over the Philox bit stream)."""
-    return rng.standard_normal(count)
-
-
 def sample_t2(count: int, rng: np.random.Generator) -> np.ndarray:
     """i.i.d. Student t with 2 degrees of freedom, as Z / sqrt(V/2).
 
@@ -74,7 +69,7 @@ def sample_t2(count: int, rng: np.random.Generator) -> np.ndarray:
     return z / np.sqrt(v / 2.0)
 
 
-_SAMPLERS = {"gauss": sample_gaussian, "t2": sample_t2}
+_SAMPLERS = {"gauss": lambda count, rng: rng.standard_normal(count), "t2": sample_t2}
 
 
 def _draw(spec: GenSpec, seed: int):
@@ -86,6 +81,12 @@ def _draw(spec: GenSpec, seed: int):
     x_hat[support] = rng.standard_normal(spec.s)
     xi = _SAMPLERS[spec.noise](spec.m, rng)
     return a, x_hat, xi
+
+
+def _check_full_rank(a) -> None:
+    rank = numerical_rank(a)
+    if rank != min(a.shape):
+        raise InvariantViolation(f"drawn {a.shape[0]}x{a.shape[1]} matrix has rank {rank}")
 
 
 def gen_instance(spec: GenSpec):
@@ -109,7 +110,7 @@ def gen_instance(spec: GenSpec):
         seed += 1
     else:
         raise InvalidParam(f"no valid draw in {MAX_RESEEDS} reseeds; delta too large?")
-    assert numerical_rank(a) == min(spec.m, spec.n)
+    _check_full_rank(a)
     inst = ProblemInstance(m=spec.m, n=spec.n, a=a, b=b, sigma=sigma, p=0.5)
     validate_instance(inst, q=spec.q_for_sigma)
     return inst, x_hat, xi
@@ -134,18 +135,10 @@ def gen_matched_pair(spec: GenSpec):
         seed += 1
     else:
         raise InvalidParam(f"no valid draw in {MAX_RESEEDS} reseeds; delta too large?")
-    assert numerical_rank(a) == min(spec.m, spec.n)
+    _check_full_rank(a)
     inst1 = ProblemInstance(m=spec.m, n=spec.n, a=a, b=b, sigma=sigma1, p=0.5)
     inst2 = ProblemInstance(m=spec.m, n=spec.n, a=a, b=b, sigma=sigma2, p=0.5)
     validate_instance(inst1, q=1.0)
     validate_instance(inst2, q=2.0)
     return inst1, inst2, x_hat, xi
 
-
-def t2_cdf(t):
-    """Closed-form CDF of the t(2) distribution, F(t) = 1/2 + t/(2 sqrt(2+t^2)).
-
-    Test oracle for sample_t2; the sampler itself never uses it.
-    """
-    t = np.asarray(t, dtype=np.float64)
-    return 0.5 + t / (2.0 * np.sqrt(2.0 + t * t))

@@ -64,12 +64,6 @@ def smoothed_abs(t, nu: float):
     return val, der
 
 
-def smoothed_l1_sum(z, nu: float) -> float:
-    """Smooth overestimate of ||z||_1 (sum of smoothed_abs values)."""
-    val, _ = smoothed_abs(z, nu)
-    return float(np.sum(val))
-
-
 def lp_power_sum(x, p: float) -> float:
     """sum_i |x_i|^p for 0 < p <= 1 (the sparsity surrogate)."""
     if not 0.0 < p <= 1.0:
@@ -88,7 +82,7 @@ class L1SmoothedPenalty:
 
     def value(self, x) -> float:
         r = self.inst.residual(x)
-        s = smoothed_l1_sum(r, self.sp.nu) - self.inst.sigma
+        s = float(np.sum(smoothed_abs(r, self.sp.nu)[0])) - self.inst.sigma
         val, _ = smoothed_plus(s, self.sp.mu)
         return self.sp.lam * float(val)
 
@@ -115,16 +109,3 @@ class L1SmoothedPenalty:
         inst, sp = self.inst, self.sp
         return (inst.m / sp.mu + 2.0 / sp.nu) * sp.lam * a_norm_sq
 
-
-def penalty_value_grad(x, inst: ProblemInstance, sp: SmoothingParams):
-    """Smoothed penalty value and gradient at x (functional form)."""
-    return L1SmoothedPenalty(inst, sp).value_and_grad(x)
-
-
-def penalty_value(x, inst: ProblemInstance, sp: SmoothingParams) -> float:
-    return L1SmoothedPenalty(inst, sp).value(x)
-
-
-def objective_value(x, inst: ProblemInstance, sp: SmoothingParams) -> float:
-    """Full smoothed objective: lp_power_sum plus the smoothed penalty."""
-    return lp_power_sum(x, inst.p) + penalty_value(x, inst, sp)

@@ -30,7 +30,7 @@ from .core import (
     SupportSet,
     validate_instance,
 )
-from .errors import InfeasibleStart, InvalidParam
+from .errors import InfeasibleStart, InvalidParam, InvariantViolation
 from .linalg import least_squares_min_norm, lq_norm, spectral_norm_sq
 from .npg import npg_solve
 from .smoothing import (
@@ -157,9 +157,10 @@ def _solve_penalty(inst, cfg, seed_x, q, make_penalty):
         # excess decays like 1/lam up to the smoothing gap at the anchor
         phi_next = lp_power_sum(x_next, inst.p)
         anchor_cap = phi_feas if anchor_exact else phi_feas + pen_feas
-        assert phi_next <= anchor_cap + _ANCHOR_SLACK * (1.0 + abs(anchor_cap)), (
-            "outer iterate lost the objective anchor"
-        )
+        if not phi_next <= anchor_cap + _ANCHOR_SLACK * (1.0 + abs(anchor_cap)):
+            raise InvariantViolation(
+                f"outer iterate {k} lost the objective anchor: {phi_next} > {anchor_cap}"
+            )
         if prev_lam is not None:
             r_next = inst.residual(x_next)
             if q == 1.0:
@@ -167,9 +168,13 @@ def _solve_penalty(inst, cfg, seed_x, q, make_penalty):
             else:
                 # the q=2 penalty bounds the squared-norm excess
                 gap = max(float(r_next @ r_next) - inst.sigma**2, 0.0)
-            assert prev_lam * gap <= phi_feas + prev_pen_feas + _ANCHOR_SLACK * (
+            if not prev_lam * gap <= phi_feas + prev_pen_feas + _ANCHOR_SLACK * (
                 1.0 + phi_feas + prev_pen_feas
-            ), "constraint violation stopped decaying with the penalty weight"
+            ):
+                raise InvariantViolation(
+                    f"outer iterate {k}: constraint violation stopped decaying"
+                    " with the penalty weight"
+                )
 
         etas = progress_measures(x_next, x, inst, q=q)
         worst = max(etas)

@@ -11,6 +11,15 @@ from itertools import combinations
 import numpy as np
 
 
+def t2_cdf(t):
+    """Closed-form CDF of the t(2) distribution, F(t) = 1/2 + t/(2 sqrt(2+t^2)).
+
+    Reference for the library's t(2) sampler, which never uses it.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    return 0.5 + t / (2.0 * np.sqrt(2.0 + t * t))
+
+
 def grid_prox(v, w, p, points=20_001):
     """Two-stage dense-grid minimizer of |t|^p + (w/2)(t-v)^2.
 

@@ -195,3 +195,25 @@ def test_oracle_rejects_out_of_range_p(tmp_path, capsys, golden):
             main(["oracle", "--instance", inst_path, "--p", bad])
         assert exc.value.code == 64
         assert "--p: exponent must be 0 or in (0, 1]" in capsys.readouterr().err
+
+
+def test_table_commands_reject_out_of_range_p(capsys):
+    commands = (
+        ["table1", "--profile", "desk", "--seeds", "1", "--noise", "gauss"],
+        ["table2", "--profile", "desk", "--seeds", "1"],
+        ["success-curve", "--m", "20", "--n", "40", "--trials", "1"],
+    )
+    for argv in commands:
+        for bad in ("1.5", "1", "0", "-0.2", "nan"):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--p", bad])
+            assert exc.value.code == 64
+            assert "--p: exponent must be in (0, 1)" in capsys.readouterr().err
+
+
+def test_csv_stdout_matches_out_file(tmp_path, capsysbinary):
+    path = tmp_path / "kernels.csv"
+    assert main(["plot-smoothing", "--count", "5", "--out", str(path)]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert main(["plot-smoothing", "--count", "5"]) == 0
+    assert capsysbinary.readouterr().out == path.read_bytes()

@@ -1,24 +1,26 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
 
+import sparselp.solver
 from sparselp.experiments import (
     SMOOTHING_HEADER,
     SPARSITY_HEADER,
     SUCCESS_HEADER,
     TABLE1_HEADER,
     TABLE2_HEADER,
-    Table1Record,
-    Table2Record,
-    run_sparsity_vs_p,
-    run_success_curve,
-    run_table1,
-    run_table2,
+    RunRecord,
+    run_grid,
     smoothing_grid,
+    sparsity_cells,
     sparsity_rows,
+    success_cells,
     success_rows,
+    table1_cells,
     table1_rows,
+    table2_cells,
     table2_rows,
     thread_count,
     write_csv,
@@ -37,10 +39,10 @@ def test_thread_count(monkeypatch):
 
 
 def test_table1_single_run():
-    recs = run_table1(profile="desk", seeds=1, p_grid=(0.5,), noises=("gauss",))
+    recs = run_grid(table1_cells(profile="desk", seeds=1, p_grid=(0.5,), noises=("gauss",)))
     assert len(recs) == 1
     r = recs[0]
-    assert (r.noise, r.p, r.seed) == ("gauss", 0.5, 0)
+    assert (r.noise, r.p, r.seed, r.solver) == ("gauss", 0.5, 0, "l1")
     assert r.stop_reason == "converged"
     assert r.nnz == 10 and r.rank_aj == 10
     assert r.err1 == 0.0
@@ -49,11 +51,17 @@ def test_table1_single_run():
     assert r.wall_time > 0.0
 
 
-def _t1(noise, p, nnz):
-    return Table1Record(
-        noise=noise, p=p, seed=0, nnz=nnz, rank_aj=nnz, err1=0.0, err2=0.0,
-        outer_iters=1, inner_iters=1, wall_time=0.0, stop_reason="converged",
+def _rec(**fields):
+    base = dict(
+        noise="gauss", m=5, n=9, s=2, delta=0.1, p=0.5, solver="l1", seed=0,
+        nnz=2, rank_aj=2, err1=0.0, err2=0.0, feas=0.0, recerr=0.0,
+        outer_iters=1, inner_iters=1, wall_time=0.5, stop_reason="converged",
     )
+    return RunRecord(**(base | fields))
+
+
+def _t1(noise, p, nnz):
+    return _rec(noise=noise, p=p, nnz=nnz, rank_aj=nnz)
 
 
 def test_table1_rows_aggregate_in_first_appearance_order():
@@ -65,7 +73,7 @@ def test_table1_rows_aggregate_in_first_appearance_order():
 
 
 def test_table2_matched_pair_run():
-    recs = run_table2(profile="desk", seeds=1, noises=("gauss",))
+    recs = run_grid(table2_cells(profile="desk", seeds=1, noises=("gauss",)))
     assert [r.solver for r in recs] == ["l1", "l2"]
     for r in recs:
         assert (r.m, r.n, r.s) == (100, 500, 10)
@@ -76,10 +84,7 @@ def test_table2_matched_pair_run():
 
 
 def _t2(noise, solver, recerr):
-    return Table2Record(
-        noise=noise, m=5, n=9, s=2, delta=0.1, solver=solver, seed=0,
-        nnz=2, feas=0.0, recerr=recerr, wall_time=0.5, stop_reason="converged",
-    )
+    return _rec(noise=noise, solver=solver, recerr=recerr)
 
 
 def test_table2_rows_aggregate():
@@ -91,7 +96,7 @@ def test_table2_rows_aggregate():
 
 
 def test_sparsity_grid_run():
-    recs = run_sparsity_vs_p(profile="desk", p_grid=(0.5, 0.3), noises=("gauss",))
+    recs = run_grid(sparsity_cells(profile="desk", p_grid=(0.5, 0.3), noises=("gauss",)))
     assert [(r.noise, r.p) for r in recs] == [("gauss", 0.5), ("gauss", 0.3)]
     assert all(r.nnz == 10 for r in recs)
     assert sparsity_rows(recs) == [("gauss", 0.5, 10), ("gauss", 0.3, 10)]
@@ -99,27 +104,72 @@ def test_sparsity_grid_run():
 
 
 def test_parallel_matches_serial(monkeypatch):
-    serial = run_sparsity_vs_p(profile="desk", p_grid=(0.5,), noises=("gauss", "t2"))
+    def run():
+        recs = run_grid(sparsity_cells(profile="desk", p_grid=(0.5,), noises=("gauss", "t2")))
+        return [dataclasses.replace(r, wall_time=0.0) for r in recs]
+
+    monkeypatch.delenv("SPARSELP_THREADS", raising=False)
+    serial = run()
     monkeypatch.setenv("SPARSELP_THREADS", "2")
-    parallel = run_sparsity_vs_p(profile="desk", p_grid=(0.5,), noises=("gauss", "t2"))
-    assert serial == parallel  # records carry no wall-time field
+    parallel = run()
+    assert len(serial) == 2
+    assert serial == parallel  # every field but the wall time
 
 
 def test_success_curve_smoke():
-    recs = run_success_curve(m=20, n=40, s_values=(3,), trials=2, delta=1e-3)
-    assert len(recs) == 1
-    r = recs[0]
-    assert (r.noise, r.solver, r.p, r.s, r.trials) == ("gauss", "l1", 0.5, 3, 2)
-    assert 0 <= r.successes <= r.trials
-    assert r.rate == r.successes / r.trials
-    assert len(success_rows(recs)[0]) == len(SUCCESS_HEADER)
+    recs = run_grid(success_cells(m=20, n=40, s_values=(3,), trials=2, delta=1e-3))
+    assert [(r.solver, r.s, r.seed) for r in recs] == [("l1", 3, 0), ("l1", 3, 1)]
+    rows = success_rows(recs)
+    assert len(rows) == 1
+    noise, solver, p, s, trials, successes, rate = rows[0]
+    assert (noise, solver, p, s, trials) == ("gauss", "l1", 0.5, 3, 2)
+    assert successes == sum(r.recerr < 5e-3 for r in recs)
+    assert rate == successes / trials
+    assert len(rows[0]) == len(SUCCESS_HEADER)
+
+
+def test_success_cells_seed_scheme():
+    # base_seed plus a running index over (noise, solver, p, s, trial)
+    cells = list(success_cells(
+        m=20, n=40, s_values=(3, 5), trials=2, noises=("gauss",),
+        solvers=("l1", "l2"), base_seed=10,
+    ))
+    assert [(c.solver, c.spec.s, c.spec.seed) for c in cells] == [
+        ("l1", 3, 10), ("l1", 3, 11), ("l1", 5, 12), ("l1", 5, 13),
+        ("l2", 3, 14), ("l2", 3, 15), ("l2", 5, 16), ("l2", 5, 17),
+    ]
+    assert all(c.p == 0.5 and c.spec.noise == "gauss" for c in cells)
+    assert all((c.spec.m, c.spec.n, c.spec.delta) == (20, 40, 1e-3) for c in cells)
+
+
+def test_failed_cell_is_recorded_and_grid_continues(monkeypatch):
+    # an outer iterate above the objective anchor breaks a solver invariant;
+    # that cell must come back as an error record, not abort the grid
+    real = sparselp.solver.npg_solve
+
+    def broken(inst, *args, **kwargs):
+        out = real(inst, *args, **kwargs)
+        if inst.p == 0.3:
+            return dataclasses.replace(out, x_final=np.full(inst.n, 1e6))
+        return out
+
+    monkeypatch.delenv("SPARSELP_THREADS", raising=False)
+    monkeypatch.setattr(sparselp.solver, "npg_solve", broken)
+    recs = run_grid(success_cells(m=20, n=40, s_values=(3,), trials=1, p_grid=(0.5, 0.3)))
+    assert [r.p for r in recs] == [0.5, 0.3]
+    good, bad = recs
+    assert good.stop_reason == "converged" and good.nnz >= 1
+    assert bad.stop_reason.startswith("error: ") and "objective anchor" in bad.stop_reason
+    assert bad.nnz == -1 and np.isnan(bad.recerr) and np.isnan(bad.wall_time)
+    assert success_rows(recs)[1][5] == 0  # the failed cell counts as a miss
 
 
 def test_write_csv_deterministic(tmp_path):
     rows = [("gauss", 0.5, 0.1 + 0.2), ("t2", 3, 1e-17)]
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_csv(p1, ("k", "p", "v"), rows)
-    write_csv(p2, ("k", "p", "v"), rows)
+    for path in (p1, p2):
+        with open(path, "w", newline="") as fh:
+            write_csv(fh, ("k", "p", "v"), rows)
     assert p1.read_bytes() == p2.read_bytes()
     with open(p1, newline="") as fh:
         got = list(csv.reader(fh))

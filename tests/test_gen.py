@@ -3,8 +3,9 @@ import logging
 import numpy as np
 import pytest
 
+from refs import t2_cdf
 from sparselp import GenSpec, InvalidParam, gen_instance, gen_matched_pair
-from sparselp.gen import make_rng, sample_t2, t2_cdf
+from sparselp.gen import make_rng, sample_t2
 from sparselp.linalg import lq_norm
 
 

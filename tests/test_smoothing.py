@@ -6,11 +6,7 @@ from sparselp.smoothing import (
     L1SmoothedPenalty,
     SmoothingParams,
     lp_power_sum,
-    objective_value,
-    penalty_value,
-    penalty_value_grad,
     smoothed_abs,
-    smoothed_l1_sum,
     smoothed_plus,
 )
 
@@ -74,7 +70,7 @@ def test_smoothed_l1_sum_overestimates(rng):
     for _ in range(100):
         z = rng.standard_normal(rng.integers(1, 9))
         nu = float(rng.uniform(1e-3, 2.0))
-        v = smoothed_l1_sum(z, nu)
+        v = float(np.sum(smoothed_abs(z, nu)[0]))
         l1 = float(np.sum(np.abs(z)))
         assert l1 - 1e-15 <= v <= l1 + len(z) * nu / 4 + 1e-15
 
@@ -131,7 +127,7 @@ def test_penalty_envelope_gap(rng):
         sp = SmoothingParams(lam=2.0, mu=0.3, nu=0.2)
         x = rng.standard_normal(5)
         exact = sp.lam * max(np.sum(np.abs(inst.residual(x))) - inst.sigma, 0.0)
-        val = penalty_value(x, inst, sp)
+        val = L1SmoothedPenalty(inst, sp).value(x)
         assert exact - 1e-12 <= val <= exact + sp.lam * (sp.mu / 8 + inst.m * sp.nu / 4) + 1e-12
 
 
@@ -142,7 +138,7 @@ def test_gradient_vanishes_deep_inside(rng):
     )
     sp = SmoothingParams(lam=10.0, mu=1e-4, nu=1e-4)
     x = np.array([4.5, 0.0])  # residual -0.5, well inside the sigma=2 ball
-    val, grad = penalty_value_grad(x, inst, sp)
+    val, grad = L1SmoothedPenalty(inst, sp).value_and_grad(x)
     assert val == 0.0
     np.testing.assert_array_equal(grad, np.zeros(2))
 
@@ -168,4 +164,5 @@ def test_objective_value_composes():
     sp = SmoothingParams(lam=1.0, mu=1e-6, nu=1e-6)
     x = np.array([1.0, 0.0])
     # residual -3, |r|_1 = 3, violation 2.5; power sum 1
-    assert objective_value(x, inst, sp) == pytest.approx(1.0 + 2.5, abs=1e-5)
+    objective = lp_power_sum(x, inst.p) + L1SmoothedPenalty(inst, sp).value(x)
+    assert objective == pytest.approx(1.0 + 2.5, abs=1e-5)
