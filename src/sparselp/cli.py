@@ -18,7 +18,7 @@ import numpy as np
 
 from . import experiments
 from .core import read_instance, replace_p, write_instance
-from .errors import SparselpError, TooLarge
+from .errors import InvalidParam, SparselpError, TooLarge
 from .gen import GenSpec, gen_instance
 from .oracle import (
     all_orthant_vertices,
@@ -57,6 +57,14 @@ def _solver_exponent(text: str) -> float:
     if not 0.0 < p < 1.0:
         raise argparse.ArgumentTypeError(f"exponent must be in (0, 1), got {text}")
     return p
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts (--seeds, --trials, --s-step): an integer >= 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"count must be a positive integer, got {text}")
+    return n
 
 
 def _emit(payload: dict, args) -> None:
@@ -254,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("table1", help="solver quality per (noise, p); CSV: noise,p,nnz,rank,err1,err2")
     sub.add_argument("--profile", choices=sorted(experiments.PROFILES), default="desk")
-    sub.add_argument("--seeds", type=int, default=10)
+    sub.add_argument("--seeds", type=_positive_int, default=10)
     sub.add_argument("--delta", type=float, default=1e-3)
     sub.add_argument("--p", type=_solver_exponent, action="append")
     sub.add_argument("--noise", choices=("gauss", "t2"), action="append")
@@ -271,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("table2", help="l1 solver vs l2 baseline; CSV: noise,m,n,s,delta,solver,nnz,feas,recerr,time")
     sub.add_argument("--profile", choices=sorted(experiments.PROFILES), default="desk")
-    sub.add_argument("--seeds", type=int, default=10)
+    sub.add_argument("--seeds", type=_positive_int, default=10)
     sub.add_argument("--delta", type=float, default=1e-3)
     sub.add_argument("--p", type=_solver_exponent, default=0.5)
     sub.add_argument("--noise", choices=("gauss", "t2"), action="append")
@@ -304,8 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--n", type=int, default=256)
     sub.add_argument("--s-min", type=int, default=10)
     sub.add_argument("--s-max", type=int, default=35)
-    sub.add_argument("--s-step", type=int, default=5)
-    sub.add_argument("--trials", type=int, default=50)
+    sub.add_argument("--s-step", type=_positive_int, default=5)
+    sub.add_argument("--trials", type=_positive_int, default=50)
     sub.add_argument("--delta", type=float, default=1e-3)
     sub.add_argument("--p", type=_solver_exponent, action="append")
     sub.add_argument("--noise", choices=("gauss", "t2"), action="append")
@@ -337,6 +345,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.func is cmd_grid:
+        # the grid's worker count comes from SPARSELP_THREADS; a bad value is
+        # a usage error, reported before any cell runs
+        try:
+            experiments.thread_count()
+        except InvalidParam as exc:
+            parser.error(str(exc))
     try:
         return args.func(args)
     except TooLarge as exc:

@@ -249,7 +249,11 @@ class OuterRecord:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Result of a full penalty-solver run."""
+    """Result of a full penalty-solver run.
+
+    wall_time covers the outer loop only; setup_time is the time spent
+    before it on the feasible anchor, its residual and ||A||^2.
+    """
 
     x_star: np.ndarray
     objective: float
@@ -261,6 +265,7 @@ class SolveReport:
     outer_iters: int
     inner_iters_total: int
     wall_time: float
+    setup_time: float
     stop_reason: str  # "converged" or "outer_cap"
     q: float
     trace: tuple = ()
@@ -282,6 +287,7 @@ class SolveReport:
             "outer_iters": self.outer_iters,
             "inner_iters_total": self.inner_iters_total,
             "wall_time": self.wall_time,
+            "setup_time": self.setup_time,
             "stop_reason": self.stop_reason,
             "q": self.q,
         }

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import replace_p
-from .errors import SparselpError
+from .errors import InvalidParam, SparselpError
 from .gen import GenSpec, gen_matched_pair
 from .linalg import lq_norm
 from .smoothing import smoothed_abs, smoothed_plus
@@ -43,10 +43,17 @@ SUCCESS_THRESHOLD = 5e-3
 
 
 def thread_count() -> int:
+    """Worker processes for run_grid: SPARSELP_THREADS, 1 when unset."""
     raw = os.environ.get("SPARSELP_THREADS", "").strip()
     if not raw:
         return 1
-    return max(1, int(raw))
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0  # rejected below with the counts under 1
+    if workers < 1:
+        raise InvalidParam(f"SPARSELP_THREADS must be a positive integer, got {raw!r}")
+    return workers
 
 
 def _fmt(value) -> str:

@@ -70,36 +70,18 @@ def gram_extremes(a_j) -> GramExtremes:
     return GramExtremes(lambda_min=lam_min, lambda_max=lam_max)
 
 
-def spectral_norm_sq(a, rel_tol: float = 1e-13, max_iter: int = 500) -> float:
-    """||A||^2 (largest eigenvalue of A'A) by deterministic power iteration.
+def spectral_norm_sq(a) -> float:
+    """||A||^2, the largest eigenvalue of the smaller Gram matrix.
 
-    Starts from the normalized all-ones vector; if that direction dies out
-    (it can be orthogonal to the top singular vector) the iteration restarts
-    once from a fixed pseudo-random vector, so the result never depends on
-    ambient RNG state.
+    That is A A' when A has no more rows than columns and A'A otherwise;
+    both share their nonzero eigenvalues.  A symmetric eigensolver gets the
+    value to rounding accuracy in one pass, so it can serve as the upper
+    bound in Lipschitz estimates; roundoff below zero is clamped to 0.
     """
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     if not np.isfinite(a).all():
         raise NonFinite("matrix contains nan or inf")
-    n = a.shape[1]
-    v = np.ones(n) / np.sqrt(n)
-    est = 0.0
-    restarted = False
-    for _ in range(max_iter):
-        w = a @ v
-        u = a.T @ w
-        nu = float(np.linalg.norm(u))
-        if nu <= 1e-30 * max(1.0, est):
-            if restarted:
-                return float(w @ w)
-            rng = np.random.Generator(np.random.Philox(0))
-            v = rng.standard_normal(n)
-            v /= np.linalg.norm(v)
-            restarted = True
-            continue
-        new_est = float(w @ w)  # Rayleigh quotient of A'A at unit v
-        v = u / nu
-        if abs(new_est - est) <= rel_tol * max(1.0, new_est):
-            return new_est
-        est = new_est
-    return est
+    if a.size == 0:
+        return 0.0
+    gram = a @ a.T if a.shape[0] <= a.shape[1] else a.T @ a
+    return max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)

@@ -17,6 +17,12 @@ when the start sits in a shallow region, and handing back the start
 unchanged would make the caller's progress measures vanish identically.
 Every accepted iterate satisfies F <= F(x0), so the swap keeps the
 no-worse-than-start guarantee.
+
+The penalty sees x only through the residual r = Ax - b, so the residual
+is carried with the iterate: each backtrack trial computes A w once, the
+accepted trial's residual feeds the gradient (one A^T product), and the
+outcome hands back the residual of x_final.  That is one product with A
+per trial and one with A^T per accepted step.
 """
 
 from __future__ import annotations
@@ -37,7 +43,8 @@ BACKTRACK_CAP = 60
 
 @dataclass
 class NpgState:
-    """Rolling iterate window used by the step-constant heuristic."""
+    """Rolling iterate window used by the step-constant heuristic, and the
+    residual of the current iterate."""
 
     x_curr: np.ndarray
     x_prev: np.ndarray
@@ -48,11 +55,14 @@ class NpgState:
     f_history: deque
     l_bar_prev: float
     iter: int = 0
+    # residual A x_curr - b; the step heuristic does not read it
+    r_curr: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
 class NpgOutcome:
     x_final: np.ndarray
+    r_final: np.ndarray  # residual A x_final - b
     x_post: np.ndarray
     f_final: float
     iters: int
@@ -95,8 +105,12 @@ def npg_solve(
     penalty=None,
     a_norm_sq: float | None = None,
     keep_history: bool = False,
+    r0=None,
 ) -> NpgOutcome:
-    """Run the inner loop from x0 down to inner tolerance eps."""
+    """Run the inner loop from x0 down to inner tolerance eps.
+
+    r0, if given, is the residual A x0 - b, which saves one product.
+    """
     cfg = cfg or SolverConfig()
     par: NpgParams = cfg.npg
     if penalty is None:
@@ -107,7 +121,8 @@ def npg_solve(
     p = inst.p
 
     x = np.array(x0, dtype=np.float64)
-    pen_val, g = penalty.value_and_grad(x)
+    r = inst.residual(x) if r0 is None else r0
+    pen_val, g = penalty.value_and_grad(r)
     f_x = lp_power_sum(x, p) + pen_val
     if not np.isfinite(f_x):
         raise NonFinite("objective is not finite at the starting point")
@@ -118,6 +133,7 @@ def npg_solve(
 
     state = NpgState(
         x_curr=x,
+        r_curr=r,
         x_prev=x,
         x_prev2=x,
         g_curr=g,
@@ -139,7 +155,8 @@ def npg_solve(
         for i in range(BACKTRACK_CAP + 1):
             l_try = l0 * par.tau**i
             w = prox_vector(state.x_curr, state.g_curr, l_try, p)
-            pen_w = penalty.value(w)
+            r_w = inst.residual(w)
+            pen_w = penalty.value(r_w)
             f_w = lp_power_sum(w, p) + pen_w
             if not np.isfinite(f_w):
                 continue  # overshoot into overflow; keep doubling
@@ -169,6 +186,7 @@ def npg_solve(
             stop_reason = "step_tol" if crit_step else "obj_tol"
             return NpgOutcome(
                 x_final=x_pre if crit_step else w,
+                r_final=state.r_curr if crit_step else r_w,
                 x_post=w,
                 f_final=f_prev if crit_step else f_w,
                 iters=it + 1,
@@ -178,9 +196,10 @@ def npg_solve(
                 history=tuple(history),
             )
 
-        g_w = penalty.grad(w)
+        g_w = penalty.grad(r_w)
         state = NpgState(
             x_curr=w,
+            r_curr=r_w,
             x_prev=x_pre,
             x_prev2=state.x_prev,
             g_curr=g_w,
@@ -196,6 +215,7 @@ def npg_solve(
     # still supplies the stationarity bound
     return NpgOutcome(
         x_final=state.x_curr,
+        r_final=state.r_curr,
         x_post=state.x_curr,
         f_final=f_x,
         iters=par.iter_cap,

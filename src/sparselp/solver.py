@@ -11,9 +11,12 @@ measures are below eta_switch.  Iteration stops when
     max{ rel step, rel objective change, (residual - sigma)_+ } < outer_tol.
 
 The feasible anchor is the minimum-norm least-squares point (or a caller
-seed) and its computation is excluded from the reported wall time.  The
-returned point is cleaned by refine(), which zeroes coordinates below a
-relative floor.
+seed).  Its computation, its residual and ||A||^2 are reported as the
+setup time and excluded from the reported wall time.  The residual of the
+current iterate is carried across outer iterations (the inner loop hands
+back the residual of its final point), so the loop's own bookkeeping
+costs no product with A.  The returned point is cleaned by refine(),
+which zeroes coordinates below a relative floor.
 """
 
 from __future__ import annotations
@@ -35,24 +38,29 @@ from .linalg import least_squares_min_norm, lq_norm, spectral_norm_sq
 from .npg import npg_solve
 from .smoothing import (
     L1SmoothedPenalty,
+    L2SmoothedPenalty,
     SmoothingParams,
     lp_power_sum,
-    smoothed_plus,
 )
 
 # absolute slack for the runtime descent checks; covers float roundoff only
 _ANCHOR_SLACK = 1e-9
 
 
-def progress_measures(x_next, x_prev, inst: ProblemInstance, q: float = 1.0):
-    """Relative step, relative objective change, and constraint violation."""
+def progress_measures(x_next, x_prev, inst: ProblemInstance, q: float = 1.0, r_next=None):
+    """Relative step, relative objective change, and constraint violation.
+
+    r_next, if given, is the residual A x_next - b.
+    """
     x_next = np.asarray(x_next, dtype=np.float64)
     x_prev = np.asarray(x_prev, dtype=np.float64)
     eta1 = float(np.linalg.norm(x_next - x_prev)) / (1.0 + float(np.linalg.norm(x_next)))
     phi_next = lp_power_sum(x_next, inst.p)
     phi_prev = lp_power_sum(x_prev, inst.p)
     eta2 = abs(phi_next - phi_prev) / (1.0 + phi_next)
-    eta3 = max(lq_norm(inst.residual(x_next), q) - inst.sigma, 0.0)
+    if r_next is None:
+        r_next = inst.residual(x_next)
+    eta3 = max(lq_norm(r_next, q) - inst.sigma, 0.0)
     return eta1, eta2, eta3
 
 
@@ -71,53 +79,18 @@ def refine(x, threshold: float = 1e-8) -> np.ndarray:
     return out
 
 
-class L2SmoothedPenalty:
-    """Penalty for the q = 2 ball: lam * smoothed_plus(||Ax-b||^2 - sigma^2).
-
-    The squared residual is already smooth, so only the positive part is
-    smoothed.  Shares the prox and inner-loop machinery with the l1 case.
-    """
-
-    def __init__(self, inst: ProblemInstance, sp: SmoothingParams, r2_cap: float = 1.0):
-        self.inst = inst
-        self.sp = sp
-        # any finite bound works here; it only caps the initial step guess,
-        # the line search guards correctness
-        self.r2_cap = r2_cap
-
-    def value(self, x) -> float:
-        r = self.inst.residual(x)
-        u = float(r @ r) - self.inst.sigma**2
-        val, _ = smoothed_plus(u, self.sp.mu)
-        return self.sp.lam * float(val)
-
-    def value_and_grad(self, x):
-        r = self.inst.residual(x)
-        u = float(r @ r) - self.inst.sigma**2
-        val, der = smoothed_plus(u, self.sp.mu)
-        value = self.sp.lam * float(val)
-        outer = self.sp.lam * float(der)
-        if outer == 0.0:
-            return value, np.zeros(self.inst.n)
-        return value, outer * 2.0 * (self.inst.a.T @ r)
-
-    def grad(self, x) -> np.ndarray:
-        return self.value_and_grad(x)[1]
-
-    def lipschitz_bound(self, a_norm_sq: float) -> float:
-        return self.sp.lam * a_norm_sq * (2.0 + 4.0 * self.r2_cap / self.sp.mu)
-
-
 def _solve_penalty(inst, cfg, seed_x, q, make_penalty):
     validate_instance(inst, q=q)
     if not 0.0 < inst.p < 1.0:
         raise InvalidParam(f"solver needs p in (0, 1), got {inst.p}")
 
+    t_setup = time.perf_counter()
     if seed_x is not None:
         x_feas = np.array(seed_x, dtype=np.float64)
     else:
         x_feas = least_squares_min_norm(inst.a, inst.b)
-    res_feas = lq_norm(inst.residual(x_feas), q)
+    r_feas = inst.residual(x_feas)
+    res_feas = lq_norm(r_feas, q)
     if res_feas > inst.sigma + 1e-10 * (1.0 + lq_norm(inst.b, q)):
         raise InfeasibleStart(
             f"starting point has ||Ax-b||_{q} = {res_feas} > sigma = {inst.sigma}"
@@ -127,10 +100,12 @@ def _solve_penalty(inst, cfg, seed_x, q, make_penalty):
 
     a_norm_sq = spectral_norm_sq(inst.a)
     t0 = time.perf_counter()
+    setup_time = t0 - t_setup
 
     lam, mu, nu = cfg.lambda0, cfg.mu0, cfg.nu0
     eps = cfg.eps0
-    x = x_feas
+    # the current iterate and its residual A x - b travel together
+    x, r = x_feas, r_feas
     trace = []
     total_inner = 0
     stop_reason = "outer_cap"
@@ -140,15 +115,17 @@ def _solve_penalty(inst, cfg, seed_x, q, make_penalty):
 
     for k in range(cfg.outer_iter_cap):
         sp = SmoothingParams(lam, mu, nu)
-        pen = make_penalty(inst, sp, x)
-        pen_feas = pen.value(x_feas)
+        pen = make_penalty(inst, sp, r)
+        pen_feas = pen.value(r_feas)
         f_feas = phi_feas + pen_feas
-        f_curr = lp_power_sum(x, inst.p) + pen.value(x)
-        x_start = x if f_curr <= f_feas else x_feas
+        f_curr = lp_power_sum(x, inst.p) + pen.value(r)
+        x_start, r_start = (x, r) if f_curr <= f_feas else (x_feas, r_feas)
 
-        out = npg_solve(inst, sp, x_start, eps, cfg, penalty=pen, a_norm_sq=a_norm_sq)
+        out = npg_solve(
+            inst, sp, x_start, eps, cfg, penalty=pen, a_norm_sq=a_norm_sq, r0=r_start
+        )
         total_inner += out.iters
-        x_next = out.x_final
+        x_next, r_next = out.x_final, out.r_final
 
         # descent anchors from the convergence analysis, checked each
         # iteration: the power objective never exceeds the anchor's
@@ -162,7 +139,6 @@ def _solve_penalty(inst, cfg, seed_x, q, make_penalty):
                 f"outer iterate {k} lost the objective anchor: {phi_next} > {anchor_cap}"
             )
         if prev_lam is not None:
-            r_next = inst.residual(x_next)
             if q == 1.0:
                 gap = max(lq_norm(r_next, 1.0) - inst.sigma, 0.0)
             else:
@@ -176,7 +152,7 @@ def _solve_penalty(inst, cfg, seed_x, q, make_penalty):
                     " with the penalty weight"
                 )
 
-        etas = progress_measures(x_next, x, inst, q=q)
+        etas = progress_measures(x_next, x, inst, q=q, r_next=r_next)
         worst = max(etas)
         done = worst < cfg.outer_tol or k + 1 >= cfg.outer_iter_cap
         rho = np.nan if done else (cfg.rho_slow if worst < cfg.eta_switch else cfg.rho_fast)
@@ -195,7 +171,7 @@ def _solve_penalty(inst, cfg, seed_x, q, make_penalty):
                 rho=float(rho),
             )
         )
-        x = x_next
+        x, r = x_next, r_next
         if worst < cfg.outer_tol:
             stop_reason = "converged"
             break
@@ -213,10 +189,12 @@ def _solve_penalty(inst, cfg, seed_x, q, make_penalty):
     x_ref = refine(x, cfg.refine_threshold)
     # the report's objective and residual use the refined point; eta1/eta2
     # keep the last outer comparison, eta3 is recomputed if refinement moved x
+    moved = not np.array_equal(x_ref, x)
+    r_ref = inst.residual(x_ref) if moved else r
     if trace:
         eta1, eta2, eta3 = etas
-        if not np.array_equal(x_ref, x):
-            eta3 = max(lq_norm(inst.residual(x_ref), q) - inst.sigma, 0.0)
+        if moved:
+            eta3 = max(lq_norm(r_ref, q) - inst.sigma, 0.0)
     else:
         eta1 = eta2 = eta3 = np.nan
 
@@ -224,13 +202,14 @@ def _solve_penalty(inst, cfg, seed_x, q, make_penalty):
         x_star=x_ref,
         objective=lp_power_sum(x_ref, inst.p),
         support=SupportSet.from_vector(x_ref),
-        l1_residual=lq_norm(inst.residual(x_ref), 1.0),
+        l1_residual=lq_norm(r_ref, 1.0),
         eta1=eta1,
         eta2=eta2,
         eta3=eta3,
         outer_iters=len(trace),
         inner_iters_total=total_inner,
         wall_time=wall,
+        setup_time=setup_time,
         stop_reason=stop_reason,
         q=q,
         trace=tuple(trace),
@@ -241,7 +220,7 @@ def solve_l1(inst: ProblemInstance, cfg: SolverConfig | None = None, seed_x=None
     """Solve min lp_power_sum(x, p) s.t. ||Ax - b||_1 <= sigma."""
     cfg = cfg or SolverConfig()
 
-    def make(inst_, sp, _x):
+    def make(inst_, sp, _r):
         return L1SmoothedPenalty(inst_, sp)
 
     return _solve_penalty(inst, cfg, seed_x, 1.0, make)
@@ -251,9 +230,8 @@ def solve_l2(inst: ProblemInstance, cfg: SolverConfig | None = None, seed_x=None
     """Baseline on the l2 ball: min lp_power_sum(x, p) s.t. ||Ax - b||_2 <= sigma."""
     cfg = cfg or SolverConfig()
 
-    def make(inst_, sp, x_warm):
-        r = inst_.residual(x_warm)
-        r2 = float(r @ r)
+    def make(inst_, sp, r_warm):
+        r2 = float(r_warm @ r_warm)
         return L2SmoothedPenalty(inst_, sp, r2_cap=2.0 * max(r2, inst_.sigma**2) + 1.0)
 
     return _solve_penalty(inst, cfg, seed_x, 2.0, make)

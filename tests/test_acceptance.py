@@ -273,11 +273,11 @@ def _gradient_worst_rel(rng):
         pen = L1SmoothedPenalty(inst, sp)
         for _ in range(100):
             x = rng.standard_normal(n)
-            _, grad = pen.value_and_grad(x)
+            _, grad = pen.value_and_grad(inst.residual(x))
             j = int(rng.integers(n))
             e = np.zeros(n)
             e[j] = h
-            fd = (pen.value(x + e) - pen.value(x - e)) / (2 * h)
+            fd = (pen.value(inst.residual(x + e)) - pen.value(inst.residual(x - e))) / (2 * h)
             worst = max(worst, abs(grad[j] - fd) / max(1e-6, abs(fd)))
     return worst
 
@@ -346,7 +346,7 @@ def _npg_battery(rng):
         )
         pen = L1SmoothedPenalty(inst, sp)
         x0 = rng.standard_normal(n)
-        f0 = lp_power_sum(x0, inst.p) + pen.value(x0)
+        f0 = lp_power_sum(x0, inst.p) + pen.value(inst.residual(x0))
         out = npg_solve(inst, sp, x0, eps=1e-4, keep_history=True)
         assert out.f_final <= f0 + 1e-9 * (1 + abs(f0))
         # nonmonotone window descent, rechecked from the recorded history

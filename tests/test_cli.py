@@ -217,3 +217,27 @@ def test_csv_stdout_matches_out_file(tmp_path, capsysbinary):
     assert capsysbinary.readouterr().out == b""
     assert main(["plot-smoothing", "--count", "5"]) == 0
     assert capsysbinary.readouterr().out == path.read_bytes()
+
+
+def test_table_commands_reject_bad_counts(capsys):
+    commands = (
+        (["table1", "--profile", "desk", "--noise", "gauss"], "--seeds"),
+        (["table2", "--profile", "desk"], "--seeds"),
+        (["success-curve", "--m", "20", "--n", "40"], "--trials"),
+        (["success-curve", "--m", "20", "--n", "40"], "--s-step"),
+    )
+    for argv, flag in commands:
+        for bad in ("0", "-1", "1.5", "x"):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + [flag, bad])
+            assert exc.value.code == 64
+            assert f"argument {flag}:" in capsys.readouterr().err
+
+
+def test_bad_thread_count_is_usage_error(monkeypatch, capsys):
+    for bad in ("abc", "0", "-2", "1.5"):
+        monkeypatch.setenv("SPARSELP_THREADS", bad)
+        with pytest.raises(SystemExit) as exc:
+            main(["table1", "--seeds", "1", "--p", "0.5", "--noise", "gauss"])
+        assert exc.value.code == 64
+        assert "SPARSELP_THREADS" in capsys.readouterr().err

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import sparselp.solver
+from sparselp import InvalidParam
 from sparselp.experiments import (
     SMOOTHING_HEADER,
     SPARSITY_HEADER,
@@ -32,10 +33,12 @@ def test_thread_count(monkeypatch):
     assert thread_count() == 1
     monkeypatch.setenv("SPARSELP_THREADS", "4")
     assert thread_count() == 4
-    monkeypatch.setenv("SPARSELP_THREADS", "0")
-    assert thread_count() == 1
     monkeypatch.setenv("SPARSELP_THREADS", " 2 ")
     assert thread_count() == 2
+    for bad in ("0", "-1", "abc", "1.5"):
+        monkeypatch.setenv("SPARSELP_THREADS", bad)
+        with pytest.raises(InvalidParam, match="SPARSELP_THREADS"):
+            thread_count()
 
 
 def test_table1_single_run():

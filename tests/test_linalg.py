@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sparselp import InvalidNorm
+from sparselp import GenSpec, InvalidNorm, gen_instance
 from sparselp.linalg import (
     gram_extremes,
     least_squares_min_norm,
@@ -92,7 +92,21 @@ def test_spectral_norm_sq_matches_svd(rng):
 
 
 def test_spectral_norm_sq_survives_adversarial_start():
-    # A'A annihilates the all-ones start vector, forcing the restart path
+    # A'A annihilates the all-ones vector, a start that power iteration
+    # could not recover from
     a = np.array([[1.0, -1.0], [1.0, -1.0]])
     assert spectral_norm_sq(a) == pytest.approx(4.0, rel=1e-9)
     assert spectral_norm_sq(np.zeros((3, 3))) == 0.0
+
+
+def test_spectral_norm_sq_exact_on_paper_shape(rng):
+    # a 300x1500 draw on which power iteration to a 1e-13 tolerance stopped
+    # at its 500-iteration cap
+    inst, _, _ = gen_instance(GenSpec(m=300, n=1500, s=30, delta=1e-3, seed=0))
+    sv = np.linalg.svd(inst.a, compute_uv=False)
+    assert spectral_norm_sq(inst.a) == pytest.approx(float(sv[0] ** 2), rel=1e-12)
+    # tall: the smaller Gram is A'A
+    a = rng.standard_normal((60, 7))
+    sv = np.linalg.svd(a, compute_uv=False)
+    assert spectral_norm_sq(a) == pytest.approx(float(sv[0] ** 2), rel=1e-12)
+    assert spectral_norm_sq(a) == pytest.approx(spectral_norm_sq(a.T.copy()), rel=1e-12)

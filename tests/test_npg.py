@@ -24,7 +24,7 @@ def test_descent_relative_to_window(rng):
     sp = SmoothingParams(lam=3.0, mu=0.05, nu=0.05)
     x0 = rng.standard_normal(4)
     pen = L1SmoothedPenalty(inst, sp)
-    f0 = lp_power_sum(x0, inst.p) + pen.value(x0)
+    f0 = lp_power_sum(x0, inst.p) + pen.value(inst.residual(x0))
     out = run(inst, sp, x0, eps=1e-10)
     par = NpgParams()
     fs = [f0] + [row[1] for row in out.history]
@@ -41,10 +41,10 @@ def test_final_no_worse_than_start(rng):
     for _ in range(10):
         x0 = rng.standard_normal(4) * 2
         pen = L1SmoothedPenalty(inst, sp)
-        f0 = lp_power_sum(x0, inst.p) + pen.value(x0)
+        f0 = lp_power_sum(x0, inst.p) + pen.value(inst.residual(x0))
         out = run(inst, sp, x0, eps=1e-8)
         assert out.f_final <= f0 + 1e-12
-        f_check = lp_power_sum(out.x_final, inst.p) + pen.value(out.x_final)
+        f_check = lp_power_sum(out.x_final, inst.p) + pen.value(inst.residual(out.x_final))
         assert out.f_final == pytest.approx(f_check, rel=1e-12, abs=1e-12)
 
 

@@ -110,12 +110,12 @@ def test_penalty_gradient_by_central_difference(rng):
         pen = L1SmoothedPenalty(inst, sp)
         for _ in range(100):
             x = rng.standard_normal(inst.n)
-            val, grad = pen.value_and_grad(x)
-            assert val == pytest.approx(pen.value(x), rel=1e-14)
+            val, grad = pen.value_and_grad(inst.residual(x))
+            assert val == pytest.approx(pen.value(inst.residual(x)), rel=1e-14)
             for j in range(inst.n):
                 e = np.zeros(inst.n)
                 e[j] = h
-                fd = (pen.value(x + e) - pen.value(x - e)) / (2 * h)
+                fd = (pen.value(inst.residual(x + e)) - pen.value(inst.residual(x - e))) / (2 * h)
                 assert grad[j] == pytest.approx(fd, rel=1e-5, abs=1e-6)
 
 
@@ -127,7 +127,7 @@ def test_penalty_envelope_gap(rng):
         sp = SmoothingParams(lam=2.0, mu=0.3, nu=0.2)
         x = rng.standard_normal(5)
         exact = sp.lam * max(np.sum(np.abs(inst.residual(x))) - inst.sigma, 0.0)
-        val = L1SmoothedPenalty(inst, sp).value(x)
+        val = L1SmoothedPenalty(inst, sp).value(inst.residual(x))
         assert exact - 1e-12 <= val <= exact + sp.lam * (sp.mu / 8 + inst.m * sp.nu / 4) + 1e-12
 
 
@@ -138,7 +138,7 @@ def test_gradient_vanishes_deep_inside(rng):
     )
     sp = SmoothingParams(lam=10.0, mu=1e-4, nu=1e-4)
     x = np.array([4.5, 0.0])  # residual -0.5, well inside the sigma=2 ball
-    val, grad = L1SmoothedPenalty(inst, sp).value_and_grad(x)
+    val, grad = L1SmoothedPenalty(inst, sp).value_and_grad(inst.residual(x))
     assert val == 0.0
     np.testing.assert_array_equal(grad, np.zeros(2))
 
@@ -152,7 +152,7 @@ def test_lipschitz_bound_dominates_observed_curvature(rng):
     for _ in range(300):
         x = rng.standard_normal(6)
         y = x + rng.standard_normal(6) * rng.uniform(1e-4, 0.5)
-        gx, gy = pen.grad(x), pen.grad(y)
+        gx, gy = pen.grad(inst.residual(x)), pen.grad(inst.residual(y))
         lhs = np.linalg.norm(gx - gy)
         assert lhs <= bound * np.linalg.norm(x - y) * (1 + 1e-9)
 
@@ -164,5 +164,5 @@ def test_objective_value_composes():
     sp = SmoothingParams(lam=1.0, mu=1e-6, nu=1e-6)
     x = np.array([1.0, 0.0])
     # residual -3, |r|_1 = 3, violation 2.5; power sum 1
-    objective = lp_power_sum(x, inst.p) + L1SmoothedPenalty(inst, sp).value(x)
+    objective = lp_power_sum(x, inst.p) + L1SmoothedPenalty(inst, sp).value(inst.residual(x))
     assert objective == pytest.approx(1.0 + 2.5, abs=1e-5)

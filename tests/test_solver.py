@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+import sparselp.npg
 from sparselp import (
+    GenSpec,
     InfeasibleStart,
     InvalidParam,
     ProblemInstance,
     SolverConfig,
     TrivialInstance,
+    gen_matched_pair,
     replace_p,
     solve_l1,
     solve_l2,
@@ -93,6 +96,13 @@ def test_report_to_dict(desk_solution):
     assert len(d["x_star"]) == 500
 
 
+def test_report_setup_time(desk_solution):
+    # anchor, its residual and ||A||^2 are timed apart from the outer loop
+    _, _, rep = desk_solution
+    assert 0.0 < rep.setup_time < 60.0
+    assert rep.to_dict()["setup_time"] == rep.setup_time
+
+
 def test_infeasible_seed_rejected(golden):
     with pytest.raises(InfeasibleStart):
         solve_l1(golden, seed_x=np.zeros(3))  # ||b||_1 = 6 > sigma = 1
@@ -153,12 +163,12 @@ def test_l2_penalty_gradient(rng):
     h = 1e-6
     for _ in range(40):
         x = rng.standard_normal(4)
-        val, grad = pen.value_and_grad(x)
-        assert val == pytest.approx(pen.value(x), rel=1e-14)
+        val, grad = pen.value_and_grad(inst.residual(x))
+        assert val == pytest.approx(pen.value(inst.residual(x)), rel=1e-14)
         for j in range(4):
             e = np.zeros(4)
             e[j] = h
-            fd = (pen.value(x + e) - pen.value(x - e)) / (2 * h)
+            fd = (pen.value(inst.residual(x + e)) - pen.value(inst.residual(x - e))) / (2 * h)
             assert grad[j] == pytest.approx(fd, rel=2e-5, abs=1e-6)
 
 
@@ -173,3 +183,28 @@ def test_seed_matches_default_anchor(desk_instance):
     rep_b = solve_l1(inst, seed_x=seed)
     np.testing.assert_array_equal(rep_a.x_star, rep_b.x_star)
     assert rep_a.outer_iters == rep_b.outer_iters
+
+
+def test_one_residual_product_per_trial(monkeypatch):
+    # the penalty reads x only through A x - b: one product per line-search
+    # trial, plus a few per outer iteration and per solve at most
+    inst1, inst2, _, _ = gen_matched_pair(GenSpec(m=100, n=500, s=10, delta=1e-3, seed=0))
+    calls = {"residual": 0, "prox": 0}
+    residual, prox_vector = ProblemInstance.residual, sparselp.npg.prox_vector
+
+    def counted_residual(self, x):
+        calls["residual"] += 1
+        return residual(self, x)
+
+    def counted_prox(*args):
+        calls["prox"] += 1
+        return prox_vector(*args)
+
+    monkeypatch.setattr(ProblemInstance, "residual", counted_residual)
+    monkeypatch.setattr(sparselp.npg, "prox_vector", counted_prox)
+    for solve, inst in ((solve_l1, inst1), (solve_l2, inst2)):
+        calls.update(residual=0, prox=0)
+        rep = solve(replace_p(inst, 0.5))
+        assert rep.stop_reason == "converged"
+        assert calls["prox"] >= rep.inner_iters_total
+        assert calls["residual"] <= calls["prox"] + 5 * rep.outer_iters + 5
