@@ -35,13 +35,7 @@ from .errors import (
     TrivialInstance,
 )
 from .gen import GenSpec, gen_instance, gen_matched_pair, make_rng
-from .linalg import (
-    gram_extremes,
-    least_squares_min_norm,
-    lq_norm,
-    numerical_rank,
-    spectral_norm_sq,
-)
+from .linalg import gram_extremes, least_squares_min_norm, lq_norm, numerical_rank
 from .npg import NpgOutcome, npg_solve
 from .oracle import (
     ExactSolutionSet,

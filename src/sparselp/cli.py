@@ -11,6 +11,7 @@ or an exact-oracle size cap), 64 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -126,14 +127,7 @@ def cmd_solve(args) -> int:
     report = solve(inst, seed_x=seed_x)
     payload = report.to_dict()
     if args.trace:
-        payload["trace"] = [
-            {
-                "k": r.k, "lam": r.lam, "mu": r.mu, "nu": r.nu, "eps": r.eps,
-                "objective": r.objective, "eta1": r.eta1, "eta2": r.eta2,
-                "eta3": r.eta3, "inner_iters": r.inner_iters, "rho": r.rho,
-            }
-            for r in report.trace
-        ]
+        payload["trace"] = [dataclasses.asdict(r) for r in report.trace]
     _emit(payload, args)
     return EXIT_OK if report.stop_reason == "converged" else EXIT_CAP
 
@@ -345,6 +339,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "success-curve" and not 1 <= args.s_min <= args.s_max <= args.n:
+        parser.error(
+            f"need 1 <= --s-min <= --s-max <= --n, got {args.s_min}, {args.s_max}, {args.n}"
+        )
     if args.func is cmd_grid:
         # the grid's worker count comes from SPARSELP_THREADS; a bad value is
         # a usage error, reported before any cell runs

@@ -244,6 +244,7 @@ class OuterRecord:
     eta2: float
     eta3: float
     inner_iters: int
+    inner_stop: str  # why the inner loop stopped: NpgOutcome.stop_reason
     rho: float  # growth factor applied after this iteration (nan on the last)
 
 
@@ -252,7 +253,7 @@ class SolveReport:
     """Result of a full penalty-solver run.
 
     wall_time covers the outer loop only; setup_time is the time spent
-    before it on the feasible anchor, its residual and ||A||^2.
+    before it on the feasible anchor and its residual.
     """
 
     x_star: np.ndarray

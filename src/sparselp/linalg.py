@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidNorm, NonFinite
+from .errors import InvalidNorm
 
 # numerical_rank treats singular values below rel_tol * s_max as zero;
 # the default scales with the larger matrix dimension
@@ -69,19 +69,3 @@ def gram_extremes(a_j) -> GramExtremes:
     lam_min = 0.0 if cols > rows else float(sv[-1] ** 2)
     return GramExtremes(lambda_min=lam_min, lambda_max=lam_max)
 
-
-def spectral_norm_sq(a) -> float:
-    """||A||^2, the largest eigenvalue of the smaller Gram matrix.
-
-    That is A A' when A has no more rows than columns and A'A otherwise;
-    both share their nonzero eigenvalues.  A symmetric eigensolver gets the
-    value to rounding accuracy in one pass, so it can serve as the upper
-    bound in Lipschitz estimates; roundoff below zero is clamped to 0.
-    """
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    if not np.isfinite(a).all():
-        raise NonFinite("matrix contains nan or inf")
-    if a.size == 0:
-        return 0.0
-    gram = a @ a.T if a.shape[0] <= a.shape[1] else a.T @ a
-    return max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)

@@ -2,7 +2,8 @@
 
 Minimizes F(x) = lp_power_sum(x, p) + penalty(x) for a fixed smoothed
 penalty.  Each iteration backtracks a step constant L (doubling from a
-curvature-based initial guess) until the prox-gradient point w satisfies
+secant-curvature initial guess floored at l_min, with no upper cap) until
+the prox-gradient point w satisfies
 
     F(w) - max{F over the last memory+1 accepted iterates} <= -(c/2)||w - x||^2,
 
@@ -34,9 +35,8 @@ import numpy as np
 
 from .core import NpgParams, ProblemInstance, SolverConfig
 from .errors import LineSearchStalled, NonFinite
-from .linalg import spectral_norm_sq
 from .prox import prox_vector
-from .smoothing import L1SmoothedPenalty, SmoothingParams, lp_power_sum
+from .smoothing import lp_power_sum
 
 BACKTRACK_CAP = 60
 
@@ -80,12 +80,13 @@ def _pair_curvature(y, y_tilde, gy, gy_tilde) -> float:
     return float(d @ (gy - gy_tilde)) / nn
 
 
-def initial_step_constant(state: NpgState, l_min: float, l_max: float) -> float:
-    """Curvature-seeded initial step constant, clipped to [l_min, l_max].
+def initial_step_constant(state: NpgState, l_min: float) -> float:
+    """Curvature-seeded initial step constant, floored at l_min.
 
     The first iteration always starts from 1.  Afterwards the guess is the
     mean of the three pairwise secant curvatures over the last three
-    iterates, floored by half the previously accepted constant.
+    iterates, floored by half the previously accepted constant.  There is
+    no upper cap: the line search doubles the guess until it is accepted.
     """
     if state.iter == 0:
         return 1.0
@@ -93,31 +94,26 @@ def initial_step_constant(state: NpgState, l_min: float, l_max: float) -> float:
     d2 = _pair_curvature(state.x_curr, state.x_prev2, state.g_curr, state.g_prev2)
     d3 = _pair_curvature(state.x_prev, state.x_prev2, state.g_prev, state.g_prev2)
     guess = max((d1 + d2 + d3) / 3.0, 0.5 * state.l_bar_prev)
-    return min(max(guess, l_min), l_max)
+    return max(guess, l_min)
 
 
 def npg_solve(
     inst: ProblemInstance,
-    sp: SmoothingParams,
+    penalty,
     x0,
     eps: float,
     cfg: SolverConfig | None = None,
-    penalty=None,
-    a_norm_sq: float | None = None,
     keep_history: bool = False,
     r0=None,
 ) -> NpgOutcome:
-    """Run the inner loop from x0 down to inner tolerance eps.
+    """Run the inner loop on lp_power_sum + penalty from x0 down to inner
+    tolerance eps.
 
-    r0, if given, is the residual A x0 - b, which saves one product.
+    penalty is a smoothed penalty from smoothing.py bound to inst.  r0, if
+    given, is the residual A x0 - b, which saves one product.
     """
     cfg = cfg or SolverConfig()
     par: NpgParams = cfg.npg
-    if penalty is None:
-        penalty = L1SmoothedPenalty(inst, sp)
-    if a_norm_sq is None:
-        a_norm_sq = spectral_norm_sq(inst.a)
-    l_max = penalty.lipschitz_bound(a_norm_sq)
     p = inst.p
 
     x = np.array(x0, dtype=np.float64)
@@ -149,7 +145,7 @@ def npg_solve(
     f_w = f_x
     l_bar = 1.0
     for it in range(par.iter_cap):
-        l0 = initial_step_constant(state, par.l_min, l_max)
+        l0 = initial_step_constant(state, par.l_min)
         f_max = max(state.f_history)
         accepted = False
         for i in range(BACKTRACK_CAP + 1):

@@ -11,8 +11,12 @@ and
 is a smooth overestimate of lam * (||Ax - b||_1 - sigma)_+ whose gap is at
 most lam * (mu/8 + m*nu/4).  Both pieces are convex and C^1, with gradients
 clipped to [0,1] and [-1,1] respectively, so the penalty is convex with a
-Lipschitz gradient on all of R^n.  For the l2 ball the squared residual is
-already smooth, so only the positive part is smoothed:
+Lipschitz gradient on all of R^n: (m/mu + 2/nu) * lam * ||A||^2 bounds the
+constant, m/mu from the outer quadratic patch (the inner sum has gradient
+norm at most sqrt(m) in residual space) and 2/nu from the inner patches.
+The inner loop's line search finds its step constant without this bound.
+For the l2 ball the squared residual is already smooth, so only the
+positive part is smoothed:
 
     penalty(x) = lam * smoothed_plus( ||Ax - b||^2 - sigma^2 ).
 
@@ -83,8 +87,7 @@ def lp_power_sum(x, p: float) -> float:
 
 class L1SmoothedPenalty:
     """Smoothed penalty for the q = 1 residual ball, bound to one instance
-    and one parameter triple.  Exposes value, gradient, and a global bound
-    on the gradient's Lipschitz constant; r is the residual A x - b."""
+    and one parameter triple; r is the residual A x - b."""
 
     def __init__(self, inst: ProblemInstance, sp: SmoothingParams):
         self.inst = inst
@@ -109,14 +112,6 @@ class L1SmoothedPenalty:
     def grad(self, r) -> np.ndarray:
         return self.value_and_grad(r)[1]
 
-    def lipschitz_bound(self, a_norm_sq: float) -> float:
-        """(m/mu + 2/nu) * lam * ||A||^2 bounds the gradient's Lipschitz
-        constant: m/mu from the outer quadratic patch (the inner sum has
-        gradient norm at most sqrt(m) in residual space) and 2/nu from the
-        inner patches."""
-        inst, sp = self.inst, self.sp
-        return (inst.m / sp.mu + 2.0 / sp.nu) * sp.lam * a_norm_sq
-
 
 class L2SmoothedPenalty:
     """Penalty for the q = 2 ball: lam * smoothed_plus(||r||^2 - sigma^2),
@@ -125,12 +120,9 @@ class L2SmoothedPenalty:
     Shares the prox and inner-loop machinery with the l1 case.
     """
 
-    def __init__(self, inst: ProblemInstance, sp: SmoothingParams, r2_cap: float = 1.0):
+    def __init__(self, inst: ProblemInstance, sp: SmoothingParams):
         self.inst = inst
         self.sp = sp
-        # any finite bound works here; it only caps the initial step guess,
-        # the line search guards correctness
-        self.r2_cap = r2_cap
 
     def value(self, r) -> float:
         u = float(r @ r) - self.inst.sigma**2
@@ -148,6 +140,3 @@ class L2SmoothedPenalty:
 
     def grad(self, r) -> np.ndarray:
         return self.value_and_grad(r)[1]
-
-    def lipschitz_bound(self, a_norm_sq: float) -> float:
-        return self.sp.lam * a_norm_sq * (2.0 + 4.0 * self.r2_cap / self.sp.mu)

@@ -11,8 +11,8 @@ measures are below eta_switch.  Iteration stops when
     max{ rel step, rel objective change, (residual - sigma)_+ } < outer_tol.
 
 The feasible anchor is the minimum-norm least-squares point (or a caller
-seed).  Its computation, its residual and ||A||^2 are reported as the
-setup time and excluded from the reported wall time.  The residual of the
+seed).  Its computation and its residual are reported as the setup time
+and excluded from the reported wall time.  The residual of the
 current iterate is carried across outer iterations (the inner loop hands
 back the residual of its final point), so the loop's own bookkeeping
 costs no product with A.  The returned point is cleaned by refine(),
@@ -34,7 +34,7 @@ from .core import (
     validate_instance,
 )
 from .errors import InfeasibleStart, InvalidParam, InvariantViolation
-from .linalg import least_squares_min_norm, lq_norm, spectral_norm_sq
+from .linalg import least_squares_min_norm, lq_norm
 from .npg import npg_solve
 from .smoothing import (
     L1SmoothedPenalty,
@@ -79,7 +79,7 @@ def refine(x, threshold: float = 1e-8) -> np.ndarray:
     return out
 
 
-def _solve_penalty(inst, cfg, seed_x, q, make_penalty):
+def _solve_penalty(inst, cfg, seed_x, q, penalty_cls):
     validate_instance(inst, q=q)
     if not 0.0 < inst.p < 1.0:
         raise InvalidParam(f"solver needs p in (0, 1), got {inst.p}")
@@ -97,8 +97,6 @@ def _solve_penalty(inst, cfg, seed_x, q, make_penalty):
         )
     phi_feas = lp_power_sum(x_feas, inst.p)
     anchor_exact = res_feas <= 1e-12 * (1.0 + lq_norm(inst.b, q))
-
-    a_norm_sq = spectral_norm_sq(inst.a)
     t0 = time.perf_counter()
     setup_time = t0 - t_setup
 
@@ -114,16 +112,13 @@ def _solve_penalty(inst, cfg, seed_x, q, make_penalty):
     prev_pen_feas = None
 
     for k in range(cfg.outer_iter_cap):
-        sp = SmoothingParams(lam, mu, nu)
-        pen = make_penalty(inst, sp, r)
+        pen = penalty_cls(inst, SmoothingParams(lam, mu, nu))
         pen_feas = pen.value(r_feas)
         f_feas = phi_feas + pen_feas
         f_curr = lp_power_sum(x, inst.p) + pen.value(r)
         x_start, r_start = (x, r) if f_curr <= f_feas else (x_feas, r_feas)
 
-        out = npg_solve(
-            inst, sp, x_start, eps, cfg, penalty=pen, a_norm_sq=a_norm_sq, r0=r_start
-        )
+        out = npg_solve(inst, pen, x_start, eps, cfg, r0=r_start)
         total_inner += out.iters
         x_next, r_next = out.x_final, out.r_final
 
@@ -168,6 +163,7 @@ def _solve_penalty(inst, cfg, seed_x, q, make_penalty):
                 eta2=etas[1],
                 eta3=etas[2],
                 inner_iters=out.iters,
+                inner_stop=out.stop_reason,
                 rho=float(rho),
             )
         )
@@ -218,20 +214,9 @@ def _solve_penalty(inst, cfg, seed_x, q, make_penalty):
 
 def solve_l1(inst: ProblemInstance, cfg: SolverConfig | None = None, seed_x=None) -> SolveReport:
     """Solve min lp_power_sum(x, p) s.t. ||Ax - b||_1 <= sigma."""
-    cfg = cfg or SolverConfig()
-
-    def make(inst_, sp, _r):
-        return L1SmoothedPenalty(inst_, sp)
-
-    return _solve_penalty(inst, cfg, seed_x, 1.0, make)
+    return _solve_penalty(inst, cfg or SolverConfig(), seed_x, 1.0, L1SmoothedPenalty)
 
 
 def solve_l2(inst: ProblemInstance, cfg: SolverConfig | None = None, seed_x=None) -> SolveReport:
     """Baseline on the l2 ball: min lp_power_sum(x, p) s.t. ||Ax - b||_2 <= sigma."""
-    cfg = cfg or SolverConfig()
-
-    def make(inst_, sp, r_warm):
-        r2 = float(r_warm @ r_warm)
-        return L2SmoothedPenalty(inst_, sp, r2_cap=2.0 * max(r2, inst_.sigma**2) + 1.0)
-
-    return _solve_penalty(inst, cfg, seed_x, 2.0, make)
+    return _solve_penalty(inst, cfg or SolverConfig(), seed_x, 2.0, L2SmoothedPenalty)

@@ -156,6 +156,13 @@ def optimal_point_checks(
     if not feas_ok:
         return checks
 
+    # one report serves the boundary, support-rank and sandwich checks; x = 0
+    # has none, which fails the checks that need it instead of raising
+    try:
+        report = kkt_property_report(inst, x, q=q, feas_tol=tol)
+    except EmptySupport as exc:
+        report, no_support = None, str(exc)
+
     if p == 0.0:
         try:
             alpha = boundary_scaling_alpha(inst, x, q)
@@ -172,8 +179,9 @@ def optimal_point_checks(
             checks.append(
                 CheckResult(name="boundary_scaling", passed=False, slack=-np.inf, detail=str(exc))
             )
+    elif report is None:
+        checks.append(CheckResult(name="boundary", passed=False, slack=-np.inf, detail=no_support))
     else:
-        report = kkt_property_report(inst, x, q=q, feas_tol=tol)
         checks.append(
             CheckResult(
                 name="boundary",
@@ -183,11 +191,9 @@ def optimal_point_checks(
             )
         )
 
-    try:
-        report = kkt_property_report(inst, x, q=q, feas_tol=tol)
-    except EmptySupport as exc:
+    if report is None:
         checks.append(
-            CheckResult(name="support_rank", passed=False, slack=-np.inf, detail=str(exc))
+            CheckResult(name="support_rank", passed=False, slack=-np.inf, detail=no_support)
         )
         return checks
     checks.append(

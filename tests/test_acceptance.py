@@ -347,7 +347,7 @@ def _npg_battery(rng):
         pen = L1SmoothedPenalty(inst, sp)
         x0 = rng.standard_normal(n)
         f0 = lp_power_sum(x0, inst.p) + pen.value(inst.residual(x0))
-        out = npg_solve(inst, sp, x0, eps=1e-4, keep_history=True)
+        out = npg_solve(inst, pen, x0, eps=1e-4, keep_history=True)
         assert out.f_final <= f0 + 1e-9 * (1 + abs(f0))
         # nonmonotone window descent, rechecked from the recorded history
         fs = [f0] + [row[1] for row in out.history]

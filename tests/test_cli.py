@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from sparselp import ProblemInstance, read_instance, write_instance
+from sparselp import OuterRecord, ProblemInstance, read_instance, write_instance
 from sparselp.cli import main
 
 
@@ -103,6 +104,8 @@ def test_solve_trace_and_seed_start(tmp_path, capsys, golden):
     assert code == 0
     payload = json.loads(out)
     assert payload["trace"][0]["k"] == 0
+    fields = {f.name for f in dataclasses.fields(OuterRecord)}
+    assert all(set(row) == fields for row in payload["trace"])
     assert payload["trace"][-1]["rho"] != payload["trace"][-1]["rho"]  # NaN sentinel
     x = np.array(payload["x_star"])
     assert np.count_nonzero(x) == 1
@@ -232,6 +235,13 @@ def test_table_commands_reject_bad_counts(capsys):
                 main(argv + [flag, bad])
             assert exc.value.code == 64
             assert f"argument {flag}:" in capsys.readouterr().err
+    # an empty or out-of-range planted-sparsity range is a usage error too
+    curve = ["success-curve", "--m", "20", "--n", "40", "--trials", "1"]
+    for bad in (["--s-min", "0"], ["--s-min", "10", "--s-max", "5"], ["--s-max", "41"]):
+        with pytest.raises(SystemExit) as exc:
+            main(curve + bad)
+        assert exc.value.code == 64
+        assert "--s-min <= --s-max <= --n" in capsys.readouterr().err
 
 
 def test_bad_thread_count_is_usage_error(monkeypatch, capsys):

@@ -18,3 +18,23 @@ def test_exact_vs_iterative_demo_runs(capsys):
     runpy.run_path(str(DEMOS / "03_exact_vs_iterative.py"), run_name="__main__")
     out = capsys.readouterr().out
     assert out.count("(4,6)") == 6
+
+
+def test_solve_walkthrough_demo_recovers_support(capsys):
+    runpy.run_path(str(DEMOS / "02_solve_walkthrough.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    assert "matches planted support: True" in out
+
+
+def test_smoothing_kernels_demo_gaps_within_bounds(capsys):
+    runpy.run_path(str(DEMOS / "04_smoothing_kernels.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    # the largest gap sits at the kink: mu/8 for the ramp, nu/4 for |t|
+    assert "   0.00   0.12500  0.00000   0.12500" in out
+    assert "   0.00   0.25000  0.00000   0.25000" in out
+    rows = [line for line in out.splitlines() if line.startswith("  width")]
+    assert len(rows) == 3
+    for row in rows:
+        nums = [float(tok.strip("(),:")) for tok in row.split() if tok[0].isdigit()]
+        _, ramp, ramp_bound, abs_gap, abs_bound = nums
+        assert ramp <= ramp_bound and abs_gap <= abs_bound

@@ -14,7 +14,7 @@ def small_instance():
 
 
 def run(inst, sp, x0, eps, cfg=None, **kw):
-    return npg_solve(inst, sp, x0, eps, cfg=cfg, keep_history=True, **kw)
+    return npg_solve(inst, L1SmoothedPenalty(inst, sp), x0, eps, cfg=cfg, keep_history=True, **kw)
 
 
 def test_descent_relative_to_window(rng):
@@ -82,7 +82,9 @@ def test_iter_cap_returns_last_accepted():
     inst = small_instance()
     sp = SmoothingParams(lam=5.0, mu=0.02, nu=0.02)
     cfg = SolverConfig(npg=NpgParams(iter_cap=3))
-    out = npg_solve(inst, sp, np.ones(4), eps=1e-14, cfg=cfg, keep_history=True)
+    out = npg_solve(
+        inst, L1SmoothedPenalty(inst, sp), np.ones(4), eps=1e-14, cfg=cfg, keep_history=True
+    )
     assert out.stop_reason == "iter_cap"
     assert out.iters == 3
     assert len(out.history) == 3
@@ -95,7 +97,8 @@ def test_monotone_for_memory_zero(rng):
     inst = small_instance()
     sp = SmoothingParams(lam=2.0, mu=0.1, nu=0.1)
     cfg = SolverConfig(npg=NpgParams(memory=0))
-    out = npg_solve(inst, sp, rng.standard_normal(4), eps=1e-9, cfg=cfg, keep_history=True)
+    pen = L1SmoothedPenalty(inst, sp)
+    out = npg_solve(inst, pen, rng.standard_normal(4), eps=1e-9, cfg=cfg, keep_history=True)
     fs = [row[1] for row in out.history]
     assert all(b <= a + 1e-12 for a, b in zip(fs, fs[1:]))
 
@@ -112,7 +115,7 @@ def test_initial_step_constant_first_iteration():
         l_bar_prev=123.0,
         iter=0,
     )
-    assert initial_step_constant(state, 1e-6, 1e6) == 1.0
+    assert initial_step_constant(state, 1e-6) == 1.0
 
 
 def test_initial_step_constant_uses_secant_curvature():
@@ -130,17 +133,16 @@ def test_initial_step_constant_uses_secant_curvature():
         l_bar_prev=1.0,
         iter=3,
     )
-    assert initial_step_constant(state, 1e-6, 1e6) == pytest.approx(a, rel=1e-12)
-    # and the clamps win at the edges
-    assert initial_step_constant(state, 10.0, 1e6) == 10.0
-    assert initial_step_constant(state, 1e-6, 3.0) == 3.0
+    assert initial_step_constant(state, 1e-6) == pytest.approx(a, rel=1e-12)
+    # and the floor wins below it
+    assert initial_step_constant(state, 10.0) == 10.0
 
 
 def test_nonfinite_start_raises():
     inst = small_instance()
     sp = SmoothingParams(lam=1.0, mu=0.1, nu=0.1)
     with pytest.raises(NonFinite):
-        npg_solve(inst, sp, np.array([np.nan, 0.0, 0.0, 0.0]), eps=1e-6)
+        npg_solve(inst, L1SmoothedPenalty(inst, sp), np.array([np.nan, 0.0, 0.0, 0.0]), eps=1e-6)
 
 
 def test_stationarity_decreases_with_eps(rng):

@@ -147,8 +147,9 @@ def test_lipschitz_bound_dominates_observed_curvature(rng):
     inst = _random_instance(rng, 4, 6)
     sp = SmoothingParams(lam=1.5, mu=0.2, nu=0.15)
     pen = L1SmoothedPenalty(inst, sp)
+    # the module docstring's bound (m/mu + 2/nu) * lam * ||A||^2
     a_norm_sq = float(np.linalg.svd(inst.a, compute_uv=False)[0] ** 2)
-    bound = pen.lipschitz_bound(a_norm_sq)
+    bound = (inst.m / sp.mu + 2.0 / sp.nu) * sp.lam * a_norm_sq
     for _ in range(300):
         x = rng.standard_normal(6)
         y = x + rng.standard_normal(6) * rng.uniform(1e-4, 0.5)

@@ -97,10 +97,16 @@ def test_report_to_dict(desk_solution):
 
 
 def test_report_setup_time(desk_solution):
-    # anchor, its residual and ||A||^2 are timed apart from the outer loop
+    # the anchor and its residual are timed apart from the outer loop
     _, _, rep = desk_solution
     assert 0.0 < rep.setup_time < 60.0
     assert rep.to_dict()["setup_time"] == rep.setup_time
+
+
+def test_trace_records_inner_stop(desk_solution):
+    _, _, rep = desk_solution
+    assert rep.trace
+    assert all(r.inner_stop in ("step_tol", "obj_tol", "iter_cap") for r in rep.trace)
 
 
 def test_infeasible_seed_rejected(golden):
@@ -159,7 +165,7 @@ def test_l2_penalty_gradient(rng):
         p=0.5,
     )
     sp = SmoothingParams(lam=2.0, mu=0.3, nu=0.3)
-    pen = L2SmoothedPenalty(inst, sp, r2_cap=50.0)
+    pen = L2SmoothedPenalty(inst, sp)
     h = 1e-6
     for _ in range(40):
         x = rng.standard_normal(4)

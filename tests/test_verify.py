@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import sparselp.verify
 from sparselp import (
     EmptySupport,
     all_checks_pass,
@@ -103,3 +104,26 @@ def test_check_result_to_dict(golden):
     assert d["passed"] is True
     assert isinstance(d["slack"], float)
     assert "sigma" in d["detail"]
+
+
+def test_checks_build_one_report(golden, monkeypatch):
+    calls = []
+    real = sparselp.verify.kkt_property_report
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sparselp.verify, "kkt_property_report", counting)
+    checks = optimal_point_checks(golden, np.array([2.5, 0.0, 0.0]), p=0.5)
+    assert all_checks_pass(checks)
+    assert len(calls) == 1
+
+
+def test_checks_zero_point_fails_instead_of_raising(golden):
+    # a tolerance loose enough that x = 0 counts as feasible (||b||_1 - sigma = 5)
+    checks = optimal_point_checks(golden, np.zeros(3), p=0.5, tol=10.0)
+    assert [c.name for c in checks] == ["feasible", "boundary", "support_rank"]
+    assert checks[0].passed
+    assert not checks[1].passed and not checks[2].passed
+    assert not all_checks_pass(checks)
