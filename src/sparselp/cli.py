@@ -29,7 +29,7 @@ from .oracle import (
     solve_exact_lp_quasinorm,
 )
 from .solver import solve_l1, solve_l2
-from .verify import all_checks_pass, kkt_property_report, optimal_point_checks
+from .verify import _checks_and_report, all_checks_pass, kkt_property_report
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -136,12 +136,17 @@ def cmd_verify(args) -> int:
     inst = read_instance(args.instance)
     p = args.p if args.p is not None else inst.p
     x = _load_vector(args.x)
-    checks = optimal_point_checks(inst, x, p=p, q=float(args.q), tol=args.tol)
-    payload = {"checks": [c.to_dict() for c in checks], "all_pass": all_checks_pass(checks)}
-    try:
-        payload["report"] = kkt_property_report(inst, x, q=float(args.q), feas_tol=args.tol).to_dict()
-    except SparselpError as exc:
-        payload["report"] = {"error": str(exc)}
+    checks, report = _checks_and_report(inst, x, p, float(args.q), args.tol)
+    if report is None:  # the checks stopped at feasibility
+        try:
+            report = kkt_property_report(inst, x, q=float(args.q), feas_tol=args.tol)
+        except SparselpError as exc:
+            report = exc
+    payload = {
+        "checks": [c.to_dict() for c in checks],
+        "all_pass": all_checks_pass(checks),
+        "report": {"error": str(report)} if isinstance(report, SparselpError) else report.to_dict(),
+    }
     _emit(payload, args)
     return EXIT_OK if payload["all_pass"] else EXIT_RUNTIME
 

@@ -5,9 +5,11 @@ The feasible set {x : ||Ax - b||_1 <= sigma} is the polyhedron
 intersection with each (closed) orthant is a polyhedron whose extreme
 points carry at least one global minimizer of the power objective for every
 0 < p <= 1, so exhaustive vertex enumeration gives exact solution sets on
-tiny instances.  A candidate vertex is the solution of n active constraints
-chosen among the 2^m ball facets and the n coordinate planes; one scan
-of these active sets yields the extreme points of every orthant at once.
+tiny instances.  The enumeration never forms the 2^m facets: every nonzero
+vertex is an end of the ball's piece of a line on which k - 1 independent
+rows of A_J fit b exactly (J the vertex's support, k = |J|), so one scan
+over these C(m + n, m + 1) lines, at most, yields the extreme points of
+every orthant at once (see all_orthant_vertices).
 
 The sparsest-solution search uses the same active-set idea: the best l1
 fit on a support interpolates as many rows as the support has columns, so
@@ -17,6 +19,7 @@ estimate and two inequality checks used by the test suites.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import comb
@@ -26,12 +29,11 @@ import numpy as np
 from .core import ProblemInstance
 from .errors import NotFeasible, TooLarge
 from .linalg import RANK_REL_TOL_FACTOR, lq_norm
-from .smoothing import lp_power_sum
 
 SIGN_MATRIX_MAX_M = 16
 SANDWICH_MAX_M = 12
 ENUM_MAX_DIM = 8
-ENUM_BUDGET = 20_000_000  # max number of n-subsets the enumerator will scan
+SINGULAR_TOL = 1e-10  # |det| and least singular value floor of a unit-row system
 DEDUP_TOL = 1e-9
 FEAS_TOL = 1e-9
 L0_MAX_N = 10
@@ -78,6 +80,11 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _stack(vectors, n: int) -> np.ndarray:
+    """Vectors of length n as the rows of one array, also when there are none."""
+    return np.asarray(vectors, dtype=np.float64).reshape(len(vectors), n)
+
+
 def _dedup(vectors):
     """Merge vectors equal within DEDUP_TOL * (1 + ||v||_inf), keeping the
     first representative.  Two shifted grids catch boundary straddlers."""
@@ -100,78 +107,125 @@ def _dedup(vectors):
     return kept
 
 
-def _solve_square(rows: np.ndarray, rhs: np.ndarray, subsets: np.ndarray):
-    """Solve rows[s] x = rhs[s] for every row subset s (a row of subsets)
-    whose square system is nonsingular.
+@functools.lru_cache(maxsize=None)
+def _line_index(m: int, n: int, k: int):
+    """Index arrays of every (support, zero-row set) pair with |J| = k and
+    |Z| = k - 1, supports outer and row sets inner, both lexicographic."""
+    supports = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
+    rows = np.array(list(itertools.combinations(range(m), k - 1)), dtype=np.intp)
+    rows = rows.reshape(len(rows), k - 1)  # also for k = 1
+    js = np.repeat(supports, len(rows), axis=0)
+    zs = np.tile(rows, (len(supports), 1))
+    js.flags.writeable = zs.flags.writeable = False
+    return js, zs
 
-    A system counts as singular when |det| <= 1e-10, so callers pass rows
-    scaled to unit norm.  Returns the subsets solved with a finite solution,
-    and those solutions as rows.
+
+def _line_ends(inst: ProblemInstance, k: int) -> np.ndarray:
+    """Candidate vertices with k nonzeros: the ends of {f <= sigma} on every
+    line {x_J : A_{Z,J} x_J = b_Z, x_i = 0 off J} with rank A_{Z,J} = k - 1.
+
+    Returns the ends, as rows, that are nonzero on all of J and fit the rows
+    in Z; the caller tests the ball.
     """
-    dets = np.abs(np.linalg.det(rows[subsets]))
-    subsets = subsets[dets > 1e-10]
-    try:
-        sols = np.linalg.solve(rows[subsets], rhs[subsets][:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        sols = np.full(subsets.shape, np.nan)
-        for i, s in enumerate(subsets):
-            try:
-                sols[i] = np.linalg.solve(rows[s], rhs[s])
-            except np.linalg.LinAlgError:
-                pass
-    finite = np.isfinite(sols).all(axis=1)
-    return subsets[finite], sols[finite]
+    a, b, sigma = inst.a, inst.b, inst.sigma
+    m = inst.m
+    js, zs = _line_index(m, inst.n, k)
+    lines = np.arange(len(js))[:, None]
+    aj = a.T[js].transpose(0, 2, 1)  # (lines, m, k): A_J
+    az = aj[lines, zs]  # (lines, k - 1, k): A_{Z,J}
+    norms = np.linalg.norm(az, axis=2)
+    norms[norms == 0.0] = 1.0
+    u, s, vh = np.linalg.svd(az / norms[:, :, None])
+    valid = np.all(s > SINGULAR_TOL, axis=1)
+    s[~valid] = 1.0
+    # x(lam) = x0 + lam d: x0 the min-norm solution on Z, d the null direction
+    x0 = np.einsum("lij,li->lj", vh[:, : k - 1], np.einsum("lij,li->lj", u, b[zs] / norms) / s)
+    d = vh[:, k - 1]
+    r0 = np.einsum("lik,lk->li", aj, x0) - b
+    g = np.einsum("lik,lk->li", aj, d)
+    r0[lines, zs] = 0.0
+    g[lines, zs] = 0.0
+    g[np.abs(g) <= 1e-12 * np.linalg.norm(aj, axis=2)] = 0.0
+
+    # f(lam) = sum_i |r0_i + lam g_i| is convex and linear between the
+    # sorted breakpoints -r0_i / g_i; rows with g_i = 0 repeat the largest
+    moving = g != 0.0
+    valid &= moving.any(axis=1)
+    t = np.where(moving, -r0 / np.where(moving, g, 1.0), -np.inf)
+    t = np.sort(np.where(moving, t, t.max(axis=1, keepdims=True)), axis=1)
+    t[~valid] = 0.0
+    f = np.abs(r0[:, None, :] + t[:, :, None] * g[:, None, :]).sum(axis=2)
+    tol = FEAS_TOL * (1.0 + np.abs(x0[:, None, :] + t[:, :, None] * d[:, None, :]).max(axis=2))
+    inside = f <= sigma + tol
+    valid &= inside.any(axis=1)
+
+    # both ends at once, left in column 0: the first and last breakpoints
+    # inside, and the piece next to each on the outward side (a ray past
+    # the extreme breakpoints), where f crosses sigma.  A breakpoint with
+    # f within tol of sigma is the end itself: this also catches lines
+    # that only touch the ball, as every line does when sigma = 0
+    step = np.array([-1, 1])
+    j_in = np.stack([np.argmax(inside, axis=1), m - 1 - np.argmax(inside[:, ::-1], axis=1)], axis=1)
+    j_out = np.clip(j_in + step, 0, m - 1)
+    t_in = np.take_along_axis(t, j_in, axis=1)
+    ray = t_in + step * (1.0 + np.abs(t_in))
+    t_out = np.where(j_out == j_in, ray, np.take_along_axis(t, j_out, axis=1))
+    signs = np.sign(r0[:, None, :] + (0.5 * (t_in + t_out))[:, :, None] * g[:, None, :])
+    slope = np.einsum("lei,li->le", signs, g)
+    cross = (sigma - np.einsum("lei,li->le", signs, r0)) / np.where(slope == 0.0, 1.0, slope)
+    f_in, tol_in = np.take_along_axis(f, j_in, axis=1), np.take_along_axis(tol, j_in, axis=1)
+    lam = np.where(f_in >= sigma - tol_in, t_in, cross)
+    x_j = x0[:, None, :] + lam[:, :, None] * d[:, None, :]  # (lines, 2, k)
+
+    size = 1.0 + np.abs(x_j).max(axis=2, keepdims=True)
+    z_miss = np.abs(np.einsum("lzk,lek->lez", az, x_j) - b[zs][:, None, :])
+    keep = (
+        valid[:, None]
+        & np.all(np.abs(x_j) > DEDUP_TOL * size, axis=2)
+        & np.all(z_miss <= 1e-8 * size * np.linalg.norm(a[zs], axis=2)[:, None, :], axis=2)
+    )
+    x = np.zeros((len(js), 2, inst.n))
+    np.put_along_axis(x, np.repeat(js[:, None, :], 2, axis=1), x_j, axis=2)
+    return x[keep]
 
 
 def all_orthant_vertices(inst: ProblemInstance):
     """Union over all orthants of the extreme points of orthant-and-ball.
 
-    Scans every n-subset of the combined constraint rows (ball facets plus
-    coordinate planes), solves the active-set system where nonsingular, and
-    keeps ball-feasible solutions, deduplicated.  Raises TooLarge beyond
-    the enumeration budget.
+    Method: a scan over lines, one batch per support size k.
+      * Only boundary points can be vertices.  At a point inside the ball
+        only coordinate planes are active, so the one interior vertex is
+        x = 0, returned when it is feasible.
+      * Each vertex lies on one scanned line.  Let J = supp(v), k = |J| and
+        r = A v - b.  v is a vertex iff the zero-residual rows of A_J and
+        the facet normal sign(r)' A_J have rank k together.  So k - 1 of
+        those rows, Z, are independent, and v_J lies on the line
+        {x_J : A_{Z,J} x_J = b_Z}.
+      * Each vertex is an end of its line's piece of the ball.  Along the
+        line f(lam) = ||A_J x(lam) - b||_1 is convex and piecewise linear,
+        and v is an end of {f <= sigma}: otherwise f = sigma near v and v
+        would lie inside a segment of the face.
+    The scan visits every pair (J, Z) with |Z| = |J| - 1 <= m - 1 and
+    rank A_{Z,J} = k - 1, C(m + n, m + 1) pairs at most, and takes the at
+    most two ends of {f <= sigma} on each.  It finds each end on the linear
+    piece that crosses sigma, between the sorted breakpoints -r0_i / g_i.
+    A candidate is kept when it is nonzero on all of J (a smaller support
+    finds the rest), its rows in Z fit exactly, it lies on the boundary and
+    it is feasible; survivors are deduplicated.  Raises TooLarge beyond
+    ENUM_MAX_DIM rows or columns.
     """
     m, n = inst.m, inst.n
     if m > ENUM_MAX_DIM or n > ENUM_MAX_DIM:
         raise TooLarge(f"enumeration capped at {ENUM_MAX_DIM} rows/cols, got m={m}, n={n}")
-    at, bt = l1_ball_halfspaces(inst)
-    n_facets = at.shape[0]
-    total = n_facets + n
-    if comb(total, n) > ENUM_BUDGET:
-        raise TooLarge(
-            f"{comb(total, n)} active-set candidates exceed the budget {ENUM_BUDGET}"
-        )
-
-    rows = np.vstack([at, np.eye(n)])
-    rhs = np.concatenate([bt, np.zeros(n)])
-    scale = np.linalg.norm(rows, axis=1)
-    scale[scale == 0.0] = 1.0
-    nrows = rows / scale[:, None]
-    nrhs = rhs / scale
-
-    n_combos = comb(total, n)
-    flat = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(total), n)),
-        dtype=np.intp,
-        count=n_combos * n,
-    )
-    idx_all = flat.reshape(n_combos, n)
-
-    found = []
-    for lo in range(0, n_combos, 131072):
-        idx, sols = _solve_square(nrows, nrhs, idx_all[lo : lo + 131072])
-        # coordinate rows in the active set pin those coordinates to zero
-        coord_rows, coord_slots = np.nonzero(idx >= n_facets)
-        sols[coord_rows, idx[coord_rows, coord_slots] - n_facets] = 0.0
-        scale_v = 1.0 + np.max(np.abs(sols), axis=1)
-        active_resid = np.abs(
-            np.einsum("kij,kj->ki", nrows[idx], sols) - nrhs[idx]
-        ).max(axis=1)
-        feas = (at @ sols.T - bt[:, None]).max(axis=0)
-        keep = (active_resid <= 1e-8 * scale_v) & (feas <= FEAS_TOL * scale_v)
-        found.extend(sols[keep])
-
-    return tuple(_freeze(v) for v in _dedup(found))
+    x = np.concatenate([_line_ends(inst, k) for k in range(1, min(m, n) + 1)])
+    r = x @ inst.a.T - inst.b
+    size = 1.0 + np.max(np.abs(x), axis=1)
+    gap = np.abs(r).sum(axis=1) - inst.sigma
+    facet = np.linalg.norm(np.sign(r) @ inst.a, axis=1)
+    found = list(x[(gap >= -1e-8 * size * facet) & (gap <= FEAS_TOL * size)])
+    if lq_norm(inst.b, 1.0) - inst.sigma <= FEAS_TOL:
+        found.insert(0, np.zeros(n))
+    return tuple(_freeze(_stack(_dedup(found), n)))  # read-only rows of one array
 
 
 def solve_exact_lp_quasinorm(inst: ProblemInstance, p: float, vertices=None) -> ExactSolutionSet:
@@ -187,7 +241,7 @@ def solve_exact_lp_quasinorm(inst: ProblemInstance, p: float, vertices=None) -> 
         vertices = all_orthant_vertices(inst)
     if not vertices:
         raise NotFeasible("no extreme points found; is the instance feasible?")
-    values = np.array([lp_power_sum(v, p) for v in vertices])
+    values = (np.abs(_stack(vertices, inst.n)) ** p).sum(axis=1)
     best = float(values.min())
     keep = values <= best + 1e-9 * (1.0 + abs(best))
     mins = tuple(vertices[i] for i in np.flatnonzero(keep))
@@ -212,9 +266,13 @@ def l1_regression(a_sub, b):
     m, k = a_sub.shape
     subsets = np.array(list(itertools.combinations(range(m), k)), dtype=np.intp)
     subsets = subsets.reshape(comb(m, k), k)  # also for k = 0 and k > m
+    # unit rows, so that |det| <= SINGULAR_TOL marks a singular subsystem
     scale = np.linalg.norm(a_sub, axis=1)
     scale[scale == 0.0] = 1.0
-    _, sols = _solve_square(a_sub / scale[:, None], b / scale, subsets)
+    rows, rhs = a_sub / scale[:, None], b / scale
+    subsets = subsets[np.abs(np.linalg.det(rows[subsets])) > SINGULAR_TOL]
+    sols = np.linalg.solve(rows[subsets], rhs[subsets][:, :, None])[:, :, 0]
+    sols = sols[np.isfinite(sols).all(axis=1)]
     if not len(sols):
         return None
     values = np.abs(a_sub @ sols.T - b[:, None]).sum(axis=0)
@@ -284,12 +342,9 @@ def estimate_p_star(inst: ProblemInstance, vertices=None, sparsest_k: int | None
     pos = sv[sv > RANK_REL_TOL_FACTOR * max(inst.m, inst.n) * sv[0]]
     lam_star = float(pos[-1] ** 2)
     r = (inst.sigma + lq_norm(inst.b, 2.0)) / np.sqrt(lam_star)
-    r_tilde = np.inf
-    for v in vertices:
-        zero_tol = DEDUP_TOL * (1.0 + np.max(np.abs(v), initial=0.0))
-        nz = np.abs(v)[np.abs(v) > zero_tol]
-        if nz.size:
-            r_tilde = min(r_tilde, float(nz.min()))
+    mags = np.abs(_stack(vertices, inst.n))
+    zero_tol = DEDUP_TOL * (1.0 + mags.max(axis=1, initial=0.0))
+    r_tilde = float(np.min(mags, where=mags > zero_tol[:, None], initial=np.inf))
     if not np.isfinite(r_tilde):
         raise NotFeasible("no nonzero vertex coordinates; instance is degenerate")
     s = max(sparsest_k, 1)

@@ -140,6 +140,15 @@ def optimal_point_checks(
     only mislead.  p = 0 swaps the boundary check for the scaled-boundary
     one (alpha in (0,1] with ||A(alpha x)-b||_q = sigma).
     """
+    return _checks_and_report(inst, x, p, q, tol)[0]
+
+
+def _checks_and_report(inst: ProblemInstance, x, p: float, q: float, tol: float):
+    """optimal_point_checks and the property report they read.
+
+    The report is None when the checks stop at feasibility, which builds
+    none; for x = 0 the EmptySupport raised in its place stands in for it.
+    """
     x = np.asarray(x, dtype=np.float64)
     checks: list[CheckResult] = []
     resid_q = lq_norm(inst.residual(x), q)
@@ -154,14 +163,15 @@ def optimal_point_checks(
         )
     )
     if not feas_ok:
-        return checks
+        return checks, None
 
     # one report serves the boundary, support-rank and sandwich checks; x = 0
     # has none, which fails the checks that need it instead of raising
     try:
         report = kkt_property_report(inst, x, q=q, feas_tol=tol)
     except EmptySupport as exc:
-        report, no_support = None, str(exc)
+        report = exc
+    no_support = isinstance(report, EmptySupport)
 
     if p == 0.0:
         try:
@@ -179,8 +189,8 @@ def optimal_point_checks(
             checks.append(
                 CheckResult(name="boundary_scaling", passed=False, slack=-np.inf, detail=str(exc))
             )
-    elif report is None:
-        checks.append(CheckResult(name="boundary", passed=False, slack=-np.inf, detail=no_support))
+    elif no_support:
+        checks.append(CheckResult(name="boundary", passed=False, slack=-np.inf, detail=str(report)))
     else:
         checks.append(
             CheckResult(
@@ -191,11 +201,11 @@ def optimal_point_checks(
             )
         )
 
-    if report is None:
+    if no_support:
         checks.append(
-            CheckResult(name="support_rank", passed=False, slack=-np.inf, detail=no_support)
+            CheckResult(name="support_rank", passed=False, slack=-np.inf, detail=str(report))
         )
-        return checks
+        return checks, report
     checks.append(
         CheckResult(
             name="support_rank",
@@ -216,7 +226,7 @@ def optimal_point_checks(
             ),
         )
     )
-    return checks
+    return checks, report
 
 
 def all_checks_pass(checks) -> bool:

@@ -43,6 +43,18 @@ GOLDEN_VERTEX_SET = {
 }
 
 
+# the twenty tiny random instances of the acceptance suite, 2x3 to 5x6
+TINY_SPECS = tuple(
+    GenSpec(
+        m=m, n=n, s=1 + i % 2, delta=0.4,
+        noise="gauss" if i % 2 == 0 else "t2", seed=100 + i,
+    )
+    for i, (m, n) in enumerate(
+        [(2, 3), (2, 4), (3, 3), (3, 4), (3, 5), (4, 4), (4, 5), (4, 6), (5, 5), (5, 6)] * 2
+    )
+)
+
+
 @pytest.fixture(scope="session")
 def desk_instance():
     spec = GenSpec(m=100, n=500, s=10, delta=1e-3, noise="gauss", seed=0)

@@ -6,7 +6,7 @@ agreement is evidence rather than tautology.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -137,3 +137,51 @@ def exact_l1_fit(cols, b, box=10**6):
     status, val, _ = exact_polytope_lp(obj, rows, rhs)
     assert status == "optimal"
     return val
+
+
+# -- orthant vertices by a scan over every n-subset of the facets ------------
+#
+# The feasible set {x : ||Ax - b||_1 <= sigma} is {x : U A x <= U b + sigma}
+# over all 2^m sign vectors U.  A vertex of its intersection with a closed
+# orthant solves n independent active constraints taken among these 2^m
+# facets and the n coordinate planes, so scanning every n-subset of the
+# combined rows finds the vertices of all orthants at once.  The library
+# scans lines instead, far fewer candidates, by a different argument.
+
+
+def _dedup_close(points, tol):
+    """Greedy merge of points within tol * (1 + ||v||_inf) in every coordinate.
+
+    Exact repeats are collapsed first (after rounding off the last digits),
+    so the pairwise pass sees each vertex a few times at most.
+    """
+    kept = []
+    for v in np.unique(np.round(points, 12), axis=0):
+        if not kept or np.abs(np.array(kept) - v).max(axis=1).min() > tol * (1.0 + np.abs(v).max()):
+            kept.append(v)
+    return kept
+
+
+def facet_subset_vertices(a, b, sigma):
+    """All orthant vertices of the l1 ball by the n-subset scan, for small m, n."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    m, n = a.shape
+    u = np.array(list(product((1.0, -1.0), repeat=m)))
+    at, bt = u @ a, u @ b + sigma
+    rows = np.vstack([at, np.eye(n)])
+    rhs = np.concatenate([bt, np.zeros(n)])
+    scale = np.linalg.norm(rows, axis=1)
+    scale[scale == 0.0] = 1.0
+    rows, rhs = rows / scale[:, None], rhs / scale
+    idx = np.array(list(combinations(range(len(rows)), n)), dtype=np.intp)
+    idx = idx[np.abs(np.linalg.det(rows[idx])) > 1e-10]
+    sols = np.linalg.solve(rows[idx], rhs[idx][:, :, None])[:, :, 0]
+    # coordinate rows in the active set pin those coordinates to zero
+    hit, slot = np.nonzero(idx >= len(at))
+    sols[hit, idx[hit, slot] - len(at)] = 0.0
+    size = 1.0 + np.max(np.abs(sols), axis=1)
+    active = np.abs(np.einsum("kij,kj->ki", rows[idx], sols) - rhs[idx]).max(axis=1)
+    excess = (at @ sols.T - bt[:, None]).max(axis=0)
+    keep = (active <= 1e-8 * size) & (excess <= 1e-9 * size)
+    return _dedup_close(sols[keep], 1e-9)

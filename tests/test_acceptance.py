@@ -35,7 +35,7 @@ from sparselp.smoothing import (
     smoothed_abs,
     smoothed_plus,
 )
-from conftest import GOLDEN_VERTEX_SET
+from conftest import GOLDEN_VERTEX_SET, TINY_SPECS
 
 
 def _verdict(name, ok, detail):
@@ -87,21 +87,11 @@ def test_golden_oracle_exactness(golden):
 
 # -- 2 and 3 share twenty tiny random instances ------------------------------
 
-TINY_SIZES = [
-    (2, 3), (2, 4), (3, 3), (3, 4), (3, 5),
-    (4, 4), (4, 5), (4, 6), (5, 5), (5, 6),
-]
-
-
 @pytest.fixture(scope="module")
 def tiny_suite():
     t0 = time.perf_counter()
     suite = []
-    for i, (m, n) in enumerate(TINY_SIZES * 2):
-        spec = GenSpec(
-            m=m, n=n, s=1 + i % 2, delta=0.4,
-            noise="gauss" if i % 2 == 0 else "t2", seed=100 + i,
-        )
+    for spec in TINY_SPECS:
         inst, _, _ = gen_instance(spec)
         verts = all_orthant_vertices(inst)
         l0 = solve_exact_l0(inst)

@@ -4,6 +4,8 @@ import json
 import numpy as np
 import pytest
 
+import sparselp.cli
+import sparselp.verify
 from sparselp import OuterRecord, ProblemInstance, read_instance, write_instance
 from sparselp.cli import main
 
@@ -92,6 +94,29 @@ def test_verify_rejects_bad_point(tmp_path, capsys, golden):
     code, out, _ = run(capsys, "verify", "--instance", inst_path, "--x", str(x_path))
     assert code == 1
     assert json.loads(out)["all_pass"] is False
+
+
+@pytest.mark.parametrize("x, all_pass", [([2.5, 0.0, 0.0], True), ([9.0, 0.0, 0.0], False)])
+def test_verify_builds_one_report(tmp_path, capsys, golden, monkeypatch, x, all_pass):
+    # feasible points reuse the checks' report; infeasible ones stop the
+    # checks at feasibility, so the command builds the report itself
+    calls = []
+    real = sparselp.verify.kkt_property_report
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sparselp.verify, "kkt_property_report", counting)
+    monkeypatch.setattr(sparselp.cli, "kkt_property_report", counting)
+    inst_path = golden_file(tmp_path, golden)
+    x_path = tmp_path / "x.json"
+    x_path.write_text(json.dumps({"x": x}))
+    code, out, _ = run(capsys, "verify", "--instance", inst_path, "--x", str(x_path))
+    payload = json.loads(out)
+    assert payload["all_pass"] is all_pass
+    assert payload["report"]["inf_norm"] == x[0]
+    assert len(calls) == 1
 
 
 def test_solve_trace_and_seed_start(tmp_path, capsys, golden):

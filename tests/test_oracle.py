@@ -3,8 +3,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from refs import exact_l1_fit
+from refs import exact_l1_fit, facet_subset_vertices
 from sparselp import (
+    GenSpec,
     NotFeasible,
     ProblemInstance,
     TooLarge,
@@ -12,6 +13,7 @@ from sparselp import (
     boundary_scaling_alpha,
     build_sign_matrix,
     estimate_p_star,
+    gen_instance,
     is_l0_optimal,
     l1_ball_halfspaces,
     residual_sandwich_check,
@@ -19,7 +21,8 @@ from sparselp import (
     solve_exact_lp_quasinorm,
 )
 from sparselp.oracle import l1_regression
-from conftest import GOLDEN_VERTEX_SET
+from sparselp.smoothing import lp_power_sum
+from conftest import GOLDEN_VERTEX_SET, TINY_SPECS
 
 
 def as_set(vertices, digits=9):
@@ -104,10 +107,76 @@ def test_enumeration_caps():
     big = ProblemInstance(m=9, n=3, a=np.ones((9, 3)), b=np.ones(9), sigma=0.5)
     with pytest.raises(TooLarge):
         all_orthant_vertices(big)
-    # within the dimension cap but over the subset budget
+    # at the dimension cap: the ball is the cross-polytope 1 + 0.5 B_1, all
+    # inside the positive orthant, so its 16 corners are the only vertices
     wide = ProblemInstance(m=8, n=8, a=np.eye(8), b=np.ones(8), sigma=0.5)
-    with pytest.raises(TooLarge):
-        all_orthant_vertices(wide)
+    corners = np.vstack([np.ones(8) + 0.5 * np.eye(8), np.ones(8) - 0.5 * np.eye(8)])
+    assert as_set(all_orthant_vertices(wide)) == as_set(corners)
+
+
+def assert_same_vertices(got, expected, tol=1e-9):
+    # equal counts, and each vertex within tol * (1 + ||v||_inf) of one of
+    # the other set, the scale at which the enumerator merges duplicates
+    assert len(got) == len(expected)
+    if not len(got):
+        return
+    got, expected = np.array(got), np.array(expected)
+    dist = np.abs(got[:, None, :] - expected[None, :, :]).max(axis=2)
+    assert np.all(dist.min(axis=1) <= tol * (1.0 + np.abs(got).max(axis=1)))
+    assert np.all(dist.min(axis=0) <= tol * (1.0 + np.abs(expected).max(axis=1)))
+
+
+def test_vertices_match_facet_subset_scan(golden, rng):
+    # golden, the acceptance suite up to m = 4, and degenerate integer data:
+    # repeated and zero columns, zero rows, ties, sigma = 0 (an affine set)
+    cases = [golden] + [gen_instance(spec)[0] for spec in TINY_SPECS if spec.m <= 4]
+    for _ in range(200):
+        m = int(rng.integers(1, 5))
+        n = int(rng.integers(1, 6))
+        a = rng.integers(-2, 3, size=(m, n)).astype(float)
+        b = rng.integers(-2, 3, size=m).astype(float)
+        cases.append(ProblemInstance(m=m, n=n, a=a, b=b, sigma=float(rng.integers(0, 3))))
+    for inst in cases:
+        expected = facet_subset_vertices(inst.a, inst.b, inst.sigma)
+        assert_same_vertices(all_orthant_vertices(inst), expected)
+
+
+@pytest.mark.parametrize("m, n, seed", [(6, 6, 0), (6, 6, 1), (8, 8, 0)])
+def test_vertex_certificates_beyond_reference(m, n, seed):
+    # past the n-subset scan's reach: every vertex lies on the boundary, its
+    # active normals (coordinate planes, zero-residual rows, the facet
+    # sign(r)'A) have rank n, and the sparsest vertex is a sparsest point
+    inst, _, _ = gen_instance(GenSpec(m=m, n=n, s=2, delta=0.4, noise="gauss", seed=seed))
+    verts = all_orthant_vertices(inst)
+    assert verts
+    for v in verts:
+        r = inst.residual(v)
+        assert abs(np.abs(r).sum() - inst.sigma) <= 1e-9
+        zero_rows = np.abs(r) <= 1e-9 * (1.0 + np.abs(v).max())
+        normals = np.vstack([np.eye(n)[v == 0.0], inst.a[zero_rows], np.sign(r) @ inst.a])
+        assert np.linalg.matrix_rank(normals, tol=1e-9) == n
+    sparsest = min(np.count_nonzero(v) for v in verts)
+    assert sparsest == solve_exact_l0(inst).optimal_value
+
+
+def test_vectorized_answers_match_vertex_loops():
+    # the exact solve and r_tilde read all vertices at once; recompute both
+    # one vertex at a time
+    for spec in TINY_SPECS[:6]:
+        inst, _, _ = gen_instance(spec)
+        verts = all_orthant_vertices(inst)
+        for p in (0.3, 0.5, 1.0):
+            values = [lp_power_sum(v, p) for v in verts]
+            sol = solve_exact_lp_quasinorm(inst, p, vertices=verts)
+            assert sol.optimal_value == pytest.approx(min(values), rel=1e-15)
+            ties = [v for v, f in zip(verts, values) if f <= min(values) * (1 + 1e-9) + 1e-9]
+            assert as_set(sol.minimizers) == as_set(ties)
+        small = []
+        for v in verts:
+            nz = np.abs(v)[np.abs(v) > 1e-9 * (1.0 + np.abs(v).max())]
+            small.extend(nz.min(keepdims=True) if nz.size else [])
+        est = estimate_p_star(inst, vertices=verts, sparsest_k=1)
+        assert est.r_tilde == min(small)
 
 
 def test_sandwich_golden(golden):
