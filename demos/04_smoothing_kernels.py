@@ -14,8 +14,8 @@ MU = 1.0
 print(f"ramp kernel, width mu = {MU} (patch on |s| < {MU / 2}):")
 print("     s     kernel    exact   gap (<= mu/8 = 0.125)")
 for s in (-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0):
-    val, _ = smoothed_plus(np.array(s), MU)
-    print(f"  {s:5.2f}  {float(val):8.5f} {max(s, 0.0):8.5f}   {float(val) - max(s, 0.0):7.5f}")
+    val, _ = smoothed_plus(s, MU)  # a float in, floats out
+    print(f"  {s:5.2f}  {val:8.5f} {max(s, 0.0):8.5f}   {val - max(s, 0.0):7.5f}")
 
 NU = 1.0
 print(f"\nabsolute-value kernel, width nu = {NU} (patch on |t| < {NU / 2}):")
@@ -28,7 +28,7 @@ print("\nworst gap over 100k random draws, as the widths shrink:")
 rng = np.random.default_rng(0)
 for width in (1.0, 0.1, 0.01):
     s = rng.uniform(-2, 2, 100_000)
-    gp = (smoothed_plus(s, width)[0] - np.maximum(s, 0.0)).max()
+    gp = max(smoothed_plus(si, width)[0] - max(si, 0.0) for si in s.tolist())
     ga = (smoothed_abs(s, width)[0] - np.abs(s)).max()
     print(f"  width {width:5.2f}: ramp gap {gp:.6f} (bound {width / 8:.6f}),"
           f" abs gap {ga:.6f} (bound {width / 4:.6f})")

@@ -50,7 +50,7 @@ from .oracle import (
     solve_exact_l0,
     solve_exact_lp_quasinorm,
 )
-from .prox import prox_scalar, prox_threshold, prox_vector
+from .prox import prox_threshold, prox_vector
 from .smoothing import (
     L1SmoothedPenalty,
     SmoothingParams,

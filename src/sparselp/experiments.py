@@ -251,5 +251,5 @@ def smoothing_grid(mu: float = 1.0, nu: float = 1.0, lo: float = -2.0, hi: float
         t = float(t)
         pv, pd = smoothed_plus(t, mu)
         av, ad = smoothed_abs(t, nu)
-        rows.append((t, float(pv), float(pd), float(av), float(ad)))
+        rows.append((t, pv, pd, float(av), float(ad)))
     return rows

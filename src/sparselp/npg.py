@@ -24,10 +24,18 @@ is carried with the iterate: each backtrack trial computes A w once, the
 accepted trial's residual feeds the gradient (one A^T product), and the
 outcome hands back the residual of x_final.  That is one product with A
 per trial and one with A^T per accepted step.
+
+The nonmonotone rule makes about three trials per accepted step, and at
+the desk size a trial's cost is the number of numpy calls it makes, so the
+loop keeps scalars as Python floats (math.isfinite, math.sqrt, ndarray.dot)
+and leaves the arrays to prox_vector and the penalty.  prox_vector is
+looked up on this module at call time, so a wrapper set on
+sparselp.npg.prox_vector sees every trial.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -74,10 +82,10 @@ class NpgOutcome:
 
 def _pair_curvature(y, y_tilde, gy, gy_tilde) -> float:
     d = y - y_tilde
-    nn = float(d @ d)
+    nn = float(d.dot(d))
     if nn == 0.0:
         return 0.0
-    return float(d @ (gy - gy_tilde)) / nn
+    return float(d.dot(gy - gy_tilde)) / nn
 
 
 def initial_step_constant(state: NpgState, l_min: float) -> float:
@@ -120,7 +128,7 @@ def npg_solve(
     r = inst.residual(x) if r0 is None else r0
     pen_val, g = penalty.value_and_grad(r)
     f_x = lp_power_sum(x, p) + pen_val
-    if not np.isfinite(f_x):
+    if not math.isfinite(f_x):
         raise NonFinite("objective is not finite at the starting point")
     f_start = f_x
     # every accepted iterate stays in the level set {F <= F(x0)}, which for
@@ -154,10 +162,10 @@ def npg_solve(
             r_w = inst.residual(w)
             pen_w = penalty.value(r_w)
             f_w = lp_power_sum(w, p) + pen_w
-            if not np.isfinite(f_w):
+            if not math.isfinite(f_w):
                 continue  # overshoot into overflow; keep doubling
             d = w - state.x_curr
-            dn2 = float(d @ d)
+            dn2 = float(d.dot(d))
             if f_w - f_max <= -0.5 * par.c * dn2:
                 accepted = True
                 break
@@ -166,8 +174,8 @@ def npg_solve(
                 f"no acceptable step after {BACKTRACK_CAP} doublings from L0={l0:.3e}"
             )
         l_bar = l_try
-        step = np.sqrt(dn2)
-        if np.max(np.abs(w)) > inf_cap:
+        step = math.sqrt(dn2)
+        if np.abs(w).max() > inf_cap:
             raise NonFinite("iterate escaped the level set; objective model is broken")
 
         f_prev = f_x
@@ -176,7 +184,7 @@ def npg_solve(
         if keep_history:
             history.append((it, f_w, l_bar, step))
 
-        crit_step = l_bar * step / (1.0 + np.linalg.norm(w)) < eps
+        crit_step = l_bar * step / (1.0 + math.sqrt(w.dot(w))) < eps
         crit_obj = abs(f_w - f_prev) / (1.0 + abs(f_w)) < eps**1.2
         if crit_step or crit_obj:
             stop_reason = "step_tol" if crit_step else "obj_tol"

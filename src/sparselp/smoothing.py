@@ -25,6 +25,13 @@ is the argument they take: value(r), value_and_grad(r) and grad(r), with
 the gradient returned in x-space (A^T times the residual-space gradient).
 The caller computes r once per point and reuses it, so evaluating a
 penalty costs no product with A, and its gradient one product with A^T.
+
+The inner loop evaluates a penalty once per line-search trial, and at the
+desk size that cost is numpy call overhead, not arithmetic.  So the outer
+kernel smoothed_plus takes and returns Python floats (its argument is
+always the scalar excess); smoothed_abs works elementwise on arrays.
+value(r) builds only the smoothed-abs values, and value_and_grad(r) builds
+their derivative only when the outer derivative is nonzero.
 """
 
 from __future__ import annotations
@@ -52,37 +59,45 @@ class SmoothingParams:
             )
 
 
-def smoothed_plus(s, mu: float):
-    """Smoothed positive part and its derivative.
+def smoothed_plus(s: float, mu: float) -> tuple[float, float]:
+    """Smoothed positive part of the float s and its derivative, as floats.
 
     Equals max(s, 0) outside [-mu/2, mu/2] and s^2/(2 mu) + s/2 + mu/8
-    inside; the derivative is clip(s/mu + 1/2, 0, 1).
+    inside; the derivative is s/mu + 1/2 clipped to [0, 1].  A NaN s gives
+    NaN for both.
     """
-    s = np.asarray(s, dtype=np.float64)
-    inner = s * s / (2.0 * mu) + 0.5 * s + mu / 8.0
-    val = np.where(np.abs(s) >= 0.5 * mu, np.maximum(s, 0.0), inner)
-    der = np.clip(s / mu + 0.5, 0.0, 1.0)
-    return val, der
+    s = float(s)
+    if abs(s) >= 0.5 * mu:
+        val = max(s, 0.0)
+    else:
+        val = s * s / (2.0 * mu) + 0.5 * s + mu / 8.0
+    return val, min(max(s / mu + 0.5, 0.0), 1.0)
+
+
+def _smoothed_abs_value(t: np.ndarray, nu: float) -> np.ndarray:
+    at = np.abs(t)
+    return np.where(at >= 0.5 * nu, at, t * t / nu + 0.25 * nu)
+
+
+def _smoothed_abs_deriv(t: np.ndarray, nu: float) -> np.ndarray:
+    return np.minimum(np.maximum(2.0 * t / nu, -1.0), 1.0)
 
 
 def smoothed_abs(t, nu: float):
-    """Smoothed absolute value and its derivative.
+    """Smoothed absolute value and its derivative, elementwise.
 
     Equals |t| outside [-nu/2, nu/2] and t^2/nu + nu/4 inside; the
-    derivative is clip(2 t / nu, -1, 1).
+    derivative is 2 t / nu clipped to [-1, 1].
     """
     t = np.asarray(t, dtype=np.float64)
-    inner = t * t / nu + 0.25 * nu
-    val = np.where(np.abs(t) >= 0.5 * nu, np.abs(t), inner)
-    der = np.clip(2.0 * t / nu, -1.0, 1.0)
-    return val, der
+    return _smoothed_abs_value(t, nu), _smoothed_abs_deriv(t, nu)
 
 
 def lp_power_sum(x, p: float) -> float:
     """sum_i |x_i|^p for 0 < p <= 1 (the sparsity surrogate)."""
     if not 0.0 < p <= 1.0:
         raise InvalidParam(f"p must be in (0, 1], got {p}")
-    return float(np.sum(np.abs(np.asarray(x, dtype=np.float64)) ** p))
+    return float((np.abs(np.asarray(x, dtype=np.float64)) ** p).sum())
 
 
 class L1SmoothedPenalty:
@@ -93,21 +108,19 @@ class L1SmoothedPenalty:
         self.inst = inst
         self.sp = sp
 
+    def _excess(self, r) -> float:
+        return float(_smoothed_abs_value(r, self.sp.nu).sum()) - self.inst.sigma
+
     def value(self, r) -> float:
-        s = float(np.sum(smoothed_abs(r, self.sp.nu)[0])) - self.inst.sigma
-        val, _ = smoothed_plus(s, self.sp.mu)
-        return self.sp.lam * float(val)
+        return self.sp.lam * smoothed_plus(self._excess(r), self.sp.mu)[0]
 
     def value_and_grad(self, r):
         inst, sp = self.inst, self.sp
-        hv, hd = smoothed_abs(r, sp.nu)
-        s = float(np.sum(hv)) - inst.sigma
-        gv, gd = smoothed_plus(s, sp.mu)
-        value = sp.lam * float(gv)
-        outer = sp.lam * float(gd)
+        val, der = smoothed_plus(self._excess(r), sp.mu)
+        outer = sp.lam * der
         if outer == 0.0:
-            return value, np.zeros(inst.n)
-        return value, outer * (inst.a.T @ hd)
+            return sp.lam * val, np.zeros(inst.n)
+        return sp.lam * val, outer * (inst.a.T @ _smoothed_abs_deriv(r, sp.nu))
 
     def grad(self, r) -> np.ndarray:
         return self.value_and_grad(r)[1]
@@ -124,19 +137,18 @@ class L2SmoothedPenalty:
         self.inst = inst
         self.sp = sp
 
+    def _excess(self, r) -> float:
+        return float(r.dot(r)) - self.inst.sigma**2
+
     def value(self, r) -> float:
-        u = float(r @ r) - self.inst.sigma**2
-        val, _ = smoothed_plus(u, self.sp.mu)
-        return self.sp.lam * float(val)
+        return self.sp.lam * smoothed_plus(self._excess(r), self.sp.mu)[0]
 
     def value_and_grad(self, r):
-        u = float(r @ r) - self.inst.sigma**2
-        val, der = smoothed_plus(u, self.sp.mu)
-        value = self.sp.lam * float(val)
-        outer = self.sp.lam * float(der)
+        val, der = smoothed_plus(self._excess(r), self.sp.mu)
+        outer = self.sp.lam * der
         if outer == 0.0:
-            return value, np.zeros(self.inst.n)
-        return value, outer * 2.0 * (self.inst.a.T @ r)
+            return self.sp.lam * val, np.zeros(self.inst.n)
+        return self.sp.lam * val, outer * 2.0 * (self.inst.a.T @ r)
 
     def grad(self, r) -> np.ndarray:
         return self.value_and_grad(r)[1]

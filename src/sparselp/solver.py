@@ -47,16 +47,21 @@ from .smoothing import (
 _ANCHOR_SLACK = 1e-9
 
 
-def progress_measures(x_next, x_prev, inst: ProblemInstance, q: float = 1.0, r_next=None):
+def progress_measures(
+    x_next, x_prev, inst: ProblemInstance, q: float = 1.0, r_next=None, phi_next=None, phi_prev=None
+):
     """Relative step, relative objective change, and constraint violation.
 
-    r_next, if given, is the residual A x_next - b.
+    r_next, if given, is the residual A x_next - b; phi_next and phi_prev,
+    if given, are lp_power_sum of x_next and x_prev.
     """
     x_next = np.asarray(x_next, dtype=np.float64)
     x_prev = np.asarray(x_prev, dtype=np.float64)
     eta1 = float(np.linalg.norm(x_next - x_prev)) / (1.0 + float(np.linalg.norm(x_next)))
-    phi_next = lp_power_sum(x_next, inst.p)
-    phi_prev = lp_power_sum(x_prev, inst.p)
+    if phi_next is None:
+        phi_next = lp_power_sum(x_next, inst.p)
+    if phi_prev is None:
+        phi_prev = lp_power_sum(x_prev, inst.p)
     eta2 = abs(phi_next - phi_prev) / (1.0 + phi_next)
     if r_next is None:
         r_next = inst.residual(x_next)
@@ -102,8 +107,9 @@ def _solve_penalty(inst, cfg, seed_x, q, penalty_cls):
 
     lam, mu, nu = cfg.lambda0, cfg.mu0, cfg.nu0
     eps = cfg.eps0
-    # the current iterate and its residual A x - b travel together
-    x, r = x_feas, r_feas
+    # the current iterate, its residual A x - b and its power sum travel
+    # together
+    x, r, phi = x_feas, r_feas, phi_feas
     trace = []
     total_inner = 0
     stop_reason = "outer_cap"
@@ -115,7 +121,7 @@ def _solve_penalty(inst, cfg, seed_x, q, penalty_cls):
         pen = penalty_cls(inst, SmoothingParams(lam, mu, nu))
         pen_feas = pen.value(r_feas)
         f_feas = phi_feas + pen_feas
-        f_curr = lp_power_sum(x, inst.p) + pen.value(r)
+        f_curr = phi + pen.value(r)
         x_start, r_start = (x, r) if f_curr <= f_feas else (x_feas, r_feas)
 
         out = npg_solve(inst, pen, x_start, eps, cfg, r0=r_start)
@@ -147,7 +153,9 @@ def _solve_penalty(inst, cfg, seed_x, q, penalty_cls):
                     " with the penalty weight"
                 )
 
-        etas = progress_measures(x_next, x, inst, q=q, r_next=r_next)
+        etas = progress_measures(
+            x_next, x, inst, q=q, r_next=r_next, phi_next=phi_next, phi_prev=phi
+        )
         worst = max(etas)
         done = worst < cfg.outer_tol or k + 1 >= cfg.outer_iter_cap
         rho = np.nan if done else (cfg.rho_slow if worst < cfg.eta_switch else cfg.rho_fast)
@@ -167,7 +175,7 @@ def _solve_penalty(inst, cfg, seed_x, q, penalty_cls):
                 rho=float(rho),
             )
         )
-        x, r = x_next, r_next
+        x, r, phi = x_next, r_next, phi_next
         if worst < cfg.outer_tol:
             stop_reason = "converged"
             break
@@ -196,7 +204,7 @@ def _solve_penalty(inst, cfg, seed_x, q, penalty_cls):
 
     return SolveReport(
         x_star=x_ref,
-        objective=lp_power_sum(x_ref, inst.p),
+        objective=lp_power_sum(x_ref, inst.p) if moved else phi,
         support=SupportSet.from_vector(x_ref),
         l1_residual=lq_norm(r_ref, 1.0),
         eta1=eta1,

@@ -2,13 +2,17 @@
 
 Everything here recomputes answers by a method different from the library's
 own (dense grids, exact rational arithmetic, brute-force enumeration), so
-agreement is evidence rather than tautology.
+agreement is evidence rather than tautology.  The one exception is the last
+section: frozen copies of earlier inner-loop kernels, against which the
+current kernels are checked for bit-identity.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
+
+from sparselp.errors import InvalidParam, NonFinite
 
 
 def t2_cdf(t):
@@ -185,3 +189,151 @@ def facet_subset_vertices(a, b, sigma):
     excess = (at @ sols.T - bt[:, None]).max(axis=0)
     keep = (active <= 1e-8 * size) & (excess <= 1e-9 * size)
     return _dedup_close(sols[keep], 1e-9)
+
+
+# -- frozen copies of the earlier inner-loop kernels --
+#
+# Unlike the references above these are not independent methods: they are
+# the per-trial kernels as they stood before the prox and the penalties were
+# rewritten to make fewer numpy calls.  The rewrite promises the same
+# floating-point operations, so the new kernels must agree with these bit
+# for bit, and a solve run on either set must be bit-identical.
+
+NEWTON_CAP = 100
+RESIDUAL_TOL = 1e-13
+
+
+def _check_w_p(w: float, p: float) -> None:
+    if not 0.0 < p < 1.0:
+        raise InvalidParam(f"p must be in (0, 1), got {p}")
+    if not (np.isfinite(w) and w > 0.0):
+        raise InvalidParam(f"w must be positive and finite, got {w}")
+
+
+def prox_threshold(w: float, p: float) -> float:
+    """Dead-zone radius tau_bar(w, p) below which the prox returns 0."""
+    _check_w_p(w, p)
+    return (2.0 - p) / (2.0 - 2.0 * p) * (2.0 * (1.0 - p) / w) ** (1.0 / (2.0 - p))
+
+
+def _prox_magnitudes(av: np.ndarray, w: float, p: float) -> np.ndarray:
+    """Prox of the power objective at nonnegative inputs av, weight w."""
+    out = np.zeros_like(av)
+    tau = prox_threshold(w, p)
+    live = av > tau
+    if not np.any(live):
+        return out
+    a = av[live]
+    t_infl = (p * (1.0 - p) / w) ** (1.0 / (2.0 - p))
+    t = a.copy()
+    tol = RESIDUAL_TOL * np.maximum(1.0, w * a)
+    for _ in range(NEWTON_CAP):
+        resid = p * t ** (p - 1.0) + w * (t - a)
+        if np.all(np.abs(resid) <= tol):
+            break
+        slope = p * (p - 1.0) * t ** (p - 2.0) + w
+        t = np.clip(t - resid / slope, t_infl, a)
+    # the stationary point must beat 0; outside the dead zone it always
+    # does, but compare anyway to guard the float boundary
+    better = t**p + 0.5 * w * (t - a) ** 2 <= 0.5 * w * a * a
+    out[live] = np.where(better, t, 0.0)
+    return out
+
+
+def prox_vector(x, grad, l: float, p: float) -> np.ndarray:
+    """Proximal-gradient step: argmin_z lp_power_sum(z, p) + <grad, z - x>
+    + (l/2) ||z - x||^2, solved coordinatewise at v = x - grad / l."""
+    x = np.asarray(x, dtype=np.float64)
+    grad = np.asarray(grad, dtype=np.float64)
+    if x.shape != grad.shape:
+        raise InvalidParam("x and grad must have the same shape")
+    v = x - grad / l
+    if not np.isfinite(v).all():
+        raise NonFinite("prox-gradient point is not finite")
+    mags = _prox_magnitudes(np.abs(v), l, p)
+    return np.where(mags != 0.0, np.copysign(mags, v), 0.0)
+
+
+def smoothed_plus(s, mu: float):
+    """Smoothed positive part and its derivative.
+
+    Equals max(s, 0) outside [-mu/2, mu/2] and s^2/(2 mu) + s/2 + mu/8
+    inside; the derivative is clip(s/mu + 1/2, 0, 1).
+    """
+    s = np.asarray(s, dtype=np.float64)
+    inner = s * s / (2.0 * mu) + 0.5 * s + mu / 8.0
+    val = np.where(np.abs(s) >= 0.5 * mu, np.maximum(s, 0.0), inner)
+    der = np.clip(s / mu + 0.5, 0.0, 1.0)
+    return val, der
+
+
+def smoothed_abs(t, nu: float):
+    """Smoothed absolute value and its derivative.
+
+    Equals |t| outside [-nu/2, nu/2] and t^2/nu + nu/4 inside; the
+    derivative is clip(2 t / nu, -1, 1).
+    """
+    t = np.asarray(t, dtype=np.float64)
+    inner = t * t / nu + 0.25 * nu
+    val = np.where(np.abs(t) >= 0.5 * nu, np.abs(t), inner)
+    der = np.clip(2.0 * t / nu, -1.0, 1.0)
+    return val, der
+
+
+def lp_power_sum(x, p: float) -> float:
+    """sum_i |x_i|^p for 0 < p <= 1 (the sparsity surrogate)."""
+    return float(np.sum(np.abs(np.asarray(x, dtype=np.float64)) ** p))
+
+
+class L1SmoothedPenalty:
+    """Smoothed penalty for the q = 1 residual ball, bound to one instance
+    and one parameter triple; r is the residual A x - b."""
+
+    def __init__(self, inst, sp):
+        self.inst = inst
+        self.sp = sp
+
+    def value(self, r) -> float:
+        s = float(np.sum(smoothed_abs(r, self.sp.nu)[0])) - self.inst.sigma
+        val, _ = smoothed_plus(s, self.sp.mu)
+        return self.sp.lam * float(val)
+
+    def value_and_grad(self, r):
+        inst, sp = self.inst, self.sp
+        hv, hd = smoothed_abs(r, sp.nu)
+        s = float(np.sum(hv)) - inst.sigma
+        gv, gd = smoothed_plus(s, sp.mu)
+        value = sp.lam * float(gv)
+        outer = sp.lam * float(gd)
+        if outer == 0.0:
+            return value, np.zeros(inst.n)
+        return value, outer * (inst.a.T @ hd)
+
+    def grad(self, r) -> np.ndarray:
+        return self.value_and_grad(r)[1]
+
+
+class L2SmoothedPenalty:
+    """Penalty for the q = 2 ball: lam * smoothed_plus(||r||^2 - sigma^2),
+    with r = A x - b."""
+
+    def __init__(self, inst, sp):
+        self.inst = inst
+        self.sp = sp
+
+    def value(self, r) -> float:
+        u = float(r @ r) - self.inst.sigma**2
+        val, _ = smoothed_plus(u, self.sp.mu)
+        return self.sp.lam * float(val)
+
+    def value_and_grad(self, r):
+        u = float(r @ r) - self.inst.sigma**2
+        val, der = smoothed_plus(u, self.sp.mu)
+        value = self.sp.lam * float(val)
+        outer = self.sp.lam * float(der)
+        if outer == 0.0:
+            return value, np.zeros(self.inst.n)
+        return value, outer * 2.0 * (self.inst.a.T @ r)
+
+    def grad(self, r) -> np.ndarray:
+        return self.value_and_grad(r)[1]

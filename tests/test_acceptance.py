@@ -27,7 +27,7 @@ from sparselp import (
 from sparselp.experiments import run_grid, sparsity_cells, table1_cells, table2_cells
 from sparselp.linalg import lq_norm
 from sparselp.npg import npg_solve
-from sparselp.prox import prox_scalar
+from sparselp.prox import prox_vector
 from sparselp.smoothing import (
     L1SmoothedPenalty,
     SmoothingParams,
@@ -237,7 +237,7 @@ def _envelope_violations(rng):
     bad = 0
     for width in (1e-3, 0.1, 1.0, 10.0):
         s = rng.uniform(-5 * width, 5 * width, 2500)
-        val, _ = smoothed_plus(s, width)
+        val = np.array([smoothed_plus(si, width)[0] for si in s.tolist()])
         gap = val - np.maximum(s, 0.0)
         bad += int(np.sum(gap < -1e-15)) + int(np.sum(gap > width / 8 + 1e-15))
         t = rng.uniform(-5 * width, 5 * width, 2500)
@@ -278,7 +278,7 @@ def _prox_worst_dev(rng):
         for _ in range(112):
             v = float(rng.uniform(-4.0, 4.0))
             w = float(rng.uniform(0.2, 8.0))
-            t = prox_scalar(v, w, p)
+            t = prox_vector(np.array([v]), np.zeros(1), w, p)[0]
             tg = grid_prox(v, w, p)
             cases += 1
             if t == 0.0 or tg == 0.0:

@@ -15,10 +15,16 @@ from sparselp.smoothing import (
 # coincide exactly outside the patch
 
 
+def plus_on(s, mu):
+    """smoothed_plus (floats only) mapped over an array."""
+    pairs = [smoothed_plus(si, mu) for si in np.asarray(s).tolist()]
+    return np.array([v for v, _ in pairs]), np.array([d for _, d in pairs])
+
+
 def test_plus_envelope_bounds(rng):
     for mu in (1e-3, 0.1, 1.0, 10.0):
         s = rng.uniform(-5 * mu, 5 * mu, 10_000)
-        val, der = smoothed_plus(s, mu)
+        val, der = plus_on(s, mu)
         plus = np.maximum(s, 0.0)
         gap = val - plus
         assert gap.min() >= -1e-15
@@ -45,8 +51,8 @@ def test_scalar_derivatives_by_central_difference(rng):
     s = rng.uniform(-1.0, 1.0, 200)
     # avoid straddling the patch boundary where the second derivative jumps
     s = s[np.abs(np.abs(s) - mu / 2) > 10 * h]
-    _, der = smoothed_plus(s, mu)
-    fd = (smoothed_plus(s + h, mu)[0] - smoothed_plus(s - h, mu)[0]) / (2 * h)
+    _, der = plus_on(s, mu)
+    fd = (plus_on(s + h, mu)[0] - plus_on(s - h, mu)[0]) / (2 * h)
     np.testing.assert_allclose(der, fd, atol=1e-7)
     t = rng.uniform(-1.0, 1.0, 200)
     t = t[np.abs(np.abs(t) - nu / 2) > 10 * h]
