@@ -7,11 +7,9 @@ instance generator, and experiment drivers on top of it.
 """
 
 from .core import (
-    NpgParams,
     OuterRecord,
     ProblemInstance,
     SolveReport,
-    SolverConfig,
     SupportSet,
     read_instance,
     replace_p,
@@ -51,13 +49,7 @@ from .oracle import (
     solve_exact_lp_quasinorm,
 )
 from .prox import prox_threshold, prox_vector
-from .smoothing import (
-    L1SmoothedPenalty,
-    SmoothingParams,
-    lp_power_sum,
-    smoothed_abs,
-    smoothed_plus,
-)
+from .smoothing import SmoothedPenalty, lp_power_sum, smoothed_abs, smoothed_plus
 from .solver import refine, progress_measures, solve_l1, solve_l2
 from .verify import (
     CheckResult,

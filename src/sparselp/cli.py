@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -61,11 +62,19 @@ def _solver_exponent(text: str) -> float:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type for counts (--seeds, --trials, --s-step): an integer >= 1."""
+    """argparse type for counts (--seeds, --trials, --s-step, --count): an integer >= 1."""
     n = int(text)
     if n < 1:
         raise argparse.ArgumentTypeError(f"count must be a positive integer, got {text}")
     return n
+
+
+def _smoothing_width(text: str) -> float:
+    """argparse type for plot-smoothing's --mu and --nu: finite and > 0."""
+    w = float(text)
+    if not (math.isfinite(w) and w > 0.0):
+        raise argparse.ArgumentTypeError(f"width must be positive and finite, got {text}")
+    return w
 
 
 def _emit(payload: dict, args) -> None:
@@ -231,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("solve", help="run the penalty solver on an instance file")
     sub.add_argument("--instance", type=str, required=True)
-    sub.add_argument("--p", type=float, default=None, help="objective exponent (default: from file)")
+    sub.add_argument("--p", type=_solver_exponent, default=None,
+                     help="objective exponent in (0, 1) (default: from file)")
     sub.add_argument("--q", type=int, choices=(1, 2), default=1, help="residual ball norm")
     sub.add_argument("--x0", type=str, default=None, help="JSON file with a feasible start")
     sub.add_argument("--trace", action="store_true", help="include the outer-iteration trace")
@@ -241,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("verify", help="check a candidate point's optimality properties")
     sub.add_argument("--instance", type=str, required=True)
     sub.add_argument("--x", type=str, required=True, help="JSON file with the point")
-    sub.add_argument("--p", type=float, default=None)
+    sub.add_argument("--p", type=_oracle_exponent, default=None,
+                     help="exponent, 0 or in (0, 1] (default: from file)")
     sub.add_argument("--q", type=int, choices=(1, 2), default=1)
     sub.add_argument("--tol", type=float, default=1e-8,
                      help="check tolerance; solver outputs sit near their final smoothing scale, so 1e-6 is the right order for them")
@@ -330,11 +341,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sub = subs.add_parser("plot-smoothing", help="sample the smoothing kernels on a grid; CSV: t,plus_value,plus_deriv,abs_value,abs_deriv")
-    sub.add_argument("--mu", type=float, default=1.0)
-    sub.add_argument("--nu", type=float, default=1.0)
+    sub.add_argument("--mu", type=_smoothing_width, default=1.0)
+    sub.add_argument("--nu", type=_smoothing_width, default=1.0)
     sub.add_argument("--lo", type=float, default=-2.0)
     sub.add_argument("--hi", type=float, default=2.0)
-    sub.add_argument("--count", type=int, default=401)
+    sub.add_argument("--count", type=_positive_int, default=401)
     _add_common(sub)
     sub.set_defaults(func=cmd_plot_smoothing)
 

@@ -1,4 +1,4 @@
-"""Domain types, validation, and instance file I/O.
+"""Domain types, validation, instance file I/O, and the solve report.
 
 A problem instance is the data (A, b, sigma, p) of
 
@@ -8,13 +8,16 @@ A problem instance is the data (A, b, sigma, p) of
 with A an m-by-n dense matrix.  The blanket assumption ||b|| > sigma rules
 out x = 0 being feasible.  Instances are immutable after construction; the
 arrays are marked read-only so they can be shared freely.
+
+Nothing here configures a solve: the outer schedule and tolerances are
+constants of solver.py, and the inner loop's constants those of npg.py.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -194,40 +197,6 @@ class SupportSet:
 def support_indices(x) -> np.ndarray:
     """Indices of exactly nonzero entries (use after refine())."""
     return np.flatnonzero(np.asarray(x) != 0.0)
-
-
-@dataclass(frozen=True)
-class NpgParams:
-    """Tuning constants of the inner nonmonotone proximal-gradient loop."""
-
-    l_min: float = 1e-6
-    tau: float = 2.0
-    c: float = 1e-4
-    memory: int = 2
-    iter_cap: int = 1000
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Outer-loop schedule and tolerances of the penalty solver.
-
-    The penalty weight grows by rho each outer iteration while both
-    smoothing widths shrink by 1/rho; rho is rho_slow once all progress
-    measures fall below eta_switch and rho_fast before that.
-    """
-
-    lambda0: float = 1.0
-    mu0: float = 1.0
-    nu0: float = 1.0
-    eps0: float = 1e-3
-    rho_fast: float = 2.0
-    rho_slow: float = 1.2
-    eta_switch: float = 1e-2
-    outer_tol: float = 1e-8
-    eps_floor: float = 1e-8
-    refine_threshold: float = 1e-8
-    outer_iter_cap: int = 500
-    npg: NpgParams = field(default_factory=NpgParams)
 
 
 @dataclass(frozen=True)

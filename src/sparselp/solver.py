@@ -4,11 +4,17 @@ solution.
 Each outer iteration k solves the smoothed penalized problem at the current
 (lam, mu, nu) by the inner nonmonotone proximal-gradient loop, warm-started
 from whichever of {previous iterate, feasible anchor} has the lower current
-objective.  Afterwards lam grows by rho while mu, nu, and the inner
-tolerance shrink by 1/rho; rho is small (gentle) once all three progress
-measures are below eta_switch.  Iteration stops when
+objective.  The penalty is one smoothing.SmoothedPenalty on the residual,
+for the q = 1 ball (solve_l1) or the q = 2 ball (solve_l2).  The schedule
+is fixed: (lam, mu, nu) start at (LAMBDA0, MU0, NU0) and the inner
+tolerance at EPS0; afterwards lam grows by rho while mu, nu, and the inner
+tolerance shrink by 1/rho (the tolerance down to EPS_FLOOR); rho is
+RHO_SLOW once all three progress measures are below ETA_SWITCH and
+RHO_FAST before that.  Iteration stops when
 
-    max{ rel step, rel objective change, (residual - sigma)_+ } < outer_tol.
+    max{ rel step, rel objective change, (residual - sigma)_+ } < OUTER_TOL,
+
+or after OUTER_ITER_CAP iterations.
 
 The feasible anchor is the minimum-norm least-squares point (or a caller
 seed).  Its computation and its residual are reported as the setup time
@@ -29,42 +35,39 @@ from .core import (
     OuterRecord,
     ProblemInstance,
     SolveReport,
-    SolverConfig,
     SupportSet,
     validate_instance,
 )
 from .errors import InfeasibleStart, InvalidParam, InvariantViolation
 from .linalg import least_squares_min_norm, lq_norm
 from .npg import npg_solve
-from .smoothing import (
-    L1SmoothedPenalty,
-    L2SmoothedPenalty,
-    SmoothingParams,
-    lp_power_sum,
-)
+from .smoothing import SmoothedPenalty, lp_power_sum
 
 # absolute slack for the runtime descent checks; covers float roundoff only
 _ANCHOR_SLACK = 1e-9
 
+LAMBDA0 = 1.0
+MU0 = 1.0
+NU0 = 1.0
+EPS0 = 1e-3
+RHO_FAST = 2.0
+RHO_SLOW = 1.2
+ETA_SWITCH = 1e-2
+OUTER_TOL = 1e-8
+EPS_FLOOR = 1e-8
+OUTER_ITER_CAP = 500
 
-def progress_measures(
-    x_next, x_prev, inst: ProblemInstance, q: float = 1.0, r_next=None, phi_next=None, phi_prev=None
-):
+
+def progress_measures(x_next, x_prev, inst: ProblemInstance, q: float, r_next, phi_next, phi_prev):
     """Relative step, relative objective change, and constraint violation.
 
-    r_next, if given, is the residual A x_next - b; phi_next and phi_prev,
-    if given, are lp_power_sum of x_next and x_prev.
+    r_next is the residual A x_next - b; phi_next and phi_prev are
+    lp_power_sum of x_next and x_prev.
     """
     x_next = np.asarray(x_next, dtype=np.float64)
     x_prev = np.asarray(x_prev, dtype=np.float64)
     eta1 = float(np.linalg.norm(x_next - x_prev)) / (1.0 + float(np.linalg.norm(x_next)))
-    if phi_next is None:
-        phi_next = lp_power_sum(x_next, inst.p)
-    if phi_prev is None:
-        phi_prev = lp_power_sum(x_prev, inst.p)
     eta2 = abs(phi_next - phi_prev) / (1.0 + phi_next)
-    if r_next is None:
-        r_next = inst.residual(x_next)
     eta3 = max(lq_norm(r_next, q) - inst.sigma, 0.0)
     return eta1, eta2, eta3
 
@@ -84,7 +87,7 @@ def refine(x, threshold: float = 1e-8) -> np.ndarray:
     return out
 
 
-def _solve_penalty(inst, cfg, seed_x, q, penalty_cls):
+def _solve_penalty(inst, seed_x, q):
     validate_instance(inst, q=q)
     if not 0.0 < inst.p < 1.0:
         raise InvalidParam(f"solver needs p in (0, 1), got {inst.p}")
@@ -105,8 +108,8 @@ def _solve_penalty(inst, cfg, seed_x, q, penalty_cls):
     t0 = time.perf_counter()
     setup_time = t0 - t_setup
 
-    lam, mu, nu = cfg.lambda0, cfg.mu0, cfg.nu0
-    eps = cfg.eps0
+    lam, mu, nu = LAMBDA0, MU0, NU0
+    eps = EPS0
     # the current iterate, its residual A x - b and its power sum travel
     # together
     x, r, phi = x_feas, r_feas, phi_feas
@@ -117,14 +120,14 @@ def _solve_penalty(inst, cfg, seed_x, q, penalty_cls):
     prev_lam = None
     prev_pen_feas = None
 
-    for k in range(cfg.outer_iter_cap):
-        pen = penalty_cls(inst, SmoothingParams(lam, mu, nu))
+    for k in range(OUTER_ITER_CAP):
+        pen = SmoothedPenalty(inst, q, lam, mu, nu)
         pen_feas = pen.value(r_feas)
         f_feas = phi_feas + pen_feas
         f_curr = phi + pen.value(r)
         x_start, r_start = (x, r) if f_curr <= f_feas else (x_feas, r_feas)
 
-        out = npg_solve(inst, pen, x_start, eps, cfg, r0=r_start)
+        out = npg_solve(inst, pen, x_start, eps, r0=r_start)
         total_inner += out.iters
         x_next, r_next = out.x_final, out.r_final
 
@@ -157,8 +160,8 @@ def _solve_penalty(inst, cfg, seed_x, q, penalty_cls):
             x_next, x, inst, q=q, r_next=r_next, phi_next=phi_next, phi_prev=phi
         )
         worst = max(etas)
-        done = worst < cfg.outer_tol or k + 1 >= cfg.outer_iter_cap
-        rho = np.nan if done else (cfg.rho_slow if worst < cfg.eta_switch else cfg.rho_fast)
+        done = worst < OUTER_TOL or k + 1 >= OUTER_ITER_CAP
+        rho = np.nan if done else (RHO_SLOW if worst < ETA_SWITCH else RHO_FAST)
         trace.append(
             OuterRecord(
                 k=k,
@@ -176,21 +179,21 @@ def _solve_penalty(inst, cfg, seed_x, q, penalty_cls):
             )
         )
         x, r, phi = x_next, r_next, phi_next
-        if worst < cfg.outer_tol:
+        if worst < OUTER_TOL:
             stop_reason = "converged"
             break
-        if k + 1 >= cfg.outer_iter_cap:
+        if k + 1 >= OUTER_ITER_CAP:
             break
         prev_lam, prev_pen_feas = lam, pen_feas
         theta = 1.0 / rho
         lam *= rho
         mu *= theta
         nu *= theta
-        eps = max(theta * eps, cfg.eps_floor)
+        eps = max(theta * eps, EPS_FLOOR)
 
     wall = time.perf_counter() - t0
 
-    x_ref = refine(x, cfg.refine_threshold)
+    x_ref = refine(x)
     # the report's objective and residual use the refined point; eta1/eta2
     # keep the last outer comparison, eta3 is recomputed if refinement moved x
     moved = not np.array_equal(x_ref, x)
@@ -220,11 +223,11 @@ def _solve_penalty(inst, cfg, seed_x, q, penalty_cls):
     )
 
 
-def solve_l1(inst: ProblemInstance, cfg: SolverConfig | None = None, seed_x=None) -> SolveReport:
+def solve_l1(inst: ProblemInstance, seed_x=None) -> SolveReport:
     """Solve min lp_power_sum(x, p) s.t. ||Ax - b||_1 <= sigma."""
-    return _solve_penalty(inst, cfg or SolverConfig(), seed_x, 1.0, L1SmoothedPenalty)
+    return _solve_penalty(inst, seed_x, 1.0)
 
 
-def solve_l2(inst: ProblemInstance, cfg: SolverConfig | None = None, seed_x=None) -> SolveReport:
+def solve_l2(inst: ProblemInstance, seed_x=None) -> SolveReport:
     """Baseline on the l2 ball: min lp_power_sum(x, p) s.t. ||Ax - b||_2 <= sigma."""
-    return _solve_penalty(inst, cfg or SolverConfig(), seed_x, 2.0, L2SmoothedPenalty)
+    return _solve_penalty(inst, seed_x, 2.0)

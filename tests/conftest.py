@@ -1,6 +1,9 @@
+import contextlib
+
 import numpy as np
 import pytest
 
+import sparselp.npg
 from sparselp import (
     GenSpec,
     ProblemInstance,
@@ -72,3 +75,36 @@ def desk_solution(desk_instance):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(np.random.Philox(12345))
+
+
+@contextlib.contextmanager
+def recorded_trials():
+    """Record every line-search trial of the inner loop.
+
+    Wraps sparselp.npg.prox_vector and yields a list that fills with one
+    (center, l, w) row per trial: the current accepted iterate, the trial
+    step constant and the trial point.  A new center starts each iteration.
+    """
+    rows = []
+    prox_vector = sparselp.npg.prox_vector
+
+    def recorded(x, g, l, p):
+        w = prox_vector(x, g, l, p)
+        rows.append((x, l, w))
+        return w
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sparselp.npg, "prox_vector", recorded)
+        yield rows
+
+
+def accepted_steps(rows):
+    """The (center, l_bar, w) of each accepted step in recorded_trials rows.
+
+    The line search stops at the accepted trial and the next iteration
+    starts from its point, so the accepted trial is the last one made from
+    each center, and the last trial of all is the final accepted step.
+    """
+    return [
+        row for i, row in enumerate(rows) if i + 1 == len(rows) or rows[i + 1][0] is not row[0]
+    ]

@@ -28,14 +28,8 @@ from sparselp.experiments import run_grid, sparsity_cells, table1_cells, table2_
 from sparselp.linalg import lq_norm
 from sparselp.npg import npg_solve
 from sparselp.prox import prox_vector
-from sparselp.smoothing import (
-    L1SmoothedPenalty,
-    SmoothingParams,
-    lp_power_sum,
-    smoothed_abs,
-    smoothed_plus,
-)
-from conftest import GOLDEN_VERTEX_SET, TINY_SPECS
+from sparselp.smoothing import SmoothedPenalty, lp_power_sum, smoothed_abs, smoothed_plus
+from conftest import GOLDEN_VERTEX_SET, TINY_SPECS, accepted_steps, recorded_trials
 
 
 def _verdict(name, ok, detail):
@@ -255,12 +249,13 @@ def _gradient_worst_rel(rng):
             m=m, n=n, a=rng.standard_normal((m, n)),
             b=rng.standard_normal(m) + 2.0, sigma=0.3, p=0.5,
         )
-        sp = SmoothingParams(
+        pen = SmoothedPenalty(
+            inst,
+            1.0,
             lam=float(rng.uniform(0.5, 4.0)),
             mu=float(rng.uniform(0.05, 1.0)),
             nu=float(rng.uniform(0.05, 1.0)),
         )
-        pen = L1SmoothedPenalty(inst, sp)
         for _ in range(100):
             x = rng.standard_normal(n)
             _, grad = pen.value_and_grad(inst.residual(x))
@@ -329,18 +324,23 @@ def _npg_battery(rng):
             b=rng.standard_normal(m) + 2.0, sigma=0.3,
             p=float(rng.choice([0.3, 0.5, 0.7])),
         )
-        sp = SmoothingParams(
+        pen = SmoothedPenalty(
+            inst,
+            1.0,
             lam=float(10 ** rng.uniform(0, 3)),
             mu=float(10 ** rng.uniform(-2, 0)),
             nu=float(10 ** rng.uniform(-2, 0)),
         )
-        pen = L1SmoothedPenalty(inst, sp)
         x0 = rng.standard_normal(n)
         f0 = lp_power_sum(x0, inst.p) + pen.value(inst.residual(x0))
-        out = npg_solve(inst, pen, x0, eps=1e-4, keep_history=True)
+        with recorded_trials() as rows:
+            out = npg_solve(inst, pen, x0, eps=1e-4)
         assert out.f_final <= f0 + 1e-9 * (1 + abs(f0))
-        # nonmonotone window descent, rechecked from the recorded history
-        fs = [f0] + [row[1] for row in out.history]
+        # nonmonotone window descent, rechecked from the recorded trials
+        fs = [f0] + [
+            lp_power_sum(w, inst.p) + pen.value(inst.residual(w))
+            for _, _, w in accepted_steps(rows)
+        ]
         for i in range(1, len(fs)):
             window = fs[max(0, i - 3):i]
             assert fs[i] <= max(window) + 1e-9 * (1 + abs(fs[i]))

@@ -218,18 +218,26 @@ def test_plot_smoothing_stdout(capsys):
 
 def test_oracle_rejects_out_of_range_p(tmp_path, capsys, golden):
     inst_path = golden_file(tmp_path, golden)
-    for bad in ("1.5", "-0.2", "nan"):
-        with pytest.raises(SystemExit) as exc:
-            main(["oracle", "--instance", inst_path, "--p", bad])
-        assert exc.value.code == 64
-        assert "--p: exponent must be 0 or in (0, 1]" in capsys.readouterr().err
+    x_path = tmp_path / "x.json"
+    x_path.write_text(json.dumps([2.5, 0.0, 0.0]))
+    commands = (
+        ["oracle", "--instance", inst_path],
+        ["verify", "--instance", inst_path, "--x", str(x_path)],
+    )
+    for argv in commands:
+        for bad in ("1.5", "2", "-0.2", "nan"):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--p", bad])
+            assert exc.value.code == 64
+            assert "--p: exponent must be 0 or in (0, 1]" in capsys.readouterr().err
 
 
-def test_table_commands_reject_out_of_range_p(capsys):
+def test_table_commands_reject_out_of_range_p(tmp_path, capsys, golden):
     commands = (
         ["table1", "--profile", "desk", "--seeds", "1", "--noise", "gauss"],
         ["table2", "--profile", "desk", "--seeds", "1"],
         ["success-curve", "--m", "20", "--n", "40", "--trials", "1"],
+        ["solve", "--instance", golden_file(tmp_path, golden)],
     )
     for argv in commands:
         for bad in ("1.5", "1", "0", "-0.2", "nan"):
@@ -253,11 +261,19 @@ def test_table_commands_reject_bad_counts(capsys):
         (["table2", "--profile", "desk"], "--seeds"),
         (["success-curve", "--m", "20", "--n", "40"], "--trials"),
         (["success-curve", "--m", "20", "--n", "40"], "--s-step"),
+        (["plot-smoothing"], "--count"),
     )
     for argv, flag in commands:
         for bad in ("0", "-1", "1.5", "x"):
             with pytest.raises(SystemExit) as exc:
                 main(argv + [flag, bad])
+            assert exc.value.code == 64
+            assert f"argument {flag}:" in capsys.readouterr().err
+    # the smoothing widths must be positive and finite
+    for flag in ("--mu", "--nu"):
+        for bad in ("0", "-1", "inf", "nan", "x"):
+            with pytest.raises(SystemExit) as exc:
+                main(["plot-smoothing", flag, bad])
             assert exc.value.code == 64
             assert f"argument {flag}:" in capsys.readouterr().err
     # an empty or out-of-range planted-sparsity range is a usage error too

@@ -8,27 +8,29 @@ same bytes, counts and trace.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import refs
 import sparselp.npg
+import sparselp.solver
 from sparselp import InvalidParam, NonFinite, ProblemInstance
 from sparselp.core import replace_p
 from sparselp.gen import GenSpec, gen_matched_pair
 from sparselp.prox import prox_threshold, prox_vector
-from sparselp.smoothing import (
-    L1SmoothedPenalty,
-    L2SmoothedPenalty,
-    SmoothingParams,
-    lp_power_sum,
-    smoothed_abs,
-    smoothed_plus,
-)
+from sparselp.smoothing import SmoothedPenalty, lp_power_sum, smoothed_abs, smoothed_plus
 from sparselp.solver import solve_l1, solve_l2
 
-PENALTIES = ((L1SmoothedPenalty, refs.L1SmoothedPenalty), (L2SmoothedPenalty, refs.L2SmoothedPenalty))
+# the residual norm q of the one penalty class, and the frozen class per q
+PENALTIES = ((1.0, refs.L1SmoothedPenalty), (2.0, refs.L2SmoothedPenalty))
+
+
+def frozen_penalty(inst, q, lam, mu, nu):
+    """The frozen penalty for q, built from SmoothedPenalty's arguments."""
+    ref_cls = dict(PENALTIES)[q]
+    return ref_cls(inst, SimpleNamespace(lam=lam, mu=mu, nu=nu))
 
 
 def same_bits(a, b) -> bool:
@@ -144,64 +146,60 @@ def _instance(rng, m=6, n=9, sigma=0.5):
     )
 
 
-def check_penalty(new_cls, ref_cls, inst, sp, r):
-    new, ref = new_cls(inst, sp), ref_cls(inst, sp)
+def check_penalty(q, inst, lam, mu, nu, r):
+    new, ref = SmoothedPenalty(inst, q, lam, mu, nu), frozen_penalty(inst, q, lam, mu, nu)
     with np.errstate(all="ignore"):
         v, (vg, g) = new.value(r), new.value_and_grad(r)
         rv, (rvg, rg) = ref.value(r), ref.value_and_grad(r)
-        gg, rgg = new.grad(r), ref.grad(r)
+        rgg = ref.grad(r)
     assert same_bits(v, rv) and same_bits(vg, rvg)
-    assert same_bits(g, rg) and same_bits(gg, rgg)
+    assert same_bits(g, rg) and same_bits(g, rgg)
     return vg, g
 
 
 def test_penalties_match_frozen_kernels_on_seeded_draws(rng):
     for _ in range(200):
         inst = _instance(rng, sigma=float(rng.uniform(0.0, 3.0)))
-        sp = SmoothingParams(
-            lam=float(10.0 ** rng.uniform(-1, 4)),
-            mu=float(10.0 ** rng.uniform(-6, 0)),
-            nu=float(10.0 ** rng.uniform(-6, 0)),
-        )
+        lam = float(10.0 ** rng.uniform(-1, 4))
+        mu = float(10.0 ** rng.uniform(-6, 0))
+        nu = float(10.0 ** rng.uniform(-6, 0))
         r = rng.standard_normal(inst.m) * rng.choice((1e-4, 0.1, 1.0))
-        for new_cls, ref_cls in PENALTIES:
-            check_penalty(new_cls, ref_cls, inst, sp, r)
+        for q, _ in PENALTIES:
+            check_penalty(q, inst, lam, mu, nu, r)
 
 
 def test_penalties_match_frozen_kernels_at_edges(rng):
     inst = _instance(rng, m=4, n=5)
-    nu, mu = 0.25, 0.5
-    sp = SmoothingParams(lam=3.0, mu=mu, nu=nu)
+    lam, nu, mu = 3.0, 0.25, 0.5
     # |r_i| exactly at nu/2, and one ulp either side
     half = 0.5 * nu
     r = np.array([half, -half, np.nextafter(half, 0.0), np.nextafter(-half, -np.inf)])
-    for new_cls, ref_cls in PENALTIES:
-        check_penalty(new_cls, ref_cls, inst, sp, r)
+    for q, _ in PENALTIES:
+        check_penalty(q, inst, lam, mu, nu, r)
     # the excess s exactly at +mu/2 and -mu/2: with every |r_i| >= nu/2 the
     # smoothed sum is sum|r_i| = 3.5 exactly
     r = np.array([1.0, -2.0, 0.25, -0.25])
     for sigma, slope in ((3.5 - 0.5 * mu, 1.0), (3.5 + 0.5 * mu, 0.0)):
         inst_s = ProblemInstance(m=4, n=5, a=inst.a, b=inst.b, sigma=sigma, p=0.5)
-        _, g = check_penalty(L1SmoothedPenalty, refs.L1SmoothedPenalty, inst_s, sp, r)
+        _, g = check_penalty(1.0, inst_s, lam, mu, nu, r)
         assert (not g.any()) == (slope == 0.0)
     # outer == 0: deep inside the ball, the gradient is an exact zero vector
-    for new_cls, ref_cls in PENALTIES:
+    for q, _ in PENALTIES:
         inst_in = ProblemInstance(m=4, n=5, a=inst.a, b=inst.b, sigma=100.0, p=0.5)
-        val, g = check_penalty(new_cls, ref_cls, inst_in, sp, r)
+        val, g = check_penalty(q, inst_in, lam, mu, nu, r)
         assert val == 0.0 and not g.any()
 
 
 def test_penalties_match_frozen_kernels_on_nonfinite_residuals(rng):
     inst = _instance(rng, m=4, n=5)
-    sp = SmoothingParams(lam=2.0, mu=0.1, nu=0.1)
     for bad in (np.nan, np.inf, -np.inf):
         r = np.array([0.3, bad, -0.2, 0.01])
-        for new_cls, ref_cls in PENALTIES:
-            val, _ = check_penalty(new_cls, ref_cls, inst, sp, r)
+        for q, _ in PENALTIES:
+            val, _ = check_penalty(q, inst, 2.0, 0.1, 0.1, r)
             assert math.isnan(val) if np.isnan(bad) else val == math.inf
     big = np.full(4, 1e200)  # the squares overflow to inf
-    for new_cls, ref_cls in PENALTIES:
-        check_penalty(new_cls, ref_cls, inst, sp, big)
+    for q, _ in PENALTIES:
+        check_penalty(q, inst, 2.0, 0.1, 0.1, big)
 
 
 def test_solves_are_bit_identical_on_frozen_kernels(monkeypatch):
@@ -216,12 +214,18 @@ def test_solves_are_bit_identical_on_frozen_kernels(monkeypatch):
         frozen_calls.append(1)
         return refs.prox_vector(*args)
 
+    frozen_qs = []
+
+    def frozen_solver_penalty(inst, q, lam, mu, nu):
+        frozen_qs.append(q)
+        return frozen_penalty(inst, q, lam, mu, nu)
+
     monkeypatch.setattr(sparselp.npg, "prox_vector", frozen_prox)
-    for new_cls, ref_cls in PENALTIES:
-        for name in ("value", "value_and_grad", "grad"):
-            monkeypatch.setattr(new_cls, name, getattr(ref_cls, name))
+    monkeypatch.setattr(sparselp.solver, "SmoothedPenalty", frozen_solver_penalty)
     ref = [solve(inst) for solve, inst in runs]
     assert len(frozen_calls) >= sum(b.inner_iters_total for b in ref)
+    # one frozen penalty per outer iteration, on each run's ball
+    assert frozen_qs == [q for q, b in zip((1.0, 1.0, 2.0), ref) for _ in range(b.outer_iters)]
     for a, b in zip(new, ref):
         assert a.inner_iters_total > 50
         assert np.array_equal(a.x_star, b.x_star) and same_bits(a.x_star, b.x_star)

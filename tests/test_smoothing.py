@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from sparselp import InvalidParam, ProblemInstance
-from sparselp.smoothing import (
-    L1SmoothedPenalty,
-    SmoothingParams,
-    lp_power_sum,
-    smoothed_abs,
-    smoothed_plus,
-)
+from sparselp import InvalidNorm, InvalidParam, ProblemInstance
+from sparselp.smoothing import SmoothedPenalty, lp_power_sum, smoothed_abs, smoothed_plus
 
 # envelope property: the smoothed functions sit above their kinked targets
 # with a gap of at most mu/8 (plus part) and nu/4 (absolute value), and
@@ -91,10 +85,14 @@ def test_lp_power_sum():
 
 
 def test_smoothing_params_validation():
-    with pytest.raises(InvalidParam):
-        SmoothingParams(lam=0.0, mu=1.0, nu=1.0)
-    with pytest.raises(InvalidParam):
-        SmoothingParams(lam=1.0, mu=-1.0, nu=1.0)
+    inst = ProblemInstance(m=1, n=2, a=np.array([[1.0, 0.0]]), b=np.array([2.0]), sigma=0.5)
+    for q in (1.0, 2.0):
+        with pytest.raises(InvalidParam):
+            SmoothedPenalty(inst, q, lam=0.0, mu=1.0, nu=1.0)
+        with pytest.raises(InvalidParam):
+            SmoothedPenalty(inst, q, lam=1.0, mu=-1.0, nu=1.0)
+    with pytest.raises(InvalidNorm):
+        SmoothedPenalty(inst, 3.0, lam=1.0, mu=1.0, nu=1.0)
 
 
 def _random_instance(rng, m, n):
@@ -108,12 +106,13 @@ def test_penalty_gradient_by_central_difference(rng):
     h = 1e-6
     for _ in range(10):
         inst = _random_instance(rng, int(rng.integers(2, 6)), int(rng.integers(2, 7)))
-        sp = SmoothingParams(
+        pen = SmoothedPenalty(
+            inst,
+            1.0,
             lam=float(rng.uniform(0.5, 4.0)),
             mu=float(rng.uniform(0.05, 1.0)),
             nu=float(rng.uniform(0.05, 1.0)),
         )
-        pen = L1SmoothedPenalty(inst, sp)
         for _ in range(100):
             x = rng.standard_normal(inst.n)
             val, grad = pen.value_and_grad(inst.residual(x))
@@ -130,11 +129,11 @@ def test_penalty_envelope_gap(rng):
     # lam * (mu/8 + m nu/4)
     for _ in range(50):
         inst = _random_instance(rng, 4, 5)
-        sp = SmoothingParams(lam=2.0, mu=0.3, nu=0.2)
+        pen = SmoothedPenalty(inst, 1.0, lam=2.0, mu=0.3, nu=0.2)
         x = rng.standard_normal(5)
-        exact = sp.lam * max(np.sum(np.abs(inst.residual(x))) - inst.sigma, 0.0)
-        val = L1SmoothedPenalty(inst, sp).value(inst.residual(x))
-        assert exact - 1e-12 <= val <= exact + sp.lam * (sp.mu / 8 + inst.m * sp.nu / 4) + 1e-12
+        exact = pen.lam * max(np.sum(np.abs(inst.residual(x))) - inst.sigma, 0.0)
+        val = pen.value(inst.residual(x))
+        assert exact - 1e-12 <= val <= exact + pen.lam * (pen.mu / 8 + inst.m * pen.nu / 4) + 1e-12
 
 
 def test_gradient_vanishes_deep_inside(rng):
@@ -142,24 +141,24 @@ def test_gradient_vanishes_deep_inside(rng):
     inst = ProblemInstance(
         m=1, n=2, a=np.array([[1.0, 0.0]]), b=np.array([5.0]), sigma=2.0, p=0.5
     )
-    sp = SmoothingParams(lam=10.0, mu=1e-4, nu=1e-4)
+    pen = SmoothedPenalty(inst, 1.0, lam=10.0, mu=1e-4, nu=1e-4)
     x = np.array([4.5, 0.0])  # residual -0.5, well inside the sigma=2 ball
-    val, grad = L1SmoothedPenalty(inst, sp).value_and_grad(inst.residual(x))
+    val, grad = pen.value_and_grad(inst.residual(x))
     assert val == 0.0
     np.testing.assert_array_equal(grad, np.zeros(2))
 
 
 def test_lipschitz_bound_dominates_observed_curvature(rng):
     inst = _random_instance(rng, 4, 6)
-    sp = SmoothingParams(lam=1.5, mu=0.2, nu=0.15)
-    pen = L1SmoothedPenalty(inst, sp)
+    pen = SmoothedPenalty(inst, 1.0, lam=1.5, mu=0.2, nu=0.15)
     # the module docstring's bound (m/mu + 2/nu) * lam * ||A||^2
     a_norm_sq = float(np.linalg.svd(inst.a, compute_uv=False)[0] ** 2)
-    bound = (inst.m / sp.mu + 2.0 / sp.nu) * sp.lam * a_norm_sq
+    bound = (inst.m / pen.mu + 2.0 / pen.nu) * pen.lam * a_norm_sq
     for _ in range(300):
         x = rng.standard_normal(6)
         y = x + rng.standard_normal(6) * rng.uniform(1e-4, 0.5)
-        gx, gy = pen.grad(inst.residual(x)), pen.grad(inst.residual(y))
+        gx = pen.value_and_grad(inst.residual(x))[1]
+        gy = pen.value_and_grad(inst.residual(y))[1]
         lhs = np.linalg.norm(gx - gy)
         assert lhs <= bound * np.linalg.norm(x - y) * (1 + 1e-9)
 
@@ -168,8 +167,8 @@ def test_objective_value_composes():
     inst = ProblemInstance(
         m=1, n=2, a=np.array([[1.0, 1.0]]), b=np.array([4.0]), sigma=0.5, p=0.5
     )
-    sp = SmoothingParams(lam=1.0, mu=1e-6, nu=1e-6)
+    pen = SmoothedPenalty(inst, 1.0, lam=1.0, mu=1e-6, nu=1e-6)
     x = np.array([1.0, 0.0])
     # residual -3, |r|_1 = 3, violation 2.5; power sum 1
-    objective = lp_power_sum(x, inst.p) + L1SmoothedPenalty(inst, sp).value(inst.residual(x))
+    objective = lp_power_sum(x, inst.p) + pen.value(inst.residual(x))
     assert objective == pytest.approx(1.0 + 2.5, abs=1e-5)

@@ -2,34 +2,41 @@ import numpy as np
 import pytest
 
 import sparselp.npg
+import sparselp.solver
 from sparselp import (
     GenSpec,
     InfeasibleStart,
     InvalidParam,
     ProblemInstance,
-    SolverConfig,
     TrivialInstance,
     gen_matched_pair,
     replace_p,
     solve_l1,
     solve_l2,
 )
-from sparselp.solver import L2SmoothedPenalty, progress_measures, refine
-from sparselp.smoothing import SmoothingParams
+from sparselp.smoothing import SmoothedPenalty, lp_power_sum
+from sparselp.solver import progress_measures, refine
 
 
 def test_progress_measures_oracle():
     inst = ProblemInstance(
         m=1, n=2, a=np.array([[1.0, 0.0]]), b=np.array([2.0]), sigma=0.5, p=0.5
     )
+
+    def measures(x_next, x_prev):
+        return progress_measures(
+            x_next, x_prev, inst, 1.0, inst.residual(x_next),
+            lp_power_sum(x_next, inst.p), lp_power_sum(x_prev, inst.p),
+        )
+
     x_prev = np.array([1.0, 0.0])
     x_next = np.array([1.0, 1.0])
-    eta1, eta2, eta3 = progress_measures(x_next, x_prev, inst)
+    eta1, eta2, eta3 = measures(x_next, x_prev)
     assert eta1 == pytest.approx(1.0 / (1.0 + np.sqrt(2.0)), rel=1e-14)
     assert eta2 == pytest.approx(1.0 / 3.0, rel=1e-14)  # |2 - 1| / (1 + 2)
     assert eta3 == pytest.approx(0.5, rel=1e-14)  # |1 - 2| - 0.5 violation
     # inside the ball the violation clamps at zero
-    assert progress_measures(np.array([1.8, 0.0]), x_prev, inst)[2] == 0.0
+    assert measures(np.array([1.8, 0.0]), x_prev)[2] == 0.0
 
 
 def test_refine():
@@ -138,9 +145,9 @@ def test_bad_seed_still_anchored(golden):
     assert rep.objective <= np.sqrt(2.5) + 1e-4
 
 
-def test_outer_cap_reported(golden):
-    cfg = SolverConfig(outer_iter_cap=3)
-    rep = solve_l1(golden, cfg=cfg, seed_x=np.array([3.0, 0.1, 0.0]))
+def test_outer_cap_reported(golden, monkeypatch):
+    monkeypatch.setattr(sparselp.solver, "OUTER_ITER_CAP", 3)
+    rep = solve_l1(golden, seed_x=np.array([3.0, 0.1, 0.0]))
     assert rep.stop_reason == "outer_cap"
     assert rep.outer_iters == 3
 
@@ -164,8 +171,7 @@ def test_l2_penalty_gradient(rng):
         sigma=0.4,
         p=0.5,
     )
-    sp = SmoothingParams(lam=2.0, mu=0.3, nu=0.3)
-    pen = L2SmoothedPenalty(inst, sp)
+    pen = SmoothedPenalty(inst, 2.0, lam=2.0, mu=0.3, nu=0.3)
     h = 1e-6
     for _ in range(40):
         x = rng.standard_normal(4)
