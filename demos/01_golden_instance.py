@@ -2,8 +2,8 @@
 
 Two equations, three unknowns, an l1 residual ball of radius 1: small enough
 to enumerate every vertex of the feasible polyhedron, list every minimizer
-of the p-th-power objective, and compute the exponent threshold below which
-those minimizers are exactly the sparsest feasible points.
+of the p-th-power objective and every sparsest vertex, and compute the
+exponent threshold below which those minimizers are sparsest feasible points.
 """
 
 import numpy as np
@@ -42,7 +42,7 @@ for p in (1.0, 0.5):
     print(f"\np = {p}: optimal value {sol.optimal_value:.6f} at {pts}")
 
 l0 = solve_exact_l0(inst)
-print(f"\nsparsest feasible points have {int(l0.optimal_value)} nonzero:")
+print(f"\nsparsest feasible points have {int(l0.optimal_value)} nonzero; the vertices among them:")
 for x in l0.minimizers:
     print(f"  {pt(x)}")
 

@@ -69,6 +69,14 @@ def _positive_int(text: str) -> int:
     return n
 
 
+def _noise_scale(text: str) -> float:
+    """argparse type for --delta: finite and >= 0."""
+    delta = float(text)
+    if not (math.isfinite(delta) and delta >= 0.0):
+        raise argparse.ArgumentTypeError(f"noise scale must be finite and >= 0, got {text}")
+    return delta
+
+
 def _smoothing_width(text: str) -> float:
     """argparse type for plot-smoothing's --mu and --nu: finite and > 0."""
     w = float(text)
@@ -166,10 +174,9 @@ def cmd_oracle(args) -> int:
     payload: dict = {"n_vertices": len(vertices)}
     if args.list_vertices:
         payload["vertices"] = [[float(v) for v in vert] for vert in vertices]
-    sol0 = None
     for p in args.p or ():
         if p == 0.0:
-            sol = sol0 = solve_exact_l0(inst)
+            sol = solve_exact_l0(inst)
         else:
             sol = solve_exact_lp_quasinorm(inst, p, vertices=vertices)
         payload.setdefault("solutions", {})[repr(p)] = {
@@ -177,9 +184,7 @@ def cmd_oracle(args) -> int:
             "minimizers": [[float(v) for v in x] for x in sol.minimizers],
         }
     if args.p_star or args.check_inclusion:
-        if sol0 is None:
-            sol0 = solve_exact_l0(inst)
-        est = estimate_p_star(inst, vertices=vertices, sparsest_k=int(sol0.optimal_value))
+        est = estimate_p_star(inst, vertices=vertices)
         payload.update(
             {"p_star": est.p_star, "r": est.r, "r_tilde": est.r_tilde, "s": est.s}
         )
@@ -232,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--m", type=int, required=True)
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--s", type=int, required=True, help="planted support size")
-    sub.add_argument("--delta", type=float, default=1e-3, help="noise scale")
+    sub.add_argument("--delta", type=_noise_scale, default=1e-3, help="noise scale")
     sub.add_argument("--noise", choices=("gauss", "t2"), default="gauss")
     sub.add_argument("--q", type=int, choices=(1, 2), default=1, help="norm defining sigma")
     _add_common(sub)
@@ -273,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("table1", help="solver quality per (noise, p); CSV: noise,p,nnz,rank,err1,err2")
     sub.add_argument("--profile", choices=sorted(experiments.PROFILES), default="desk")
     sub.add_argument("--seeds", type=_positive_int, default=10)
-    sub.add_argument("--delta", type=float, default=1e-3)
+    sub.add_argument("--delta", type=_noise_scale, default=1e-3)
     sub.add_argument("--p", type=_solver_exponent, action="append")
     sub.add_argument("--noise", choices=("gauss", "t2"), action="append")
     _add_common(sub)
@@ -290,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("table2", help="l1 solver vs l2 baseline; CSV: noise,m,n,s,delta,solver,nnz,feas,recerr,time")
     sub.add_argument("--profile", choices=sorted(experiments.PROFILES), default="desk")
     sub.add_argument("--seeds", type=_positive_int, default=10)
-    sub.add_argument("--delta", type=float, default=1e-3)
+    sub.add_argument("--delta", type=_noise_scale, default=1e-3)
     sub.add_argument("--p", type=_solver_exponent, default=0.5)
     sub.add_argument("--noise", choices=("gauss", "t2"), action="append")
     _add_common(sub)
@@ -305,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("sparsity-vs-p", help="solution sparsity across the exponent grid; CSV: noise,p,nnz")
     sub.add_argument("--profile", choices=sorted(experiments.PROFILES), default="desk")
-    sub.add_argument("--delta", type=float, default=1e-3)
+    sub.add_argument("--delta", type=_noise_scale, default=1e-3)
     sub.add_argument("--noise", choices=("gauss", "t2"), action="append")
     _add_common(sub)
     sub.set_defaults(
@@ -324,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--s-max", type=int, default=35)
     sub.add_argument("--s-step", type=_positive_int, default=5)
     sub.add_argument("--trials", type=_positive_int, default=50)
-    sub.add_argument("--delta", type=float, default=1e-3)
+    sub.add_argument("--delta", type=_noise_scale, default=1e-3)
     sub.add_argument("--p", type=_solver_exponent, action="append")
     sub.add_argument("--noise", choices=("gauss", "t2"), action="append")
     sub.add_argument("--solver", choices=("l1", "l2"), action="append")

@@ -16,6 +16,7 @@ support, then the planted values, then the noise.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +46,8 @@ class GenSpec:
             raise InvalidParam(f"need m, n >= 1, got {self.m}, {self.n}")
         if not 1 <= self.s <= self.n:
             raise InvalidParam(f"need 1 <= s <= n, got s={self.s}, n={self.n}")
-        if self.delta < 0.0:
-            raise InvalidParam(f"noise scale must be >= 0, got {self.delta}")
+        if not (math.isfinite(self.delta) and self.delta >= 0.0):
+            raise InvalidParam(f"noise scale must be finite and >= 0, got {self.delta}")
         if self.noise not in NOISE_FAMILIES:
             raise InvalidParam(f"noise must be one of {NOISE_FAMILIES}, got {self.noise!r}")
         if self.q_for_sigma not in (1.0, 2.0):

@@ -11,10 +11,13 @@ rows of A_J fit b exactly (J the vertex's support, k = |J|), so one scan
 over these C(m + n, m + 1) lines, at most, yields the extreme points of
 every orthant at once (see all_orthant_vertices).
 
-The sparsest-solution search uses the same active-set idea: the best l1
-fit on a support interpolates as many rows as the support has columns, so
-it too is a scan over square subsystems.  Also here: the exponent threshold
-estimate and two inequality checks used by the test suites.
+The same scan answers the sparsest-solution question: on a support J of
+minimal size, each orthant's piece of the ball restricted to J is pointed
+and, when nonempty, has vertices, whose supports lie inside J and so, by
+minimality, equal J.  The sparsest level is therefore the fewest nonzeros
+over the orthant vertices, found by scanning support sizes upward (see
+solve_exact_l0).  Also here: the exponent threshold estimate and two
+inequality checks used by the test suites.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -32,12 +34,11 @@ from .linalg import RANK_REL_TOL_FACTOR, lq_norm
 
 SIGN_MATRIX_MAX_M = 16
 SANDWICH_MAX_M = 12
-ENUM_MAX_DIM = 8
-SINGULAR_TOL = 1e-10  # |det| and least singular value floor of a unit-row system
+ENUM_MAX_M = 8
+ENUM_MAX_N = 10
+SINGULAR_TOL = 1e-10  # least singular value floor of a unit-row system
 DEDUP_TOL = 1e-9
 FEAS_TOL = 1e-9
-L0_MAX_N = 10
-L0_MAX_M = 8
 
 
 def build_sign_matrix(m: int) -> np.ndarray:
@@ -66,7 +67,7 @@ class ExactSolutionSet:
     """Exact optimal value and all optimal vertices for one exponent.
 
     For p = 0 the optimal_value is the minimal support size and the
-    minimizers are one exact-fit witness per optimal support.
+    minimizers are every orthant vertex of that size.
     """
 
     p: float
@@ -189,6 +190,26 @@ def _line_ends(inst: ProblemInstance, k: int) -> np.ndarray:
     return x[keep]
 
 
+def _vertices_of_size(inst: ProblemInstance, k: int) -> list:
+    """The orthant vertices with exactly k nonzeros, deduplicated, in scan
+    order (see all_orthant_vertices); for k = 0, x = 0 when it is feasible.
+
+    Raises TooLarge beyond ENUM_MAX_M rows or ENUM_MAX_N columns.
+    """
+    if inst.m > ENUM_MAX_M or inst.n > ENUM_MAX_N:
+        raise TooLarge(
+            f"enumeration capped at m<={ENUM_MAX_M}, n<={ENUM_MAX_N}, got m={inst.m}, n={inst.n}"
+        )
+    if k == 0:
+        return [np.zeros(inst.n)] if lq_norm(inst.b, 1.0) - inst.sigma <= FEAS_TOL else []
+    x = _line_ends(inst, k)
+    r = x @ inst.a.T - inst.b
+    size = 1.0 + np.max(np.abs(x), axis=1)
+    gap = np.abs(r).sum(axis=1) - inst.sigma
+    facet = np.linalg.norm(np.sign(r) @ inst.a, axis=1)
+    return _dedup(x[(gap >= -1e-8 * size * facet) & (gap <= FEAS_TOL * size)])
+
+
 def all_orthant_vertices(inst: ProblemInstance):
     """Union over all orthants of the extreme points of orthant-and-ball.
 
@@ -211,21 +232,12 @@ def all_orthant_vertices(inst: ProblemInstance):
     piece that crosses sigma, between the sorted breakpoints -r0_i / g_i.
     A candidate is kept when it is nonzero on all of J (a smaller support
     finds the rest), its rows in Z fit exactly, it lies on the boundary and
-    it is feasible; survivors are deduplicated.  Raises TooLarge beyond
-    ENUM_MAX_DIM rows or columns.
+    it is feasible; survivors are deduplicated size by size (the merge
+    grid only joins vectors with equal supports).  Raises TooLarge beyond
+    ENUM_MAX_M rows or ENUM_MAX_N columns.
     """
-    m, n = inst.m, inst.n
-    if m > ENUM_MAX_DIM or n > ENUM_MAX_DIM:
-        raise TooLarge(f"enumeration capped at {ENUM_MAX_DIM} rows/cols, got m={m}, n={n}")
-    x = np.concatenate([_line_ends(inst, k) for k in range(1, min(m, n) + 1)])
-    r = x @ inst.a.T - inst.b
-    size = 1.0 + np.max(np.abs(x), axis=1)
-    gap = np.abs(r).sum(axis=1) - inst.sigma
-    facet = np.linalg.norm(np.sign(r) @ inst.a, axis=1)
-    found = list(x[(gap >= -1e-8 * size * facet) & (gap <= FEAS_TOL * size)])
-    if lq_norm(inst.b, 1.0) - inst.sigma <= FEAS_TOL:
-        found.insert(0, np.zeros(n))
-    return tuple(_freeze(_stack(_dedup(found), n)))  # read-only rows of one array
+    found = [v for k in range(min(inst.m, inst.n) + 1) for v in _vertices_of_size(inst, k)]
+    return tuple(_freeze(_stack(found, inst.n)))  # read-only rows of one array
 
 
 def solve_exact_lp_quasinorm(inst: ProblemInstance, p: float, vertices=None) -> ExactSolutionSet:
@@ -248,63 +260,23 @@ def solve_exact_lp_quasinorm(inst: ProblemInstance, p: float, vertices=None) -> 
     return ExactSolutionSet(p=p, optimal_value=best, minimizers=mins)
 
 
-def l1_regression(a_sub, b):
-    """Exact min_x ||a_sub x - b||_1 by scanning square row subsystems.
-
-    Solves every nonsingular k-row subsystem of a_sub x = b (k = number of
-    columns) and returns (x, ||a_sub x - b||_1) for the smallest residual,
-    or None when no k-row subsystem is nonsingular.
-
-    This is exact whenever a_sub has full column rank.  The fit is then an
-    LP over a pointed polyhedron, so an optimum sits at a vertex, where k
-    linearly independent rows are fitted exactly (Barrodale & Roberts,
-    SIAM J. Numer. Anal. 1973); the scan visits that vertex.  With k = 0
-    the one empty subsystem gives x = () and the residual ||b||_1.
-    """
-    a_sub = np.asarray(a_sub, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    m, k = a_sub.shape
-    subsets = np.array(list(itertools.combinations(range(m), k)), dtype=np.intp)
-    subsets = subsets.reshape(comb(m, k), k)  # also for k = 0 and k > m
-    # unit rows, so that |det| <= SINGULAR_TOL marks a singular subsystem
-    scale = np.linalg.norm(a_sub, axis=1)
-    scale[scale == 0.0] = 1.0
-    rows, rhs = a_sub / scale[:, None], b / scale
-    subsets = subsets[np.abs(np.linalg.det(rows[subsets])) > SINGULAR_TOL]
-    sols = np.linalg.solve(rows[subsets], rhs[subsets][:, :, None])[:, :, 0]
-    sols = sols[np.isfinite(sols).all(axis=1)]
-    if not len(sols):
-        return None
-    values = np.abs(a_sub @ sols.T - b[:, None]).sum(axis=0)
-    best = int(np.argmin(values))
-    return sols[best], float(values[best])
-
-
 def solve_exact_l0(inst: ProblemInstance) -> ExactSolutionSet:
     """Smallest support size admitting a feasible point, with witnesses.
 
-    Scans support sizes upward; for each candidate support computes the
-    exact l1 fit restricted to it and accepts values <= sigma.  A support
-    whose columns are rank-deficient has no nonsingular square subsystem
-    and is skipped: its column space is spanned by a strict subset of it,
-    which reaches the same residuals at a smaller size, so such a support
-    is never among the first feasible ones.  Every witness at the minimal
-    size k has exactly k nonzeros (a zero inside the support would
-    contradict minimality).
+    Scans support sizes k = 0, 1, ... upward and stops at the first k with
+    an orthant vertex; the witnesses are every vertex of that size.  This
+    is exact: on a feasible support J of minimal size, each orthant's piece
+    of the ball restricted to J is a pointed polyhedron, nonempty for some
+    orthant, so it has vertices.  Their supports lie inside J, hence equal
+    J by minimality, so every optimal support carries a witness.  The level
+    is at most min(m, n): a vertex off zero fits k - 1 < m rows exactly.
+    Raises TooLarge beyond the enumeration's caps.
     """
-    if inst.n > L0_MAX_N or inst.m > L0_MAX_M:
-        raise TooLarge(f"sparsest-solution search capped at n<={L0_MAX_N}, m<={L0_MAX_M}")
-    tol = 1e-9 * (1.0 + inst.sigma)
-    for k in range(inst.n + 1):
-        witnesses = []
-        for support in itertools.combinations(range(inst.n), k):
-            fit = l1_regression(inst.a[:, list(support)], inst.b)
-            if fit is not None and fit[1] <= inst.sigma + tol:
-                x = np.zeros(inst.n)
-                x[list(support)] = fit[0]
-                witnesses.append(_freeze(x))
+    for k in range(min(inst.m, inst.n) + 1):
+        witnesses = _vertices_of_size(inst, k)
         if witnesses:
-            return ExactSolutionSet(p=0.0, optimal_value=float(k), minimizers=tuple(witnesses))
+            minimizers = tuple(_freeze(_stack(witnesses, inst.n)))
+            return ExactSolutionSet(p=0.0, optimal_value=float(k), minimizers=minimizers)
     raise NotFeasible("no support admits a feasible point; data is inconsistent")
 
 
@@ -333,20 +305,23 @@ def estimate_p_star(inst: ProblemInstance, vertices=None, sparsest_k: int | None
     the smallest nonzero eigenvalue of A'A; r_tilde is the smallest nonzero
     coordinate magnitude over all orthant extreme points.  The threshold is
     min{1, ln(1 + 1/s) / ln(r / r_tilde)}, and 1 when r equals r_tilde.
+    s is sparsest_k, by default the fewest nonzeros over the vertices,
+    which is the sparsest level (see solve_exact_l0).
     """
     if vertices is None:
         vertices = all_orthant_vertices(inst)
+    mags = np.abs(_stack(vertices, inst.n))
+    zero_tol = DEDUP_TOL * (1.0 + mags.max(axis=1, initial=0.0))
+    nonzero = mags > zero_tol[:, None]
+    r_tilde = float(np.min(mags, where=nonzero, initial=np.inf))
+    if not np.isfinite(r_tilde):
+        raise NotFeasible("no nonzero vertex coordinates; instance is degenerate")
     if sparsest_k is None:
-        sparsest_k = int(solve_exact_l0(inst).optimal_value)
+        sparsest_k = int(np.count_nonzero(nonzero, axis=1).min())
     sv = np.linalg.svd(inst.a, compute_uv=False)
     pos = sv[sv > RANK_REL_TOL_FACTOR * max(inst.m, inst.n) * sv[0]]
     lam_star = float(pos[-1] ** 2)
     r = (inst.sigma + lq_norm(inst.b, 2.0)) / np.sqrt(lam_star)
-    mags = np.abs(_stack(vertices, inst.n))
-    zero_tol = DEDUP_TOL * (1.0 + mags.max(axis=1, initial=0.0))
-    r_tilde = float(np.min(mags, where=mags > zero_tol[:, None], initial=np.inf))
-    if not np.isfinite(r_tilde):
-        raise NotFeasible("no nonzero vertex coordinates; instance is degenerate")
     s = max(sparsest_k, 1)
     if r <= r_tilde * (1.0 + 1e-12):
         p_star = 1.0

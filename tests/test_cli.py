@@ -28,6 +28,20 @@ def test_usage_errors_exit_64(capsys):
             main(argv)
         assert exc.value.code == 64
     capsys.readouterr()
+    # a noise scale must be finite and >= 0, checked before any draw
+    commands = (
+        ["gen", "--m", "2", "--n", "3", "--s", "1"],
+        ["table1", "--profile", "desk", "--seeds", "1", "--p", "0.5", "--noise", "gauss"],
+        ["table2", "--profile", "desk", "--seeds", "1"],
+        ["sparsity-vs-p", "--profile", "desk"],
+        ["success-curve", "--m", "20", "--n", "40", "--trials", "1"],
+    )
+    for argv in commands:
+        for bad in ("-1", "nan", "inf", "x"):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--delta", bad])
+            assert exc.value.code == 64
+            assert "argument --delta:" in capsys.readouterr().err
 
 
 def test_gen_writes_instance_file(tmp_path, capsys):

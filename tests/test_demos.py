@@ -10,8 +10,11 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 def test_golden_demo_prints_sparsest_points(capsys):
     runpy.run_path(str(DEMOS / "01_golden_instance.py"), run_name="__main__")
     out = capsys.readouterr().out
-    sparsest = out.split("sparsest feasible points have 1 nonzero:\n")[1].split("\n\n")[0]
-    assert sparsest.split("\n") == ["  (3.0, 0.0, 0.0)", "  (0.0, 3.0, 0.0)"]
+    head = "sparsest feasible points have 1 nonzero; the vertices among them:\n"
+    sparsest = out.split(head)[1].split("\n\n")[0]
+    assert sparsest.split("\n") == [
+        "  (2.5, 0.0, 0.0)", "  (3.5, 0.0, 0.0)", "  (0.0, 2.5, 0.0)", "  (0.0, 3.5, 0.0)"
+    ]
 
 
 def test_exact_vs_iterative_demo_runs(capsys):

@@ -84,8 +84,9 @@ def test_spec_validation():
         GenSpec(m=5, n=5, s=0, delta=0.1)
     with pytest.raises(InvalidParam):
         GenSpec(m=5, n=5, s=6, delta=0.1)
-    with pytest.raises(InvalidParam):
-        GenSpec(m=5, n=5, s=1, delta=-0.1)
+    for bad in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(InvalidParam):
+            GenSpec(m=5, n=5, s=1, delta=bad)
     with pytest.raises(InvalidParam):
         GenSpec(m=5, n=5, s=1, delta=0.1, noise="cauchy")
     with pytest.raises(InvalidParam):

@@ -20,7 +20,6 @@ from sparselp import (
     solve_exact_l0,
     solve_exact_lp_quasinorm,
 )
-from sparselp.oracle import l1_regression
 from sparselp.smoothing import lp_power_sum
 from conftest import GOLDEN_VERTEX_SET, TINY_SPECS
 
@@ -85,7 +84,10 @@ def test_quasinorm_rejects_bad_p(golden, golden_vertices):
 def test_golden_sparsest(golden):
     l0 = solve_exact_l0(golden)
     assert l0.optimal_value == 1.0
-    assert as_set(l0.minimizers) == {(3.0, 0.0, 0.0), (0.0, 3.0, 0.0)}
+    # the witnesses are every sparsest vertex: both ends of each axis segment
+    assert as_set(l0.minimizers) == {
+        (2.5, 0.0, 0.0), (3.5, 0.0, 0.0), (0.0, 2.5, 0.0), (0.0, 3.5, 0.0)
+    }
 
 
 def test_golden_p_star(golden, golden_vertices):
@@ -103,15 +105,32 @@ def test_golden_inclusion(golden, golden_vertices):
         assert all(is_l0_optimal(golden, x, sparsest_k=1) for x in sol.minimizers)
 
 
-def test_enumeration_caps():
-    big = ProblemInstance(m=9, n=3, a=np.ones((9, 3)), b=np.ones(9), sigma=0.5)
-    with pytest.raises(TooLarge):
-        all_orthant_vertices(big)
-    # at the dimension cap: the ball is the cross-polytope 1 + 0.5 B_1, all
+def test_enumeration_caps(rng):
+    # one cap pair, m <= 8 and n <= 10, for the vertices and the sparsest search
+    for m, n in ((9, 3), (2, 11)):
+        big = ProblemInstance(m=m, n=n, a=np.ones((m, n)), b=np.ones(m), sigma=0.5)
+        with pytest.raises(TooLarge):
+            all_orthant_vertices(big)
+        with pytest.raises(TooLarge):
+            solve_exact_l0(big)
+    # at the cap, and the sparsest search's worst case: with sigma = 0 and
+    # generic data the ball is the affine set Ax = b, whose vertices are the
+    # 45 basic solutions on 8 of the 10 columns, so the level is m
+    flat = ProblemInstance(
+        m=8, n=10, a=rng.standard_normal((8, 10)), b=rng.standard_normal(8), sigma=0.0
+    )
+    wide, _, _ = gen_instance(GenSpec(m=6, n=10, s=2, delta=0.4, noise="gauss", seed=0))
+    for inst, level, count in ((flat, 8, 45), (wide, 1, 6)):
+        verts = all_orthant_vertices(inst)
+        l0 = solve_exact_l0(inst)
+        assert l0.optimal_value == level == min(np.count_nonzero(v) for v in verts)
+        assert as_set(l0.minimizers) == as_set(v for v in verts if np.count_nonzero(v) == level)
+        assert len(l0.minimizers) == count
+    # at the row cap: the ball is the cross-polytope 1 + 0.5 B_1, all
     # inside the positive orthant, so its 16 corners are the only vertices
-    wide = ProblemInstance(m=8, n=8, a=np.eye(8), b=np.ones(8), sigma=0.5)
+    square = ProblemInstance(m=8, n=8, a=np.eye(8), b=np.ones(8), sigma=0.5)
     corners = np.vstack([np.ones(8) + 0.5 * np.eye(8), np.ones(8) - 0.5 * np.eye(8)])
-    assert as_set(all_orthant_vertices(wide)) == as_set(corners)
+    assert as_set(all_orthant_vertices(square)) == as_set(corners)
 
 
 def assert_same_vertices(got, expected, tol=1e-9):
@@ -217,34 +236,7 @@ def test_boundary_scaling_golden(golden):
         boundary_scaling_alpha(golden, np.array([9.0, 0.0, 0.0]))
 
 
-# -- exact l1 fit and sparsest search against rational-arithmetic references --
-
-
-def test_l1_fit_median():
-    # fitting a constant column is the l1 location problem: any median works
-    ones = np.ones((3, 1))
-    coef, value = l1_regression(ones, np.array([1.0, 2.0, 10.0]))
-    assert value == pytest.approx(9.0, abs=1e-12)
-    assert coef[0] == pytest.approx(2.0, abs=1e-9)
-
-
-def test_l1_fit_empty_support():
-    coef, value = l1_regression(np.zeros((3, 0)), np.array([1.0, -2.0, 3.0]))
-    assert coef.shape == (0,)
-    assert value == pytest.approx(6.0, abs=1e-12)
-
-
-def test_l1_fit_against_exact(rng):
-    for _ in range(25):
-        m = int(rng.integers(1, 4))
-        k = int(rng.integers(1, min(m, 2) + 1))
-        cols = rng.integers(-3, 4, size=(m, k))
-        while np.linalg.matrix_rank(cols) < min(m, k):
-            cols = rng.integers(-3, 4, size=(m, k))
-        b = rng.integers(-5, 6, size=m)
-        _, value = l1_regression(cols.astype(float), b.astype(float))
-        exact = exact_l1_fit([list(r) for r in cols], [int(v) for v in b])
-        assert value == pytest.approx(float(exact), abs=1e-9)
+# -- the sparsest search against a rational-arithmetic reference --
 
 
 def test_sparsest_against_exact_scan(rng):
@@ -274,7 +266,7 @@ def test_sparsest_against_exact_scan(rng):
             continue
         got = solve_exact_l0(inst)
         assert got.optimal_value == level
-        assert [tuple(np.flatnonzero(x)) for x in got.minimizers] == expected
+        assert {tuple(np.flatnonzero(x)) for x in got.minimizers} == set(expected)
         for x in got.minimizers:
             assert np.count_nonzero(x) == level
             assert np.abs(inst.residual(x)).sum() <= sigma + 1e-9 * (1 + sigma)
@@ -290,7 +282,7 @@ def test_is_l0_optimal(golden):
 
 def test_tiny_instance_inclusion(rng):
     # a light version of the inclusion suite: minimizers at p below p* are
-    # exactly the sparsest feasible points
+    # sparsest feasible points, and vertices, so among the sparsest vertices
     from sparselp import GenSpec, gen_instance
 
     for seed in (0, 1, 2):
@@ -304,3 +296,4 @@ def test_tiny_instance_inclusion(rng):
                 is_l0_optimal(inst, x, sparsest_k=int(l0.optimal_value))
                 for x in sol.minimizers
             )
+            assert as_set(sol.minimizers) <= as_set(l0.minimizers)
