@@ -50,7 +50,7 @@ from .oracle import (
 )
 from .prox import prox_threshold, prox_vector
 from .smoothing import SmoothedPenalty, lp_power_sum, smoothed_abs, smoothed_plus
-from .solver import refine, progress_measures, solve_l1, solve_l2
+from .solver import progress_measures, solve_l1, solve_l2
 from .verify import (
     CheckResult,
     KktPropertyReport,

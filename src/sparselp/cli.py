@@ -5,7 +5,7 @@ success-curve, plot-smoothing.  Every subcommand accepts --seed, --out, and
 --json.  Outputs are CSV or JSON only.
 
 Exit codes: 0 success, 1 runtime error, 2 cap exit (iteration cap reached,
-or an exact-oracle size cap), 64 usage error.
+an uncertified solve, or an exact-oracle size cap), 64 usage error.
 """
 
 from __future__ import annotations
@@ -176,7 +176,7 @@ def cmd_oracle(args) -> int:
         payload["vertices"] = [[float(v) for v in vert] for vert in vertices]
     for p in args.p or ():
         if p == 0.0:
-            sol = solve_exact_l0(inst)
+            sol = solve_exact_l0(inst, vertices=vertices)
         else:
             sol = solve_exact_lp_quasinorm(inst, p, vertices=vertices)
         payload.setdefault("solutions", {})[repr(p)] = {

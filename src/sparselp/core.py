@@ -195,7 +195,7 @@ class SupportSet:
 
 
 def support_indices(x) -> np.ndarray:
-    """Indices of exactly nonzero entries (use after refine())."""
+    """Indices of exactly nonzero entries."""
     return np.flatnonzero(np.asarray(x) != 0.0)
 
 
@@ -221,8 +221,11 @@ class OuterRecord:
 class SolveReport:
     """Result of a full penalty-solver run.
 
-    wall_time covers the outer loop only; setup_time is the time spent
-    before it on the feasible anchor and its residual.
+    wall_time covers the outer loop and the finish (the l1 vertex walk or
+    the l2 boundary scaling, then the certification); setup_time is the
+    time spent before it on the feasible anchor and its residual.
+    walk_steps counts the vertex walk's steps and walk_drops the
+    coordinates they zeroed (both 0 on the l2 ball).
     """
 
     x_star: np.ndarray
@@ -236,8 +239,14 @@ class SolveReport:
     inner_iters_total: int
     wall_time: float
     setup_time: float
-    stop_reason: str  # "converged" or "outer_cap"
+    # "converged": the outer loop met its tolerance and the finished point
+    # passes optimal_point_checks at 1e-8; "stationary_uncertified": it met
+    # the tolerance but the point fails a check; "outer_cap": the outer loop
+    # ran out of rounds
+    stop_reason: str
     q: float
+    walk_steps: int = 0
+    walk_drops: int = 0
     trace: tuple = ()
 
     def __post_init__(self):
@@ -260,6 +269,8 @@ class SolveReport:
             "setup_time": self.setup_time,
             "stop_reason": self.stop_reason,
             "q": self.q,
+            "walk_steps": self.walk_steps,
+            "walk_drops": self.walk_drops,
         }
 
 

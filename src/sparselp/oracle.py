@@ -260,7 +260,7 @@ def solve_exact_lp_quasinorm(inst: ProblemInstance, p: float, vertices=None) -> 
     return ExactSolutionSet(p=p, optimal_value=best, minimizers=mins)
 
 
-def solve_exact_l0(inst: ProblemInstance) -> ExactSolutionSet:
+def solve_exact_l0(inst: ProblemInstance, vertices=None) -> ExactSolutionSet:
     """Smallest support size admitting a feasible point, with witnesses.
 
     Scans support sizes k = 0, 1, ... upward and stops at the first k with
@@ -271,7 +271,20 @@ def solve_exact_l0(inst: ProblemInstance) -> ExactSolutionSet:
     J by minimality, so every optimal support carries a witness.  The level
     is at most min(m, n): a vertex off zero fits k - 1 < m rows exactly.
     Raises TooLarge beyond the enumeration's caps.
+
+    A caller that already holds all_orthant_vertices(inst) passes them as
+    vertices: the level is then their fewest nonzeros and the witnesses
+    are the vertices of that size, the same arrays in the same order,
+    without a second scan.
     """
+    if vertices is not None:
+        stack = _stack(vertices, inst.n)
+        nnz = np.count_nonzero(stack, axis=1)
+        if not nnz.size:
+            raise NotFeasible("no support admits a feasible point; data is inconsistent")
+        k = int(nnz.min())
+        minimizers = tuple(_freeze(stack[nnz == k]))
+        return ExactSolutionSet(p=0.0, optimal_value=float(k), minimizers=minimizers)
     for k in range(min(inst.m, inst.n) + 1):
         witnesses = _vertices_of_size(inst, k)
         if witnesses:

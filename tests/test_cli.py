@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import sparselp.cli
+import sparselp.oracle
 import sparselp.verify
 from sparselp import OuterRecord, ProblemInstance, read_instance, write_instance
 from sparselp.cli import main
@@ -84,13 +85,14 @@ def test_gen_solve_verify_roundtrip(tmp_path, capsys):
     payload = json.loads(sol_path.read_text())
     assert payload["stop_reason"] == "converged"
     assert payload["nnz"] == len(payload["support"]) == 3
+    assert payload["walk_steps"] >= 1 and payload["walk_drops"] >= 0
     assert "trace" not in payload
 
-    # the solve output doubles as the --x input downstream; the boundary gap
-    # of a converged solve sits near its final smoothing scale, not at 1e-8
+    # the solve output doubles as the --x input downstream; a converged
+    # solve ends on a vertex, so it passes at the strict default tolerance
     code, out, _ = run(
         capsys, "verify", "--instance", str(inst_path), "--x", str(sol_path),
-        "--p", "0.5", "--tol", "1e-6",
+        "--p", "0.5",
     )
     assert code == 0
     verdict = json.loads(out)
@@ -181,6 +183,25 @@ def test_oracle_golden_full(tmp_path, capsys, golden):
     assert payload["p_star"] == pytest.approx(np.log(2) / np.log(6 + np.sqrt(2)))
     assert payload["s"] == 1
     assert all(payload["inclusion_in_sparsest"].values())
+
+
+def test_oracle_sparsest_reuses_vertices(tmp_path, capsys, golden, monkeypatch):
+    # --p 0 filters the vertices already enumerated: one scan of the sizes
+    # 0..min(m, n), not a second one for the sparsest level
+    sizes = []
+    scan = sparselp.oracle._vertices_of_size
+
+    def counted(inst, k):
+        sizes.append(k)
+        return scan(inst, k)
+
+    monkeypatch.setattr(sparselp.oracle, "_vertices_of_size", counted)
+    code, out, _ = run(capsys, "oracle", "--instance", golden_file(tmp_path, golden), "--p", "0")
+    assert code == 0
+    assert sizes == [0, 1, 2]
+    sol = json.loads(out)["solutions"]["0.0"]
+    assert sol["optimal_value"] == 1.0
+    assert sorted(sol["minimizers"]) == [[0.0, 2.5, 0.0], [0.0, 3.5, 0.0], [2.5, 0.0, 0.0], [3.5, 0.0, 0.0]]
 
 
 def test_oracle_cap_exits_2(tmp_path, capsys):

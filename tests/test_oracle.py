@@ -274,6 +274,29 @@ def test_sparsest_against_exact_scan(rng):
     assert sigmas == {0, 1, 2}
 
 
+def test_sparsest_from_held_vertices(rng):
+    # filtering held vertices gives the scan's level and its witness arrays,
+    # in the same order; the 8x10 sigma = 0 case is the scan's worst
+    cases = [gen_instance(spec)[0] for spec in TINY_SPECS]
+    cases += [
+        gen_instance(GenSpec(m=m, n=n, s=2, delta=0.4, noise="t2", seed=seed))[0]
+        for m, n, seed in ((6, 8, 0), (7, 9, 1), (8, 10, 2))
+    ]
+    cases.append(ProblemInstance(
+        m=8, n=10, a=rng.standard_normal((8, 10)), b=rng.standard_normal(8), sigma=0.0
+    ))
+    for inst in cases:
+        scan = solve_exact_l0(inst)
+        held = solve_exact_l0(inst, vertices=all_orthant_vertices(inst))
+        assert held.optimal_value == scan.optimal_value
+        assert len(held.minimizers) == len(scan.minimizers)
+        for x, y in zip(held.minimizers, scan.minimizers):
+            assert np.array_equal(x, y) and not x.flags.writeable
+    assert scan.optimal_value == 8 and len(scan.minimizers) == 45
+    with pytest.raises(NotFeasible):
+        solve_exact_l0(cases[0], vertices=())
+
+
 def test_is_l0_optimal(golden):
     assert is_l0_optimal(golden, np.array([3.0, 0.0, 0.0]), sparsest_k=1)
     assert not is_l0_optimal(golden, np.array([3.0, 1.0, 0.0]), sparsest_k=1)  # nnz 2

@@ -9,13 +9,15 @@ from sparselp import (
     InvalidParam,
     ProblemInstance,
     TrivialInstance,
+    all_checks_pass,
     gen_matched_pair,
+    optimal_point_checks,
     replace_p,
     solve_l1,
     solve_l2,
 )
 from sparselp.smoothing import SmoothedPenalty, lp_power_sum
-from sparselp.solver import progress_measures, refine
+from sparselp.solver import OUTER_TOL, progress_measures
 
 
 def test_progress_measures_oracle():
@@ -37,15 +39,6 @@ def test_progress_measures_oracle():
     assert eta3 == pytest.approx(0.5, rel=1e-14)  # |1 - 2| - 0.5 violation
     # inside the ball the violation clamps at zero
     assert measures(np.array([1.8, 0.0]), x_prev)[2] == 0.0
-
-
-def test_refine():
-    x = np.array([1.0, 1e-12, -1e-7, 0.5])
-    out = refine(x, threshold=1e-8)
-    np.testing.assert_array_equal(out, np.array([1.0, 0.0, -1e-7, 0.5]))
-    np.testing.assert_array_equal(refine(np.zeros(3)), np.zeros(3))
-    # idempotent
-    np.testing.assert_array_equal(refine(out, threshold=1e-8), out)
 
 
 def test_golden_solve_from_asymmetric_seed(golden):
@@ -75,7 +68,8 @@ def test_desk_solution_quality(desk_solution):
     assert 0.0 <= err2 <= 1e-5
     recerr = np.linalg.norm(rep.x_star - x_hat) / np.linalg.norm(x_hat)
     assert recerr < 5e-3
-    assert rep.eta1 < 1e-8 and rep.eta2 < 1e-8 and rep.eta3 < 1e-8
+    assert rep.eta1 < OUTER_TOL and rep.eta2 < OUTER_TOL and rep.eta3 < OUTER_TOL
+    assert all_checks_pass(optimal_point_checks(inst, rep.x_star, 0.5, tol=1e-8))
 
 
 def test_trace_is_coherent(desk_solution):
@@ -101,6 +95,16 @@ def test_report_to_dict(desk_solution):
     assert d["stop_reason"] == "converged"
     assert "trace" not in d
     assert len(d["x_star"]) == 500
+
+
+def test_report_counts_the_walk(desk_solution):
+    # the outer loop stops off any vertex; each walk step holds one more
+    # residual row at zero or drops a coordinate, and a vertex with k
+    # nonzeros holds k - 1 rows
+    _, _, rep = desk_solution
+    assert rep.walk_steps == len(rep.support) - 1 + rep.walk_drops
+    d = rep.to_dict()
+    assert (d["walk_steps"], d["walk_drops"]) == (rep.walk_steps, rep.walk_drops)
 
 
 def test_report_setup_time(desk_solution):
