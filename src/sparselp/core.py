@@ -213,6 +213,8 @@ class OuterRecord:
     eta2: float
     eta3: float
     inner_iters: int
+    inner_trials: int  # the inner loop's line-search trials
+    restricted_trials: int  # of those, trials whose residual used only A[:, J]
     inner_stop: str  # why the inner loop stopped: NpgOutcome.stop_reason
     rho: float  # growth factor applied after this iteration (nan on the last)
 
@@ -225,7 +227,9 @@ class SolveReport:
     the l2 boundary scaling, then the certification); setup_time is the
     time spent before it on the feasible anchor and its residual.
     walk_steps counts the vertex walk's steps and walk_drops the
-    coordinates they zeroed (both 0 on the l2 ball).
+    coordinates they zeroed (both 0 on the l2 ball).  trials_total counts
+    the inner loop's line-search trials over all outer rounds, and
+    restricted_total those whose residual came from the support's columns.
     """
 
     x_star: np.ndarray
@@ -237,6 +241,8 @@ class SolveReport:
     eta3: float
     outer_iters: int
     inner_iters_total: int
+    trials_total: int
+    restricted_total: int
     wall_time: float
     setup_time: float
     # "converged": the outer loop met its tolerance and the finished point
@@ -265,6 +271,8 @@ class SolveReport:
             "eta3": self.eta3,
             "outer_iters": self.outer_iters,
             "inner_iters_total": self.inner_iters_total,
+            "trials_total": self.trials_total,
+            "restricted_total": self.restricted_total,
             "wall_time": self.wall_time,
             "setup_time": self.setup_time,
             "stop_reason": self.stop_reason,

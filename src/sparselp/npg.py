@@ -21,8 +21,13 @@ satisfies F <= F(x0), so the swap keeps the no-worse-than-start guarantee.
 The penalty sees x only through the residual r = Ax - b, so the residual
 is carried with the iterate: each backtrack trial computes A w once, the
 accepted trial's residual feeds the gradient (one A^T product), and the
-outcome hands back the residual of x_final.  That is one product with A
-per trial and one with A^T per accepted step.
+outcome hands back the residual of x_final.  The prox dead zone makes the
+trial points very sparse, so a trial takes its support J once and, when
+_RESTRICT * |J| <= n, forms A w from the support's columns alone,
+A[:, J] w_J - b (an empty support gives -b); otherwise it takes the full
+product.  The power sum and the level-set guard read w_J too.  Each
+accepted step still makes one full product with A^T.  The outcome counts
+the trials and how many of them took the restricted product.
 
 The nonmonotone rule makes about three trials per accepted step, and at
 the desk size a trial's cost is the number of numpy calls it makes, so the
@@ -52,6 +57,7 @@ C = 1e-4  # sufficient-decrease constant
 MEMORY = 2  # accepted values beyond the current one in the nonmonotone window
 ITER_CAP = 1000
 BACKTRACK_CAP = 60
+_RESTRICT = 8  # a trial gathers its support's columns while 8 |J| <= n
 
 
 @dataclass(frozen=True)
@@ -61,6 +67,8 @@ class NpgOutcome:
     f_final: float
     iters: int
     stop_reason: str  # "step_tol" | "obj_tol" | "iter_cap"
+    trials: int  # line-search trials, at least one per iteration
+    restricted_trials: int  # trials whose residual used only A[:, J]
 
 
 def _pair_curvature(y, y_tilde, gy, gy_tilde) -> float:
@@ -99,7 +107,7 @@ def npg_solve(inst: ProblemInstance, penalty, x0, eps: float, r0=None) -> NpgOut
     penalty is a smoothing.SmoothedPenalty bound to inst.  r0, if given, is
     the residual A x0 - b, which saves one product.
     """
-    p = inst.p
+    a, b, n, p = inst.a, inst.b, inst.n, inst.p
 
     x = np.array(x0, dtype=np.float64)
     r = inst.residual(x) if r0 is None else r0
@@ -115,15 +123,22 @@ def npg_solve(inst: ProblemInstance, penalty, x0, eps: float, r0=None) -> NpgOut
     g_prev = g_prev2 = g
     f_window = deque([f_x], maxlen=MEMORY + 1)
     l_bar = None
+    trials = restricted = 0
     for it in range(ITER_CAP):
         l0 = initial_step_constant((x, x_prev, x_prev2), (g, g_prev, g_prev2), l_bar)
         f_max = max(f_window)
         for i in range(BACKTRACK_CAP + 1):
             l_try = l0 * TAU**i
             w = prox_vector(x, g, l_try, p)
-            r_w = inst.residual(w)
+            support = w.nonzero()[0]
+            w_j = w[support]
+            if _RESTRICT * support.size <= n:
+                r_w = a[:, support] @ w_j - b
+                restricted += 1
+            else:
+                r_w = a @ w - b
             pen_w = penalty.value(r_w)
-            f_w = lp_power_sum(w, p) + pen_w
+            f_w = lp_power_sum(w_j, p) + pen_w
             if not math.isfinite(f_w):
                 continue  # overshoot into overflow; keep doubling
             d = w - x
@@ -134,19 +149,20 @@ def npg_solve(inst: ProblemInstance, penalty, x0, eps: float, r0=None) -> NpgOut
             raise LineSearchStalled(
                 f"no acceptable step after {BACKTRACK_CAP} doublings from L0={l0:.3e}"
             )
+        trials += i + 1
         l_bar = l_try
         step = math.sqrt(dn2)
-        if np.abs(w).max() > inf_cap:
+        if np.abs(w_j).max(initial=0.0) > inf_cap:
             raise NonFinite("iterate escaped the level set; objective model is broken")
 
         if l_bar * step / (1.0 + math.sqrt(w.dot(w))) < eps:
-            return NpgOutcome(x, r, f_x, it + 1, "step_tol")
+            return NpgOutcome(x, r, f_x, it + 1, "step_tol", trials, restricted)
         if abs(f_w - f_x) / (1.0 + abs(f_w)) < eps**1.2:
-            return NpgOutcome(w, r_w, f_w, it + 1, "obj_tol")
+            return NpgOutcome(w, r_w, f_w, it + 1, "obj_tol", trials, restricted)
 
         x_prev2, x_prev, x = x_prev, x, w
         g_prev2, g_prev, g = g_prev, g, penalty.value_and_grad(r_w)[1]
         r, f_x = r_w, f_w
         f_window.append(f_w)
 
-    return NpgOutcome(x, r, f_x, ITER_CAP, "iter_cap")
+    return NpgOutcome(x, r, f_x, ITER_CAP, "iter_cap", trials, restricted)

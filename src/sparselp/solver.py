@@ -255,7 +255,7 @@ def _solve_penalty(inst, seed_x, q):
     # together
     x, r, phi = x_feas, r_feas, phi_feas
     trace = []
-    total_inner = 0
+    total_inner = total_trials = total_restricted = 0
     stop_reason = "outer_cap"
     etas = (np.inf, np.inf, np.inf)
     prev_lam = None
@@ -270,6 +270,8 @@ def _solve_penalty(inst, seed_x, q):
 
         out = npg_solve(inst, pen, x_start, eps, r0=r_start)
         total_inner += out.iters
+        total_trials += out.trials
+        total_restricted += out.restricted_trials
         x_next, r_next = out.x_final, out.r_final
 
         # descent anchors from the convergence analysis, checked each
@@ -315,6 +317,8 @@ def _solve_penalty(inst, seed_x, q):
                 eta2=etas[1],
                 eta3=etas[2],
                 inner_iters=out.iters,
+                inner_trials=out.trials,
+                restricted_trials=out.restricted_trials,
                 inner_stop=out.stop_reason,
                 rho=float(rho),
             )
@@ -355,6 +359,8 @@ def _solve_penalty(inst, seed_x, q):
         eta3=max(lq_norm(r, q) - inst.sigma, 0.0),
         outer_iters=len(trace),
         inner_iters_total=total_inner,
+        trials_total=total_trials,
+        restricted_total=total_restricted,
         wall_time=wall,
         setup_time=setup_time,
         stop_reason=stop_reason,

@@ -86,6 +86,8 @@ def test_gen_solve_verify_roundtrip(tmp_path, capsys):
     assert payload["stop_reason"] == "converged"
     assert payload["nnz"] == len(payload["support"]) == 3
     assert payload["walk_steps"] >= 1 and payload["walk_drops"] >= 0
+    assert payload["trials_total"] >= payload["inner_iters_total"]
+    assert 0 <= payload["restricted_total"] <= payload["trials_total"]
     assert "trace" not in payload
 
     # the solve output doubles as the --x input downstream; a converged

@@ -3,7 +3,7 @@ import pytest
 
 import sparselp.npg
 from conftest import accepted_steps, recorded_trials
-from sparselp import NonFinite, ProblemInstance
+from sparselp import GenSpec, NonFinite, ProblemInstance, gen_matched_pair, least_squares_min_norm
 from sparselp.npg import initial_step_constant, npg_solve
 from sparselp.smoothing import SmoothedPenalty, lp_power_sum
 
@@ -159,3 +159,69 @@ def test_stationarity_decreases_with_eps(rng):
         iters.append(out.iters)
     assert bounds[1] <= bounds[0] + 1e-9
     assert iters[1] >= iters[0]
+
+
+def gen_penalty_problem(q):
+    """A 30x120 draw with a planted 3-sparse point, and a penalty on its q-ball."""
+    inst1, inst2, x_hat, _ = gen_matched_pair(GenSpec(m=30, n=120, s=3, delta=1e-3, seed=4))
+    inst = inst1 if q == 1.0 else inst2
+    return inst, SmoothedPenalty(inst, q, lam=10.0, mu=0.1, nu=0.1), x_hat
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0])
+def test_carried_residual_matches_a_fresh_product(q):
+    # the residual travels with the iterate, computed from the trial's
+    # support columns or from all of A; either way it must be A x - b of
+    # the returned point, to roundoff
+    inst, pen, x_hat = gen_penalty_problem(q)
+    starts = {
+        "dense": least_squares_min_norm(inst.a, inst.b),
+        "sparse": 0.9 * x_hat,
+    }
+    outs = {name: npg_solve(inst, pen, x0, eps=1e-8) for name, x0 in starts.items()}
+    for out in outs.values():
+        scale = np.abs(inst.a) @ np.abs(out.x_final) + np.abs(inst.b)
+        gap = np.abs(out.r_final - (inst.a @ out.x_final - inst.b))
+        assert (gap <= 1e-12 * scale).all()
+        assert out.iters <= out.trials
+        assert 0 <= out.restricted_trials <= out.trials
+    # the dense start's first trials take the full product, the sparse
+    # start's the restricted one
+    assert outs["dense"].restricted_trials < outs["dense"].trials
+    assert outs["sparse"].restricted_trials > 0
+
+
+def test_trial_at_zero_gives_minus_b():
+    # an empty support gathers no columns: the residual is -b exactly
+    inst, pen, _ = gen_penalty_problem(1.0)
+    seen = []
+
+    class Recording:
+        def value(self, r):
+            seen.append(r.copy())
+            return pen.value(r)
+
+        def value_and_grad(self, r):
+            return pen.value_and_grad(r)
+
+    prox_vector = sparselp.npg.prox_vector
+
+    def zero_first(x, g, l, p):
+        # the first trial point is w = 0; later trials are the prox's own
+        w = prox_vector(x, g, l, p)
+        return w if seen else np.zeros_like(w)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sparselp.npg, "prox_vector", zero_first)
+        out = npg_solve(inst, Recording(), np.ones(inst.n), eps=1e-6)
+    assert out.restricted_trials >= 1
+    assert seen[0].tobytes() == (-inst.b).tobytes()
+
+
+def test_counters_count_every_trial():
+    inst, pen, x_hat = gen_penalty_problem(1.0)
+    with recorded_trials() as rows:
+        out = npg_solve(inst, pen, 0.9 * x_hat, eps=1e-8)
+    assert out.trials == len(rows)
+    restrict = sparselp.npg._RESTRICT
+    assert out.restricted_trials == sum(restrict * np.count_nonzero(w) <= inst.n for _, _, w in rows)

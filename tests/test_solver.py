@@ -3,6 +3,7 @@ import pytest
 
 import sparselp.npg
 import sparselp.solver
+from conftest import recorded_trials
 from sparselp import (
     GenSpec,
     InfeasibleStart,
@@ -105,6 +106,31 @@ def test_report_counts_the_walk(desk_solution):
     assert rep.walk_steps == len(rep.support) - 1 + rep.walk_drops
     d = rep.to_dict()
     assert (d["walk_steps"], d["walk_drops"]) == (rep.walk_steps, rep.walk_drops)
+
+
+def test_report_counts_the_trials(desk_solution):
+    # every inner iteration makes at least one line-search trial, and the
+    # restricted residual is a subset of them; the rounds add up to the total
+    _, _, rep = desk_solution
+    assert rep.trials_total >= rep.inner_iters_total
+    assert 0 < rep.restricted_total <= rep.trials_total
+    assert sum(r.inner_trials for r in rep.trace) == rep.trials_total
+    assert sum(r.restricted_trials for r in rep.trace) == rep.restricted_total
+    assert all(r.inner_iters <= r.inner_trials for r in rep.trace)
+    assert all(r.restricted_trials <= r.inner_trials for r in rep.trace)
+    d = rep.to_dict()
+    assert (d["trials_total"], d["restricted_total"]) == (rep.trials_total, rep.restricted_total)
+
+
+def test_trial_counters_never_change_the_solve(desk_solution):
+    # the counters only observe: a solve whose trials are recorded from
+    # outside returns the same bytes, and counts exactly the recorded trials
+    inst, _, rep = desk_solution
+    with recorded_trials() as rows:
+        again = solve_l1(replace_p(inst, 0.5))
+    assert again.x_star.tobytes() == rep.x_star.tobytes()
+    assert again.trials_total == rep.trials_total == len(rows)
+    assert again.restricted_total == rep.restricted_total
 
 
 def test_report_setup_time(desk_solution):
