@@ -260,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="exponent, 0 or in (0, 1] (default: from file)")
     sub.add_argument("--q", type=int, choices=(1, 2), default=1)
     sub.add_argument("--tol", type=float, default=1e-8,
-                     help="check tolerance; solver outputs sit near their final smoothing scale, so 1e-6 is the right order for them")
+                     help="check tolerance; a converged solve ends on a vertex (l1) or the sphere (l2) "
+                          "and passes the default 1e-8")
     _add_common(sub)
     sub.set_defaults(func=cmd_verify)
 

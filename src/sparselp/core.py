@@ -215,6 +215,7 @@ class OuterRecord:
     inner_iters: int
     inner_trials: int  # the inner loop's line-search trials
     restricted_trials: int  # of those, trials whose residual used only A[:, J]
+    l_bar: float  # step constant the inner loop accepted last; next round starts at half
     inner_stop: str  # why the inner loop stopped: NpgOutcome.stop_reason
     rho: float  # growth factor applied after this iteration (nan on the last)
 

@@ -10,6 +10,13 @@ until the prox-gradient point w satisfies
 then tests two relative stopping rules on the accepted pair (x, w):
 L ||w - x|| / (1 + ||w||) < eps, or |F(w) - F(x)| / (1 + |F(w)|) < eps^1.2.
 
+The first line search starts from L = 1 unless the caller passes the step
+constant a previous solve accepted last (NpgOutcome.l_bar); it then starts
+from half of it, the same floor every later iteration gets from the step
+accepted before it.  The outer loop passes it from round to round: each
+round raises the penalty's curvature, and a start from 1 would double
+through the whole gap again.
+
 Return convention: a step-size exit returns the pre-step point x as
 x_final, since the small step certifies its approximate stationarity; the
 objective-flatline and ITER_CAP exits return the last accepted point
@@ -69,6 +76,7 @@ class NpgOutcome:
     stop_reason: str  # "step_tol" | "obj_tol" | "iter_cap"
     trials: int  # line-search trials, at least one per iteration
     restricted_trials: int  # trials whose residual used only A[:, J]
+    l_bar: float  # step constant of the last accepted trial
 
 
 def _pair_curvature(y, y_tilde, gy, gy_tilde) -> float:
@@ -84,9 +92,13 @@ def initial_step_constant(xs, gs, l_bar_prev: float | None) -> float:
 
     xs = (x, x_prev, x_prev2) are the last three iterates, newest first,
     and gs their penalty gradients; l_bar_prev is the step constant
-    accepted at the previous iteration, None on the first, which always
-    starts from 1.  Afterwards the guess is the mean of the three pairwise
-    secant curvatures over the window, floored by half of l_bar_prev.
+    accepted last: at the previous iteration, or on the first one the
+    constant the caller handed in from a previous solve.  None (a first
+    iteration with nothing handed in, as in an outer loop's first round)
+    starts from 1.  Otherwise the guess is the mean of the three pairwise
+    secant curvatures over the window, floored by half of l_bar_prev; on
+    a first iteration the three points coincide, the curvatures are 0, and
+    the guess is half of l_bar_prev.
     There is no upper cap: the line search doubles the guess until it is
     accepted.
     """
@@ -100,12 +112,16 @@ def initial_step_constant(xs, gs, l_bar_prev: float | None) -> float:
     return max(guess, L_MIN)
 
 
-def npg_solve(inst: ProblemInstance, penalty, x0, eps: float, r0=None) -> NpgOutcome:
+def npg_solve(
+    inst: ProblemInstance, penalty, x0, eps: float, r0=None, l_bar: float | None = None
+) -> NpgOutcome:
     """Run the inner loop on lp_power_sum + penalty from x0 down to inner
     tolerance eps.
 
     penalty is a smoothing.SmoothedPenalty bound to inst.  r0, if given, is
-    the residual A x0 - b, which saves one product.
+    the residual A x0 - b, which saves one product.  l_bar, if given, is the
+    step constant a previous solve accepted last (its outcome's l_bar): the
+    first line search then starts from half of it instead of from 1.
     """
     a, b, n, p = inst.a, inst.b, inst.n, inst.p
 
@@ -122,7 +138,6 @@ def npg_solve(inst: ProblemInstance, penalty, x0, eps: float, r0=None) -> NpgOut
     x_prev = x_prev2 = x
     g_prev = g_prev2 = g
     f_window = deque([f_x], maxlen=MEMORY + 1)
-    l_bar = None
     trials = restricted = 0
     for it in range(ITER_CAP):
         l0 = initial_step_constant((x, x_prev, x_prev2), (g, g_prev, g_prev2), l_bar)
@@ -156,13 +171,13 @@ def npg_solve(inst: ProblemInstance, penalty, x0, eps: float, r0=None) -> NpgOut
             raise NonFinite("iterate escaped the level set; objective model is broken")
 
         if l_bar * step / (1.0 + math.sqrt(w.dot(w))) < eps:
-            return NpgOutcome(x, r, f_x, it + 1, "step_tol", trials, restricted)
+            return NpgOutcome(x, r, f_x, it + 1, "step_tol", trials, restricted, l_bar)
         if abs(f_w - f_x) / (1.0 + abs(f_w)) < eps**1.2:
-            return NpgOutcome(w, r_w, f_w, it + 1, "obj_tol", trials, restricted)
+            return NpgOutcome(w, r_w, f_w, it + 1, "obj_tol", trials, restricted, l_bar)
 
         x_prev2, x_prev, x = x_prev, x, w
         g_prev2, g_prev, g = g_prev, g, penalty.value_and_grad(r_w)[1]
         r, f_x = r_w, f_w
         f_window.append(f_w)
 
-    return NpgOutcome(x, r, f_x, ITER_CAP, "iter_cap", trials, restricted)
+    return NpgOutcome(x, r, f_x, ITER_CAP, "iter_cap", trials, restricted, l_bar)

@@ -37,7 +37,10 @@ and excluded from the reported wall time, which covers the loop and the
 finish.  The residual of the current iterate is carried across outer
 iterations (the inner loop hands back the residual of its final point), so
 the loop's own bookkeeping costs no product with A; the finish multiplies
-by A_J, the support's columns.
+by A_J, the support's columns.  The inner loop's last accepted step
+constant travels the same way: each round's first line search starts from
+half of the previous round's, not from 1, so it does not double through
+the curvature the penalty gained since the first round.
 """
 
 from __future__ import annotations
@@ -254,6 +257,8 @@ def _solve_penalty(inst, seed_x, q):
     # the current iterate, its residual A x - b and its power sum travel
     # together
     x, r, phi = x_feas, r_feas, phi_feas
+    # the step constant the inner loop accepted last; None starts round 0 from 1
+    l_bar = None
     trace = []
     total_inner = total_trials = total_restricted = 0
     stop_reason = "outer_cap"
@@ -268,7 +273,8 @@ def _solve_penalty(inst, seed_x, q):
         f_curr = phi + pen.value(r)
         x_start, r_start = (x, r) if f_curr <= f_feas else (x_feas, r_feas)
 
-        out = npg_solve(inst, pen, x_start, eps, r0=r_start)
+        out = npg_solve(inst, pen, x_start, eps, r0=r_start, l_bar=l_bar)
+        l_bar = out.l_bar
         total_inner += out.iters
         total_trials += out.trials
         total_restricted += out.restricted_trials
@@ -319,6 +325,7 @@ def _solve_penalty(inst, seed_x, q):
                 inner_iters=out.iters,
                 inner_trials=out.trials,
                 restricted_trials=out.restricted_trials,
+                l_bar=out.l_bar,
                 inner_stop=out.stop_reason,
                 rho=float(rho),
             )

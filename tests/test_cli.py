@@ -90,6 +90,15 @@ def test_gen_solve_verify_roundtrip(tmp_path, capsys):
     assert 0 <= payload["restricted_total"] <= payload["trials_total"]
     assert "trace" not in payload
 
+    # --trace shows the step constant each round hands to the next
+    code, out, _ = run(
+        capsys, "solve", "--instance", str(inst_path), "--p", "0.5", "--trace",
+    )
+    assert code == 0
+    trace = json.loads(out)["trace"]
+    assert len(trace) == payload["outer_iters"]
+    assert all(np.isfinite(row["l_bar"]) and row["l_bar"] > 0.0 for row in trace)
+
     # the solve output doubles as the --x input downstream; a converged
     # solve ends on a vertex, so it passes at the strict default tolerance
     code, out, _ = run(

@@ -22,10 +22,10 @@ def objective(inst, pen, x):
     return lp_power_sum(x, inst.p) + pen.value(inst.residual(x))
 
 
-def run(inst, pen, x0, eps):
+def run(inst, pen, x0, eps, l_bar=None):
     """npg_solve, and the (center, l_bar, w) of each accepted step."""
     with recorded_trials() as rows:
-        out = npg_solve(inst, pen, x0, eps)
+        out = npg_solve(inst, pen, x0, eps, l_bar=l_bar)
     return out, accepted_steps(rows)
 
 
@@ -125,6 +125,26 @@ def test_initial_step_constant_first_iteration():
     with recorded_trials() as rows:
         npg_solve(inst, l1_penalty(inst, lam=1.0, mu=0.1, nu=0.1), np.ones(4), eps=1e-6)
     assert rows[0][1] == 1.0
+
+
+def test_carried_step_constant_starts_at_half():
+    # a step constant handed in from a previous solve replaces the start
+    # from 1: the first trial is half of it, the floor every later
+    # iteration gets from the step accepted before it
+    inst = small_instance()
+    pen = l1_penalty(inst, lam=1.0, mu=0.1, nu=0.1)
+    for l_bar in (3.0, 1e3):
+        with recorded_trials() as rows:
+            npg_solve(inst, pen, np.ones(4), eps=1e-6, l_bar=l_bar)
+        assert rows[0][1] == 0.5 * l_bar
+
+
+def test_outcome_hands_back_last_accepted_step_constant():
+    inst = small_instance()
+    pen = l1_penalty(inst, lam=5.0, mu=0.02, nu=0.02)
+    for l_bar in (None, 40.0):
+        out, steps = run(inst, pen, np.ones(4), eps=1e-8, l_bar=l_bar)
+        assert out.l_bar == steps[-1][1]
 
 
 def test_initial_step_constant_uses_secant_curvature(monkeypatch):
