@@ -30,7 +30,7 @@ import numpy as np
 
 from .core import ProblemInstance
 from .errors import NotFeasible, TooLarge
-from .linalg import RANK_REL_TOL_FACTOR, lq_norm
+from .linalg import RANK_REL_TOL_FACTOR, ball_entry, lq_norm
 
 SIGN_MATRIX_MAX_M = 16
 SANDWICH_MAX_M = 12
@@ -366,27 +366,17 @@ def boundary_scaling_alpha(inst: ProblemInstance, x, q: float = 1.0) -> float:
     """Scale factor alpha in (0, 1] with ||A(alpha x) - b||_q = sigma.
 
     Exists for any feasible x because the residual norm exceeds sigma at
-    alpha = 0 (blanket assumption) and is <= sigma at alpha = 1.  Found by
-    bisection to |residual - sigma| <= 1e-10.
+    alpha = 0 (blanket assumption) and is <= sigma at alpha = 1.  It is the
+    entry of the segment from 0 to x into the ball (linalg.ball_entry), so
+    alpha x is inside in floating point; x on the boundary, or outside it by
+    at most 1e-10, gets alpha = 1.
     """
     x = np.asarray(x, dtype=np.float64)
-
-    def gap(alpha: float) -> float:
-        return lq_norm(inst.residual(alpha * x), q) - inst.sigma
-
-    g1 = gap(1.0)
+    g1 = lq_norm(inst.residual(x), q) - inst.sigma
     if g1 > 1e-10:
         raise NotFeasible(f"x violates the ball: ||Ax-b||_{q} - sigma = {g1}")
-    if abs(g1) <= 1e-10:
+    if g1 >= 0.0:
         return 1.0
-    lo, hi = 0.0, 1.0  # gap(lo) > 0 >= gap(hi)
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        g = gap(mid)
-        if abs(g) <= 1e-10:
-            return mid
-        if g > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    alpha = ball_entry(inst.a, inst.b, np.zeros_like(x), x, inst.sigma, q)
+    # x is inside, so an entry past it, or a miss at roundoff level, is 1
+    return 1.0 if alpha is None else min(alpha, 1.0)

@@ -24,12 +24,12 @@ number of nonzeros), while the loop's point sits strictly inside or just
 outside.  The l1 finish (_vertex_finish) restores the point onto the
 boundary and walks to a vertex by gradient projection restricted to the
 current face (Rosen's method), lowering sum|x|^p at every step.  The q = 2
-ball is not polyhedral, so its finish (_l2_finish) only scales the point
-onto the sphere.  Both end on the feasible side in floating point.  The
-report says "converged" only when the finished point passes
-verify.optimal_point_checks at its default tolerance (1e-8), and
-"stationary_uncertified" when the loop met its tolerance but the point
-fails a check.
+ball is not polyhedral, so its finish only scales the point onto the
+sphere.  Each move onto the boundary is one exact linalg.ball_entry, so
+both end on the feasible side in floating point.  The report says
+"converged" only when the finished point passes verify.optimal_point_checks
+at its default tolerance (1e-8), and "stationary_uncertified" when the loop
+met its tolerance but the point fails a check.
 
 The feasible anchor is the minimum-norm least-squares point (or a caller
 seed).  Its computation and its residual are reported as the setup time
@@ -57,7 +57,7 @@ from .core import (
     validate_instance,
 )
 from .errors import InfeasibleStart, InvalidParam, InvariantViolation
-from .linalg import least_squares_min_norm, lq_norm
+from .linalg import ball_entry, least_squares_min_norm, lq_norm
 from .npg import npg_solve
 from .smoothing import SmoothedPenalty, lp_power_sum
 from .verify import all_checks_pass, optimal_point_checks
@@ -80,8 +80,6 @@ OUTER_ITER_CAP = 500
 ROUNDOFF = 1e-12
 # singular values of the face rows below this share of the largest are zero
 RANK_TOL = 1e-10
-BISECT_CAP = 200  # halvings of a segment, enough to reach float resolution
-LOWER_CAP = 60  # doublings of the amount a finish lowers its target by
 
 
 def progress_measures(x_next, x_prev, inst: ProblemInstance, q: float, r_next, phi_next, phi_prev):
@@ -98,42 +96,22 @@ def progress_measures(x_next, x_prev, inst: ProblemInstance, q: float, r_next, p
     return eta1, eta2, eta3
 
 
-def _l1_entry(z_out, r_out, z_in, r_in, sigma):
-    """Where the segment from z_out (residual r_out, outside the l1 ball) to
-    z_in (residual r_in, inside) enters the ball, on its feasible side.
-
-    The residual is affine along the segment, so the bisection needs no
-    product with A.
-    """
-    dr = r_in - r_out
-    lo, hi = 0.0, 1.0
-    for _ in range(BISECT_CAP):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if np.abs(r_out + mid * dr).sum() <= sigma:
-            hi = mid
-        else:
-            lo = mid
-    return z_out + hi * (z_in - z_out)
-
-
 def _vertex_finish(inst, x, r):
     """Move an l1 solve's point to a vertex of its orthant's piece of the
     ball without raising sum|x|^p; returns (x, walk steps, walk drops).
 
-    The point is first put on the boundary: scaled if it is interior,
-    bisected towards its support's least-squares point if it is outside
-    (it is returned unchanged when that point is outside too).  Then the
-    walk: on each orthant sum|z|^p is concave, so moving along the face
-    (the zero residual rows plus the facet sign(r)' A_J held fixed) in the
-    projected descent direction lowers it all the way to the first wall.
+    The point is first put on the boundary (linalg.ball_entry): scaled if it
+    is interior, moved towards its support's least-squares point if it is
+    outside (it is returned unchanged when that point is outside too).
+    Then the walk: on each orthant sum|z|^p is concave, so moving along the
+    face (the zero residual rows plus the facet sign(r)' A_J held fixed) in
+    the projected descent direction lowers it all the way to the first wall.
     A residual row that reaches zero joins the face, a coordinate that
     reaches zero leaves the support.  When the projected gradient vanishes
     any null direction of the face will do.  The walk stops when the face
     rows have full column rank: the point is a vertex, which the face
-    equations then fix exactly, with the facet's target lowered until the
-    float residual norm is at most sigma.
+    equations then fix exactly; if rounding leaves it outside, it enters the
+    ball along the direction that lowers the facet's target.
     """
     a, b, sigma, p = inst.a, inst.b, inst.sigma, inst.p
     support = np.flatnonzero(x)
@@ -146,15 +124,17 @@ def _vertex_finish(inst, x, r):
     def l1(z, r):
         return float(np.abs(r)[np.abs(r) > roundoff(z)].sum())
 
+    # a path that reaches the ball only at roundoff level falls back to its end
     resid = l1(z, r)
     if resid < sigma:
-        z = _l1_entry(np.zeros_like(z), -b, z, r, sigma)
+        t = ball_entry(aj, b, np.zeros_like(z), z, sigma, 1.0)
+        z = z if t is None else t * z
     elif resid > sigma:
         z_ls = least_squares_min_norm(aj, b)
-        r_ls = aj @ z_ls - b
-        if not l1(z_ls, r_ls) <= sigma:
+        if not l1(z_ls, aj @ z_ls - b) <= sigma:
             return x, 0, 0
-        z = _l1_entry(z, r, z_ls, r_ls, sigma)
+        t = ball_entry(aj, b, z, z_ls, sigma, 1.0)
+        z = z_ls if t is None else z + t * (z_ls - z)
 
     steps = drops = 0
     zero = np.zeros(inst.m, dtype=bool)  # residual rows held at zero
@@ -187,48 +167,24 @@ def _vertex_finish(inst, x, r):
         steps += 1
         drops += int(hit.sum())
 
+    # the vertex, and the direction w that lowers its facet target, in one
+    # solve; its entry is judged on the full product the report reads
     r = aj @ z - b
     signs = np.where(zero, 0.0, np.sign(r))
     rows = np.vstack([signs @ aj, aj[zero]])
-    rhs = np.concatenate([[sigma + signs @ b], b[zero]])
-    out = np.zeros(inst.n)
-    shift = 0.0
-    for _ in range(LOWER_CAP):
-        rhs[0] = sigma + signs @ b - shift
-        z_v = np.linalg.lstsq(rows, rhs, rcond=None)[0]
-        if not np.array_equal(np.sign(z_v), np.sign(z)):
-            break
-        out[support] = z_v
-        excess = lq_norm(a @ out - b, 1.0) - sigma
-        if excess <= 0.0 or not signs.any():
-            return out, steps, drops
-        shift = max(2.0 * shift, excess)
-    out[support] = z
+    rhs = np.zeros((len(rows), 2))
+    rhs[:, 0] = np.concatenate([[sigma + signs @ b], b[zero]])
+    rhs[0, 1] = 1.0
+    z_v, w = np.linalg.lstsq(rows, rhs, rcond=None)[0].T
+    out, lowered = np.zeros(inst.n), np.zeros(inst.n)
+    out[support], lowered[support] = z_v, z_v - w
+    t = ball_entry(a, b, out, lowered, sigma, 1.0)
+    if t is not None:
+        out = out + t * (lowered - out)
+    if not np.array_equal(np.sign(out[support]), np.sign(z)):
+        out = np.zeros(inst.n)
+        out[support] = z
     return out, steps, drops
-
-
-def _l2_finish(inst, x, r):
-    """Scale a q = 2 solve's point onto the l2 sphere, on its feasible side.
-
-    alpha is the smaller root of ||alpha A x - b||^2 = target^2, the one at
-    which shrinking x leaves the ball; the target is lowered from sigma
-    until the float residual norm is at most sigma.  The point is returned
-    unchanged when the ray from 0 through x misses the ball.
-    """
-    b, sigma = inst.b, inst.sigma
-    u = r + b  # A x
-    uu, ub, bb = float(u @ u), float(u @ b), float(b @ b)
-    target, shrink = sigma, np.finfo(float).eps
-    for _ in range(LOWER_CAP):
-        c = bb - target * target
-        disc = ub * ub - uu * c
-        if not (disc >= 0.0 and ub > 0.0):
-            return x
-        out = (c / (ub + np.sqrt(disc))) * x  # the smaller root, without cancellation
-        if lq_norm(inst.a @ out - b, 2.0) <= sigma:
-            return out
-        target, shrink = sigma * (1.0 - shrink), 2.0 * shrink
-    return x
 
 
 def _solve_penalty(inst, seed_x, q):
@@ -346,7 +302,8 @@ def _solve_penalty(inst, seed_x, q):
     if q == 1.0:
         x, walk_steps, walk_drops = _vertex_finish(inst, x, r)
     else:
-        x, walk_steps, walk_drops = _l2_finish(inst, x, r), 0, 0
+        t = ball_entry(inst.a, inst.b, np.zeros_like(x), x, inst.sigma, 2.0)
+        x, walk_steps, walk_drops = (x if t is None else t * x), 0, 0
     r = inst.residual(x)
     if stop_reason == "converged" and not all_checks_pass(
         optimal_point_checks(inst, x, inst.p, q=q)

@@ -180,8 +180,8 @@ def _checks_and_report(inst: ProblemInstance, x, p: float, q: float, tol: float)
             checks.append(
                 CheckResult(
                     name="boundary_scaling",
-                    passed=abs(gap) <= max(tol, 1e-9),
-                    slack=float(max(tol, 1e-9) - abs(gap)),
+                    passed=abs(gap) <= tol,
+                    slack=float(tol - abs(gap)),
                     detail=f"alpha = {alpha:.12g}, boundary gap {gap:.3e}",
                 )
             )

@@ -143,6 +143,37 @@ def exact_l1_fit(cols, b, box=10**6):
     return val
 
 
+def exact_l1_entry(a, b, z_from, z_to, sigma):
+    """Smallest t >= 0 with ||a z(t) - b||_1 <= sigma, z(t) = z_from + t (z_to - z_from),
+    over Fractions; None when the path misses the ball.
+
+    f(t) = ||a z(t) - b||_1 is evaluated exactly at t = 0 and at every knot
+    t > 0 where a residual row vanishes.  f is linear between neighbouring
+    knots, so the crossing is interpolated between the last knot outside
+    and the first inside.  Inputs are floats, read exactly.
+    """
+    a = [[Fraction(v) for v in row] for row in np.asarray(a, dtype=np.float64)]
+    b = [Fraction(v) for v in np.asarray(b, dtype=np.float64)]
+    z0 = [Fraction(v) for v in np.asarray(z_from, dtype=np.float64)]
+    d = [Fraction(v) - w for v, w in zip(np.asarray(z_to, dtype=np.float64), z0)]
+    r0 = [sum(x * z for x, z in zip(row, z0)) - bi for row, bi in zip(a, b)]
+    g = [sum(x * z for x, z in zip(row, d)) for row in a]
+    sigma = Fraction(sigma)
+
+    def f(t):
+        return sum(abs(r + t * s) for r, s in zip(r0, g))
+
+    lo, f_lo = Fraction(0), f(Fraction(0))
+    if f_lo <= sigma:
+        return lo
+    for knot in sorted({-r / s for r, s in zip(r0, g) if r * s < 0}):
+        f_knot = f(knot)
+        if f_knot <= sigma:
+            return lo + (f_lo - sigma) / (f_lo - f_knot) * (knot - lo)
+        lo, f_lo = knot, f_knot
+    return None
+
+
 # -- orthant vertices by a scan over every n-subset of the facets ------------
 #
 # The feasible set {x : ||Ax - b||_1 <= sigma} is {x : U A x <= U b + sigma}

@@ -55,7 +55,7 @@ def test_small_solves_end_on_enumerated_vertices():
 
 def test_restoration_from_just_outside(desk_solution):
     # shrinking the vertex leaves the ball (the objective falls towards 0,
-    # the residual grows); the finish bisects back onto the boundary
+    # the residual grows); the finish moves back onto the boundary
     # towards the support's least-squares point and walks to a vertex
     inst, _, rep = desk_solution
     inst = replace_p(inst, 0.5)

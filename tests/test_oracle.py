@@ -228,12 +228,32 @@ def test_sandwich_property(rng):
 
 def test_boundary_scaling_golden(golden):
     assert boundary_scaling_alpha(golden, np.array([3.0, 0.0, 0.0])) == pytest.approx(
-        5.0 / 6.0, abs=1e-10
+        5.0 / 6.0, abs=1e-15
     )
     # already on the boundary: alpha = 1 exactly
     assert boundary_scaling_alpha(golden, np.array([2.5, 0.0, 0.0])) == 1.0
     with pytest.raises(NotFeasible):
         boundary_scaling_alpha(golden, np.array([9.0, 0.0, 0.0]))
+
+
+def test_boundary_scaling_lands_on_the_ball_side(golden, rng):
+    # alpha x is on the boundary to roundoff, and never outside: draws
+    # around the interpolating point, scaled within the ball's reach, on
+    # instances where 0 is outside the ball (the blanket assumption)
+    for inst in [golden] + [gen_instance(spec)[0] for spec in TINY_SPECS]:
+        x_ls = np.linalg.lstsq(inst.a, inst.b, rcond=None)[0]
+        for q in (1.0, 2.0):
+            reach = inst.sigma / np.linalg.norm(inst.b, ord=q)
+            if reach >= 1.0:
+                continue
+            for _ in range(5):
+                x = x_ls * (1.0 + reach * rng.uniform(-0.9, 0.9))
+                x += 0.1 * reach * np.abs(x_ls).max() * rng.standard_normal(inst.n)
+                if np.linalg.norm(inst.residual(x), ord=q) >= inst.sigma:
+                    continue
+                alpha = boundary_scaling_alpha(inst, x, q)
+                gap = np.linalg.norm(inst.residual(alpha * x), ord=q) - inst.sigma
+                assert -1e-12 * (1.0 + np.abs(inst.b).sum()) <= gap <= 0.0
 
 
 # -- the sparsest search against a rational-arithmetic reference --

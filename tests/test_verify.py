@@ -98,6 +98,15 @@ def test_checks_support_counting_mode(golden):
     assert "alpha = 0.83333" in checks[1].detail
 
 
+def test_support_counting_mode_judges_at_tol(golden):
+    # alpha x is the exact entry into the ball, so the scaled boundary holds
+    # far below the default tolerance, and is judged at the one passed
+    for x in ([3.0, 0.0, 0.0], [0.0, 3.2, 0.0], [2.8, 0.0, 0.1]):
+        scaling = optimal_point_checks(golden, np.array(x), p=0.0, tol=1e-12)[1]
+        assert scaling.name == "boundary_scaling" and scaling.passed, scaling.detail
+        assert 0.0 <= scaling.slack <= 1e-12
+
+
 def test_check_result_to_dict(golden):
     d = optimal_point_checks(golden, np.array([2.5, 0.0, 0.0]), p=0.5)[0].to_dict()
     assert d["name"] == "feasible"
