@@ -10,7 +10,6 @@ from .core import (
     OuterRecord,
     ProblemInstance,
     SolveReport,
-    SupportSet,
     read_instance,
     replace_p,
     support_indices,

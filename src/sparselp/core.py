@@ -1,13 +1,20 @@
-"""Domain types, validation, instance file I/O, and the solve report.
+"""Domain types, the blanket check, instance file I/O, and the solve report.
 
 A problem instance is the data (A, b, sigma, p) of
 
     minimize    sum_i |x_i|^p        (0 < p <= 1, or p = 0 for the oracle)
     subject to  ||A x - b||_1 <= sigma
 
-with A an m-by-n dense matrix.  The blanket assumption ||b|| > sigma rules
-out x = 0 being feasible.  Instances are immutable after construction; the
-arrays are marked read-only so they can be shared freely.
+with A an m-by-n dense matrix.  An instance is valid once built: m, n >= 1,
+A and b finite and of matching shapes, sigma finite and >= 0, or the
+constructor raises.  Instances are immutable after construction; the
+arrays are marked read-only so they can be shared freely.  The blanket
+assumption ||b||_q > sigma, which rules out x = 0 being feasible, depends
+on the ball's norm q, so validate_instance checks it where q is known.
+
+A solve report stores what the solve measured and derives the rest
+(support, iteration totals, the last progress measures) from its point
+and its outer-iteration trace.
 
 Nothing here configures a solve: the outer schedule and tolerances are
 constants of solver.py, and the inner loop's constants those of npg.py.
@@ -21,12 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NonFinite,
-    ParseError,
-    TrivialInstance,
-)
+from .errors import DimensionMismatch, NonFinite, ParseError, TrivialInstance
+from .linalg import lq_norm
 
 FILE_FORMAT_VERSION = 1
 
@@ -56,6 +59,9 @@ class ProblemInstance:
     p : float
         Exponent of the objective.  Solvers require 0 < p < 1; the exact
         oracle additionally understands p = 0.
+
+    Raises DimensionMismatch for m or n below 1 or shapes that do not match
+    them, and NonFinite for nan or inf data or a negative sigma.
     """
 
     m: int
@@ -66,6 +72,8 @@ class ProblemInstance:
     p: float = 0.5
 
     def __post_init__(self):
+        if self.m < 1 or self.n < 1:
+            raise DimensionMismatch(f"need m >= 1 and n >= 1, got m={self.m}, n={self.n}")
         a = np.asarray(self.a, dtype=np.float64)
         if a.ndim == 1:
             if self.m * self.n != a.size:
@@ -80,9 +88,14 @@ class ProblemInstance:
         b = np.asarray(self.b, dtype=np.float64)
         if b.shape != (self.m,):
             raise DimensionMismatch(f"b has shape {b.shape}, expected ({self.m},)")
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise NonFinite("instance data contains nan or inf")
+        sigma = float(self.sigma)
+        if not (np.isfinite(sigma) and sigma >= 0.0):
+            raise NonFinite(f"sigma must be finite and >= 0, got {sigma}")
         object.__setattr__(self, "a", _frozen_array(a, (self.m, self.n)))
         object.__setattr__(self, "b", _frozen_array(b, (self.m,)))
-        object.__setattr__(self, "sigma", float(self.sigma))
+        object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "p", float(self.p))
 
     def residual(self, x) -> np.ndarray:
@@ -90,26 +103,11 @@ class ProblemInstance:
 
 
 def validate_instance(inst: ProblemInstance, q: float = 1.0) -> None:
-    """Check an instance against the model's standing assumptions.
-
-    Raises DimensionMismatch, NonFinite, or TrivialInstance.  ``q`` selects
-    the residual norm used for the triviality test (1 for the l1 ball,
-    2 for the l2 variant).
+    """Check the blanket assumption ||b||_q > sigma, under which x = 0 is
+    infeasible and every optimum lies on the boundary; raises
+    TrivialInstance otherwise.  ``q`` selects the residual norm (1 for the
+    l1 ball, 2 for the l2 variant).
     """
-    from .linalg import lq_norm
-
-    if inst.m < 1 or inst.n < 1:
-        raise DimensionMismatch(f"need m >= 1 and n >= 1, got m={inst.m}, n={inst.n}")
-    if inst.a.shape != (inst.m, inst.n):
-        raise DimensionMismatch(
-            f"a has shape {inst.a.shape}, expected {(inst.m, inst.n)}"
-        )
-    if inst.b.shape != (inst.m,):
-        raise DimensionMismatch(f"b has length {inst.b.shape[0]}, expected {inst.m}")
-    if not (np.isfinite(inst.a).all() and np.isfinite(inst.b).all()):
-        raise NonFinite("instance data contains nan or inf")
-    if not np.isfinite(inst.sigma) or inst.sigma < 0:
-        raise NonFinite(f"sigma must be finite and >= 0, got {inst.sigma}")
     if lq_norm(inst.b, q) <= inst.sigma:
         raise TrivialInstance(
             f"||b||_{q} = {lq_norm(inst.b, q)} <= sigma = {inst.sigma}; "
@@ -143,8 +141,6 @@ def read_instance(path) -> ProblemInstance:
             sigma=raw["sigma"],
             p=raw["p"],
         )
-    except DimensionMismatch:
-        raise
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: bad field value ({exc})") from exc
     return inst
@@ -168,30 +164,6 @@ def write_instance(inst: ProblemInstance, path) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh)
         fh.write("\n")
-
-
-@dataclass(frozen=True)
-class SupportSet:
-    """Sorted tuple of indices of (exactly) nonzero coordinates."""
-
-    indices: tuple
-
-    def __post_init__(self):
-        idx = tuple(sorted(int(i) for i in self.indices))
-        if len(set(idx)) != len(idx):
-            raise ValueError("duplicate support indices")
-        object.__setattr__(self, "indices", idx)
-
-    @classmethod
-    def from_vector(cls, x) -> "SupportSet":
-        x = np.asarray(x)
-        return cls(tuple(np.flatnonzero(x != 0.0)))
-
-    def __len__(self):
-        return len(self.indices)
-
-    def __iter__(self):
-        return iter(self.indices)
 
 
 def support_indices(x) -> np.ndarray:
@@ -228,22 +200,16 @@ class SolveReport:
     the l2 boundary scaling, then the certification); setup_time is the
     time spent before it on the feasible anchor and its residual.
     walk_steps counts the vertex walk's steps and walk_drops the
-    coordinates they zeroed (both 0 on the l2 ball).  trials_total counts
-    the inner loop's line-search trials over all outer rounds, and
-    restricted_total those whose residual came from the support's columns.
+    coordinates they zeroed (both 0 on the l2 ball).  eta3 is the final
+    point's constraint violation.  Everything the trace or x_star already
+    holds is read off them: the support, the iteration and trial totals,
+    and eta1 and eta2 of the last outer comparison.
     """
 
     x_star: np.ndarray
     objective: float
-    support: SupportSet
     l1_residual: float
-    eta1: float
-    eta2: float
     eta3: float
-    outer_iters: int
-    inner_iters_total: int
-    trials_total: int
-    restricted_total: int
     wall_time: float
     setup_time: float
     # "converged": the outer loop met its tolerance and the finished point
@@ -252,20 +218,52 @@ class SolveReport:
     # ran out of rounds
     stop_reason: str
     q: float
+    trace: tuple  # one OuterRecord per outer round, at least one
     walk_steps: int = 0
     walk_drops: int = 0
-    trace: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "x_star", _frozen_array(self.x_star))
         object.__setattr__(self, "trace", tuple(self.trace))
 
+    @property
+    def support(self) -> tuple:
+        """Sorted indices of the exactly nonzero coordinates of x_star."""
+        return tuple(support_indices(self.x_star).tolist())
+
+    @property
+    def outer_iters(self) -> int:
+        return len(self.trace)
+
+    @property
+    def inner_iters_total(self) -> int:
+        return sum(r.inner_iters for r in self.trace)
+
+    @property
+    def trials_total(self) -> int:
+        """The inner loop's line-search trials over all outer rounds."""
+        return sum(r.inner_trials for r in self.trace)
+
+    @property
+    def restricted_total(self) -> int:
+        """Of trials_total, those whose residual came from the support's columns."""
+        return sum(r.restricted_trials for r in self.trace)
+
+    @property
+    def eta1(self) -> float:
+        return self.trace[-1].eta1
+
+    @property
+    def eta2(self) -> float:
+        return self.trace[-1].eta2
+
     def to_dict(self) -> dict:
+        support = self.support
         return {
             "x_star": [float(v) for v in self.x_star],
             "objective": self.objective,
-            "support": list(self.support),
-            "nnz": len(self.support),
+            "support": list(support),
+            "nnz": len(support),
             "l1_residual": self.l1_residual,
             "eta1": self.eta1,
             "eta2": self.eta2,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ProblemInstance, validate_instance
+from .core import ProblemInstance
 from .errors import InvalidParam, InvariantViolation
 from .linalg import lq_norm, numerical_rank
 
@@ -84,36 +84,36 @@ def _draw(spec: GenSpec, seed: int):
     return a, x_hat, xi
 
 
-def _check_full_rank(a) -> None:
-    rank = numerical_rank(a)
-    if rank != min(a.shape):
-        raise InvariantViolation(f"drawn {a.shape[0]}x{a.shape[1]} matrix has rank {rank}")
+def _accepted_draw(spec: GenSpec, qs):
+    """(a, x_hat, xi, b, sigmas): the first draw from spec.seed on with
+    ||b||_q > sigma_q = delta ||xi||_q for every q in qs.
 
-
-def gen_instance(spec: GenSpec):
-    """Generate (instance, x_hat, xi) for one noise family.
-
-    If the drawn data violates ||b||_q > sigma the draw is discarded and
-    repeated with seed+1 (logged); this keeps the blanket assumption intact
-    without biasing any accepted draw.
+    A draw that violates one is discarded and repeated with seed+1 (logged);
+    this keeps the blanket assumption intact without biasing any accepted
+    draw.  Raises InvariantViolation if the accepted A is rank-deficient.
     """
     seed = spec.seed
     for _ in range(MAX_RESEEDS):
         a, x_hat, xi = _draw(spec, seed)
-        sigma = spec.delta * lq_norm(xi, spec.q_for_sigma)
+        sigmas = [spec.delta * lq_norm(xi, q) for q in qs]
         b = a @ x_hat + spec.delta * xi
-        if lq_norm(b, spec.q_for_sigma) > sigma:
+        if all(lq_norm(b, q) > sigma for q, sigma in zip(qs, sigmas)):
             break
-        log.warning(
-            "draw with seed %d violates ||b||_%g > sigma; retrying with seed %d",
-            seed, spec.q_for_sigma, seed + 1,
-        )
+        log.warning("draw with seed %d violates ||b||_q > sigma; retrying with seed %d", seed, seed + 1)
         seed += 1
     else:
         raise InvalidParam(f"no valid draw in {MAX_RESEEDS} reseeds; delta too large?")
-    _check_full_rank(a)
+    rank = numerical_rank(a)
+    if rank != min(a.shape):
+        raise InvariantViolation(f"drawn {a.shape[0]}x{a.shape[1]} matrix has rank {rank}")
+    return a, x_hat, xi, b, sigmas
+
+
+def gen_instance(spec: GenSpec):
+    """Generate (instance, x_hat, xi) for one noise family, with sigma in
+    the norm spec.q_for_sigma."""
+    a, x_hat, xi, b, (sigma,) = _accepted_draw(spec, (spec.q_for_sigma,))
     inst = ProblemInstance(m=spec.m, n=spec.n, a=a, b=b, sigma=sigma, p=0.5)
-    validate_instance(inst, q=spec.q_for_sigma)
     return inst, x_hat, xi
 
 
@@ -124,22 +124,7 @@ def gen_matched_pair(spec: GenSpec):
     where each solver measures the residual in its own norm.  Reseeds if
     either norm check fails, so both instances come from the same draw.
     """
-    seed = spec.seed
-    for _ in range(MAX_RESEEDS):
-        a, x_hat, xi = _draw(spec, seed)
-        sigma1 = spec.delta * lq_norm(xi, 1.0)
-        sigma2 = spec.delta * lq_norm(xi, 2.0)
-        b = a @ x_hat + spec.delta * xi
-        if lq_norm(b, 1.0) > sigma1 and lq_norm(b, 2.0) > sigma2:
-            break
-        log.warning("matched draw with seed %d violates a norm check; retrying", seed)
-        seed += 1
-    else:
-        raise InvalidParam(f"no valid draw in {MAX_RESEEDS} reseeds; delta too large?")
-    _check_full_rank(a)
+    a, x_hat, xi, b, (sigma1, sigma2) = _accepted_draw(spec, (1.0, 2.0))
     inst1 = ProblemInstance(m=spec.m, n=spec.n, a=a, b=b, sigma=sigma1, p=0.5)
     inst2 = ProblemInstance(m=spec.m, n=spec.n, a=a, b=b, sigma=sigma2, p=0.5)
-    validate_instance(inst1, q=1.0)
-    validate_instance(inst2, q=2.0)
     return inst1, inst2, x_hat, xi
-

@@ -42,7 +42,7 @@ def ball_entry(a, b, z_from, z_to, sigma, q) -> float | None:
     if q not in (1.0, 2.0):
         raise InvalidNorm(f"ball_entry needs q in {{1, 2}}, got {q}")
     d = z_to - z_from
-    r0 = a @ z_from - b
+    r0 = a @ z_from - b if z_from.any() else -b
     if lq_norm(r0, q) <= sigma:
         return 0.0
     g = a @ d

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ProblemInstance
+from .core import ProblemInstance, validate_instance
 from .errors import NotFeasible, TooLarge
 from .linalg import RANK_REL_TOL_FACTOR, ball_entry, lq_norm
 
@@ -366,11 +366,12 @@ def boundary_scaling_alpha(inst: ProblemInstance, x, q: float = 1.0) -> float:
     """Scale factor alpha in (0, 1] with ||A(alpha x) - b||_q = sigma.
 
     Exists for any feasible x because the residual norm exceeds sigma at
-    alpha = 0 (blanket assumption) and is <= sigma at alpha = 1.  It is the
-    entry of the segment from 0 to x into the ball (linalg.ball_entry), so
-    alpha x is inside in floating point; x on the boundary, or outside it by
-    at most 1e-10, gets alpha = 1.
+    alpha = 0 (blanket assumption, checked first: TrivialInstance) and is
+    <= sigma at alpha = 1.  It is the entry of the segment from 0 to x into
+    the ball (linalg.ball_entry), so alpha x is inside in floating point; x
+    on the boundary, or outside it by at most 1e-10, gets alpha = 1.
     """
+    validate_instance(inst, q)
     x = np.asarray(x, dtype=np.float64)
     g1 = lq_norm(inst.residual(x), q) - inst.sigma
     if g1 > 1e-10:

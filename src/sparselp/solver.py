@@ -49,13 +49,7 @@ import time
 
 import numpy as np
 
-from .core import (
-    OuterRecord,
-    ProblemInstance,
-    SolveReport,
-    SupportSet,
-    validate_instance,
-)
+from .core import OuterRecord, ProblemInstance, SolveReport, validate_instance
 from .errors import InfeasibleStart, InvalidParam, InvariantViolation
 from .linalg import ball_entry, least_squares_min_norm, lq_norm
 from .npg import npg_solve
@@ -216,9 +210,7 @@ def _solve_penalty(inst, seed_x, q):
     # the step constant the inner loop accepted last; None starts round 0 from 1
     l_bar = None
     trace = []
-    total_inner = total_trials = total_restricted = 0
     stop_reason = "outer_cap"
-    etas = (np.inf, np.inf, np.inf)
     prev_lam = None
     prev_pen_feas = None
 
@@ -231,9 +223,6 @@ def _solve_penalty(inst, seed_x, q):
 
         out = npg_solve(inst, pen, x_start, eps, r0=r_start, l_bar=l_bar)
         l_bar = out.l_bar
-        total_inner += out.iters
-        total_trials += out.trials
-        total_restricted += out.restricted_trials
         x_next, r_next = out.x_final, out.r_final
 
         # descent anchors from the convergence analysis, checked each
@@ -311,20 +300,11 @@ def _solve_penalty(inst, seed_x, q):
         stop_reason = "stationary_uncertified"
     wall = time.perf_counter() - t0
 
-    # eta1 and eta2 keep the last outer comparison; eta3 is the final point's
-    eta1, eta2, _ = etas
     return SolveReport(
         x_star=x,
         objective=lp_power_sum(x, inst.p),
-        support=SupportSet.from_vector(x),
         l1_residual=lq_norm(r, 1.0),
-        eta1=eta1,
-        eta2=eta2,
         eta3=max(lq_norm(r, q) - inst.sigma, 0.0),
-        outer_iters=len(trace),
-        inner_iters_total=total_inner,
-        trials_total=total_trials,
-        restricted_total=total_restricted,
         wall_time=wall,
         setup_time=setup_time,
         stop_reason=stop_reason,

@@ -60,7 +60,6 @@ def kkt_property_report(
     x,
     q: float = 1.0,
     feas_tol: float = DEFAULT_TOL,
-    rank_rel_tol: float | None = None,
 ) -> KktPropertyReport:
     """Measure the optimal-point properties of x; pure, no side effects.
 
@@ -74,7 +73,7 @@ def kkt_property_report(
     if support.size == 0:
         raise EmptySupport("x = 0 has no support; not optimal when ||b||_q > sigma")
     a_j = inst.a[:, support]
-    rank_aj = numerical_rank(a_j, rank_rel_tol)
+    rank_aj = numerical_rank(a_j)
     ge = gram_extremes(a_j)
     m = inst.m
     nnz = int(support.size)

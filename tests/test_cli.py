@@ -179,6 +179,26 @@ def test_solve_missing_file_exits_1(capsys):
     assert "error" in err
 
 
+def test_nonfinite_instance_file_exits_1(tmp_path, capsys, golden):
+    # an instance that breaks the standing data assumptions is refused when
+    # it is read, before any enumeration or check runs on it
+    x_path = tmp_path / "x.json"
+    x_path.write_text(json.dumps({"x": [2.5, 0.0, 0.0]}))
+    doc = json.loads(open(golden_file(tmp_path, golden)).read())
+    bad_docs = (
+        dict(doc, a=[float("nan")] + doc["a"][1:]),
+        dict(doc, b=[doc["b"][0], float("inf")]),
+        dict(doc, sigma=-1.0),
+    )
+    for i, bad in enumerate(bad_docs):
+        inst_path = tmp_path / f"bad{i}.json"
+        inst_path.write_text(json.dumps(bad))
+        for argv in (["oracle", "--p", "0.5"], ["verify", "--x", str(x_path)]):
+            code, out, err = run(capsys, *argv, "--instance", str(inst_path))
+            assert code == 1 and out == ""
+            assert err.startswith("sparselp: error:") and "Traceback" not in err
+
+
 def test_oracle_golden_full(tmp_path, capsys, golden):
     inst_path = golden_file(tmp_path, golden)
     code, out, _ = run(

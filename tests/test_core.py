@@ -8,7 +8,6 @@ from sparselp import (
     NonFinite,
     ParseError,
     ProblemInstance,
-    SupportSet,
     TrivialInstance,
     read_instance,
     replace_p,
@@ -63,9 +62,29 @@ def test_constructor_rejects_bad_shapes():
 
 
 def test_validate_rejects_empty_dims():
-    empty = ProblemInstance(m=0, n=3, a=np.ones((0, 3)), b=np.ones(0), sigma=1.0)
+    # an empty instance cannot be built, so there is none to validate
     with pytest.raises(DimensionMismatch):
-        validate_instance(empty)
+        validate_instance(ProblemInstance(m=0, n=3, a=np.ones((0, 3)), b=np.ones(0), sigma=1.0))
+    with pytest.raises(DimensionMismatch):
+        ProblemInstance(m=2, n=0, a=np.ones((2, 0)), b=np.ones(2), sigma=1.0)
+
+
+def test_constructor_rejects_nonfinite_data():
+    for bad in (np.nan, np.inf, -np.inf):
+        a = np.array([[1.0, bad, 0.0], [0.0, 1.0, 1.0]])
+        with pytest.raises(NonFinite):
+            make_inst(a=a)
+        with pytest.raises(NonFinite):
+            make_inst(b=np.array([1.0, bad]))
+
+
+def test_constructor_rejects_bad_sigma():
+    for sigma in (np.inf, -np.inf, np.nan, -1.0, -1e-300):
+        with pytest.raises(NonFinite):
+            make_inst(sigma=sigma)
+    assert make_inst(sigma=0.0).sigma == 0.0
+    # the blanket assumption depends on the norm, so a trivial ball still builds
+    assert make_inst(sigma=3.0).sigma == 3.0
 
 
 def test_validate_rejects_nonfinite():
@@ -137,10 +156,8 @@ def test_read_rejects_garbage(tmp_path):
 
 
 def test_support_set():
-    s = SupportSet.from_vector(np.array([0.0, -2.0, 0.0, 1e-300]))
-    assert s.indices == (1, 3)  # exact-zero test, no threshold
-    assert len(s) == 2
-    assert list(s) == [1, 3]
+    s = support_indices(np.array([0.0, -2.0, 0.0, 1e-300]))
+    assert s.tolist() == [1, 3]  # exact-zero test, no threshold
     assert tuple(support_indices(np.array([1.0, 0.0, -1.0]))) == (0, 2)
 
 
@@ -151,3 +168,12 @@ def test_replace_p():
     assert inst.p == 0.5
     np.testing.assert_array_equal(other.a, inst.a)
     np.testing.assert_array_equal(other.b, inst.b)
+
+
+def test_read_rejects_nonfinite(tmp_path):
+    path = tmp_path / "nan.json"
+    doc = {"format": 1, "m": 2, "n": 3, "a": [1, 0, 1, 0, 1, -1], "b": [1, float("nan")],
+           "sigma": 0.5, "p": 0.5}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(NonFinite):
+        read_instance(path)

@@ -41,3 +41,25 @@ def test_smoothing_kernels_demo_gaps_within_bounds(capsys):
         nums = [float(tok.strip("(),:")) for tok in row.split() if tok[0].isdigit()]
         _, ramp, ramp_bound, abs_gap, abs_bound = nums
         assert ramp <= ramp_bound and abs_gap <= abs_bound
+
+
+def test_heavy_tails_demo_counts_its_wins(capsys):
+    runpy.run_path(str(DEMOS / "05_heavy_tails.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    rows = [line.split() for line in out.splitlines() if line.strip()[:1].isdigit()]
+    assert [int(row[0]) for row in rows] == list(range(5))
+    assert all(float(row[1]) > 0.0 and float(row[2]) > 0.0 for row in rows)
+    wins = sum(row[3] == "True" for row in rows)
+    assert f"l1 ball wins {wins}/5" in out
+
+
+def test_sparsity_path_demo_settles_at_the_planted_support(capsys):
+    runpy.run_path(str(DEMOS / "06_sparsity_path.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    assert "planted nnz = 6" in out
+    rows = [line.split() for line in out.splitlines() if line.startswith("  0.")]
+    assert len(rows) == 10
+    for p, nnz, _, bar in rows:
+        assert len(bar) == int(nnz)  # the bar draws len(report.support)
+        if float(p) < 0.5:
+            assert int(nnz) == 6

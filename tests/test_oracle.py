@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -9,6 +10,7 @@ from sparselp import (
     NotFeasible,
     ProblemInstance,
     TooLarge,
+    TrivialInstance,
     all_orthant_vertices,
     boundary_scaling_alpha,
     build_sign_matrix,
@@ -234,6 +236,18 @@ def test_boundary_scaling_golden(golden):
     assert boundary_scaling_alpha(golden, np.array([2.5, 0.0, 0.0])) == 1.0
     with pytest.raises(NotFeasible):
         boundary_scaling_alpha(golden, np.array([9.0, 0.0, 0.0]))
+
+
+def test_boundary_scaling_rejects_trivial_instances(golden):
+    # with ||b||_q <= sigma the origin is feasible and no alpha in (0, 1]
+    # puts the scaled point on the boundary
+    x = np.array([3.0, 0.0, 0.0])
+    on_l1 = replace(golden, sigma=6.0)  # ||b||_1 = 6
+    on_l2 = replace(golden, sigma=5.0)  # ||b||_2 = 4.24, ||b||_1 = 6
+    for inst, q in ((on_l1, 1.0), (on_l1, 2.0), (on_l2, 2.0)):
+        with pytest.raises(TrivialInstance):
+            boundary_scaling_alpha(inst, x, q)
+    assert boundary_scaling_alpha(on_l2, x, 1.0) == pytest.approx(1.0 / 6.0, abs=1e-15)
 
 
 def test_boundary_scaling_lands_on_the_ball_side(golden, rng):

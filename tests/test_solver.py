@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -122,6 +123,31 @@ def test_report_counts_the_trials(desk_solution):
     assert all(r.restricted_trials <= r.inner_trials for r in rep.trace)
     d = rep.to_dict()
     assert (d["trials_total"], d["restricted_total"]) == (rep.trials_total, rep.restricted_total)
+
+
+def test_report_derives_from_trace_and_point(desk_solution):
+    # the report stores none of these; each reads its trace sum, the last
+    # trace row, or the exact nonzeros of x_star, on either ball
+    inst2 = gen_matched_pair(GenSpec(m=20, n=60, s=3, delta=1e-3, seed=0))[1]
+    for rep in (desk_solution[2], solve_l2(inst2)):
+        stored = {f.name for f in dataclasses.fields(rep)}
+        derived = {
+            "outer_iters": len(rep.trace),
+            "inner_iters_total": sum(r.inner_iters for r in rep.trace),
+            "trials_total": sum(r.inner_trials for r in rep.trace),
+            "restricted_total": sum(r.restricted_trials for r in rep.trace),
+            "eta1": rep.trace[-1].eta1,
+            "eta2": rep.trace[-1].eta2,
+            "support": tuple(np.flatnonzero(rep.x_star).tolist()),
+        }
+        d = rep.to_dict()
+        for name, value in derived.items():
+            assert name not in stored
+            assert getattr(rep, name) == value == (tuple(d[name]) if name == "support" else d[name])
+            with pytest.raises(AttributeError):
+                setattr(rep, name, value)
+        assert all(type(i) is int for i in rep.support)
+        assert rep.outer_iters >= 1 and rep.inner_iters_total > 0
 
 
 @pytest.fixture(scope="module")
