@@ -23,6 +23,7 @@ constants of solver.py, and the inner loop's constants those of npg.py.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from dataclasses import dataclass
 
@@ -100,6 +101,11 @@ class ProblemInstance:
 
     def residual(self, x) -> np.ndarray:
         return self.a @ np.asarray(x, dtype=np.float64) - self.b
+
+    @functools.cached_property
+    def col_norms(self) -> np.ndarray:
+        """The 2-norms of A's columns, computed on first use; read-only."""
+        return _frozen_array(np.sqrt(np.einsum("ij,ij->j", self.a, self.a)))
 
 
 def validate_instance(inst: ProblemInstance, q: float = 1.0) -> None:
@@ -186,7 +192,7 @@ class OuterRecord:
     eta3: float
     inner_iters: int
     inner_trials: int  # the inner loop's line-search trials
-    restricted_trials: int  # of those, trials whose residual used only A[:, J]
+    full_products: int  # inner iterations that took the full A^T product
     l_bar: float  # step constant the inner loop accepted last; next round starts at half
     inner_stop: str  # why the inner loop stopped: NpgOutcome.stop_reason
     rho: float  # growth factor applied after this iteration (nan on the last)
@@ -245,9 +251,9 @@ class SolveReport:
         return sum(r.inner_trials for r in self.trace)
 
     @property
-    def restricted_total(self) -> int:
-        """Of trials_total, those whose residual came from the support's columns."""
-        return sum(r.restricted_trials for r in self.trace)
+    def full_products_total(self) -> int:
+        """Of inner_iters_total, the iterations that took the full A^T product."""
+        return sum(r.full_products for r in self.trace)
 
     @property
     def eta1(self) -> float:
@@ -271,7 +277,7 @@ class SolveReport:
             "outer_iters": self.outer_iters,
             "inner_iters_total": self.inner_iters_total,
             "trials_total": self.trials_total,
-            "restricted_total": self.restricted_total,
+            "full_products_total": self.full_products_total,
             "wall_time": self.wall_time,
             "setup_time": self.setup_time,
             "stop_reason": self.stop_reason,

@@ -319,8 +319,11 @@ def estimate_p_star(inst: ProblemInstance, vertices=None, sparsest_k: int | None
     coordinate magnitude over all orthant extreme points.  The threshold is
     min{1, ln(1 + 1/s) / ln(r / r_tilde)}, and 1 when r equals r_tilde.
     s is sparsest_k, by default the fewest nonzeros over the vertices,
-    which is the sparsest level (see solve_exact_l0).
+    which is the sparsest level (see solve_exact_l0).  Raises
+    TrivialInstance when ||b||_1 <= sigma: the origin is then feasible and
+    the bound says nothing.
     """
+    validate_instance(inst, 1.0)
     if vertices is None:
         vertices = all_orthant_vertices(inst)
     mags = np.abs(_stack(vertices, inst.n))

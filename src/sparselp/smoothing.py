@@ -21,17 +21,20 @@ without this bound.  For q = 2 the squared residual is already smooth, so
 only the positive part is smoothed and nu is unused.
 
 The penalty depends on x only through r, and that is the argument it
-takes: value(r) and value_and_grad(r), with the gradient returned in
-x-space (A^T times the residual-space gradient).  The caller computes r
-once per point and reuses it, so evaluating the penalty costs no product
-with A, and its gradient one product with A^T.
+takes.  It works in residual space: value(r) is the value, and
+value_and_grad_parts(r) returns the value with the pieces (coef, u) of the
+gradient, whose residual-space form is coef * u and whose x-space form is
+coef * A^T u.  The caller computes r once per point and makes the products
+with A itself: the inner loop multiplies coef * u by the columns of its
+working set only (see npg.py).  value_and_grad(r) is the x-space gradient
+built from the same pieces with the full A^T product.
 
 The inner loop evaluates the penalty once per line-search trial, and at
 the desk size that cost is numpy call overhead, not arithmetic.  So the
 outer kernel smoothed_plus takes and returns Python floats (its argument
 is always the scalar excess); smoothed_abs works elementwise on arrays.
-value(r) builds only the smoothed-abs values, and value_and_grad(r) builds
-their derivative only when the outer derivative is nonzero.
+value(r) builds only the smoothed-abs values, and value_and_grad_parts(r)
+builds their derivative alongside.
 """
 
 from __future__ import annotations
@@ -106,12 +109,18 @@ class SmoothedPenalty:
     def value(self, r) -> float:
         return self.lam * smoothed_plus(self._excess(r), self.mu)[0]
 
-    def value_and_grad(self, r):
-        inst, lam = self.inst, self.lam
+    def value_and_grad_parts(self, r):
+        """(value, coef, u): the gradient is coef * u in residual space and
+        coef * A^T u in x-space; coef is a float, u an m-vector."""
         val, der = smoothed_plus(self._excess(r), self.mu)
-        outer = lam * der
-        if outer == 0.0:
-            return lam * val, np.zeros(inst.n)
+        outer = self.lam * der
         if self.q == 1.0:
-            return lam * val, outer * (inst.a.T @ _smoothed_abs_deriv(r, self.nu))
-        return lam * val, outer * 2.0 * (inst.a.T @ r)
+            return self.lam * val, outer, _smoothed_abs_deriv(r, self.nu)
+        return self.lam * val, outer * 2.0, r
+
+    def value_and_grad(self, r):
+        """(value, x-space gradient); an exact zero vector when coef is 0."""
+        val, coef, u = self.value_and_grad_parts(r)
+        if coef == 0.0:
+            return val, np.zeros(self.inst.n)
+        return val, coef * (self.inst.a.T @ u)

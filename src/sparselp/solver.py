@@ -269,7 +269,7 @@ def _solve_penalty(inst, seed_x, q):
                 eta3=etas[2],
                 inner_iters=out.iters,
                 inner_trials=out.trials,
-                restricted_trials=out.restricted_trials,
+                full_products=out.full_products,
                 l_bar=out.l_bar,
                 inner_stop=out.stop_reason,
                 rho=float(rho),

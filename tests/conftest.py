@@ -83,18 +83,38 @@ def recorded_trials():
 
     Wraps sparselp.npg.prox_vector and yields a list that fills with one
     (center, l, w) row per trial: the current accepted iterate, the trial
-    step constant and the trial point.  A new center starts each iteration.
+    step constant and the trial point, as full-length vectors.  The loop
+    calls the prox on its working set's coordinates, so the recorder also
+    wraps sparselp.npg.working_columns, which sees each working set the
+    loop adopts, and scatters both vectors from it.  A new center starts
+    each iteration; the trials of one iteration share the center object.
     """
     rows = []
+    seen = {"n": 0, "work": None, "center": (None, None)}
     prox_vector = sparselp.npg.prox_vector
+    working_columns = sparselp.npg.working_columns
+
+    def watched(a, work):
+        seen.update(n=a.shape[1], work=work)
+        return working_columns(a, work)
+
+    def full(z):
+        if seen["work"] is None:
+            return z
+        out = np.zeros(seen["n"])
+        out[seen["work"]] = z
+        return out
 
     def recorded(x, g, l, p):
         w = prox_vector(x, g, l, p)
-        rows.append((x, l, w))
+        if seen["center"][0] is not x:
+            seen["center"] = (x, full(x))
+        rows.append((seen["center"][1], l, full(w)))
         return w
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sparselp.npg, "prox_vector", recorded)
+        mp.setattr(sparselp.npg, "working_columns", watched)
         yield rows
 
 

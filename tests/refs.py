@@ -368,3 +368,24 @@ class L2SmoothedPenalty:
 
     def grad(self, r) -> np.ndarray:
         return self.value_and_grad(r)[1]
+
+
+# -- the inner loop's view of the frozen penalties --
+#
+# The inner loop asks a penalty for its value and the pieces (coef, u) of
+# its gradient coef * A^T u, and makes the product with A itself.  These
+# adapters answer from the frozen kernels with the frozen classes'
+# arithmetic, and leave the classes above as they were.
+
+
+class L1ResidualPenalty(L1SmoothedPenalty):
+    def value_and_grad_parts(self, r):
+        hv, hd = smoothed_abs(r, self.sp.nu)
+        gv, gd = smoothed_plus(float(np.sum(hv)) - self.inst.sigma, self.sp.mu)
+        return self.sp.lam * float(gv), self.sp.lam * float(gd), hd
+
+
+class L2ResidualPenalty(L2SmoothedPenalty):
+    def value_and_grad_parts(self, r):
+        val, der = smoothed_plus(float(r @ r) - self.inst.sigma**2, self.sp.mu)
+        return self.sp.lam * float(val), self.sp.lam * float(der) * 2.0, r

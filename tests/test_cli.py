@@ -87,7 +87,7 @@ def test_gen_solve_verify_roundtrip(tmp_path, capsys):
     assert payload["nnz"] == len(payload["support"]) == 3
     assert payload["walk_steps"] >= 1 and payload["walk_drops"] >= 0
     assert payload["trials_total"] >= payload["inner_iters_total"]
-    assert 0 <= payload["restricted_total"] <= payload["trials_total"]
+    assert 1 <= payload["full_products_total"] <= payload["inner_iters_total"]
     assert "trace" not in payload
 
     # --trace shows the step constant each round hands to the next
@@ -98,6 +98,8 @@ def test_gen_solve_verify_roundtrip(tmp_path, capsys):
     trace = json.loads(out)["trace"]
     assert len(trace) == payload["outer_iters"]
     assert all(np.isfinite(row["l_bar"]) and row["l_bar"] > 0.0 for row in trace)
+    # and how many of each round's iterations took the full A^T product
+    assert sum(row["full_products"] for row in trace) == payload["full_products_total"]
 
     # the solve output doubles as the --x input downstream; a converged
     # solve ends on a vertex, so it passes at the strict default tolerance
@@ -214,6 +216,23 @@ def test_oracle_golden_full(tmp_path, capsys, golden):
     assert payload["p_star"] == pytest.approx(np.log(2) / np.log(6 + np.sqrt(2)))
     assert payload["s"] == 1
     assert all(payload["inclusion_in_sparsest"].values())
+
+
+def test_oracle_p_star_rejects_trivial_instance(tmp_path, capsys, golden):
+    # sigma = ||b||_1: x = 0 is feasible, and oracle --p-star refuses the
+    # file as solve and verify do
+    inst_path = tmp_path / "trivial.json"
+    write_instance(dataclasses.replace(golden, sigma=6.0), inst_path)
+    x_path = tmp_path / "x.json"
+    x_path.write_text(json.dumps({"x": [0.0, 0.0, 0.0]}))
+    for argv in (
+        ["oracle", "--p", "0.5", "--p-star"],
+        ["solve", "--p", "0.5"],
+        ["verify", "--x", str(x_path)],
+    ):
+        code, out, err = run(capsys, *argv, "--instance", str(inst_path))
+        assert (code, out) == (1, "")
+        assert "x = 0 is already feasible" in err and "Traceback" not in err
 
 
 def test_oracle_sparsest_reuses_vertices(tmp_path, capsys, golden, monkeypatch):

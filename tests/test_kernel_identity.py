@@ -215,10 +215,13 @@ def test_solves_are_bit_identical_on_frozen_kernels(monkeypatch):
         return refs.prox_vector(*args)
 
     frozen_qs = []
+    # the inner loop takes the gradient's pieces; the adapters give them
+    # from the frozen kernels
+    adapters = {1.0: refs.L1ResidualPenalty, 2.0: refs.L2ResidualPenalty}
 
     def frozen_solver_penalty(inst, q, lam, mu, nu):
         frozen_qs.append(q)
-        return frozen_penalty(inst, q, lam, mu, nu)
+        return adapters[q](inst, SimpleNamespace(lam=lam, mu=mu, nu=nu))
 
     monkeypatch.setattr(sparselp.npg, "prox_vector", frozen_prox)
     monkeypatch.setattr(sparselp.solver, "SmoothedPenalty", frozen_solver_penalty)

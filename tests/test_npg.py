@@ -2,9 +2,20 @@ import numpy as np
 import pytest
 
 import sparselp.npg
+import sparselp.solver
 from conftest import accepted_steps, recorded_trials
-from sparselp import GenSpec, NonFinite, ProblemInstance, gen_matched_pair, least_squares_min_norm
+from sparselp import (
+    GenSpec,
+    NonFinite,
+    ProblemInstance,
+    gen_matched_pair,
+    least_squares_min_norm,
+    replace_p,
+    solve_l1,
+    solve_l2,
+)
 from sparselp.npg import initial_step_constant, npg_solve
+from sparselp.prox import prox_vector
 from sparselp.smoothing import SmoothedPenalty, lp_power_sum
 
 
@@ -40,7 +51,7 @@ def test_descent_relative_to_window(rng):
     assert len(steps) == out.iters
     # each iteration starts from the point the previous one accepted
     for (_, _, w), (x, _, _) in zip(steps, steps[1:]):
-        assert x is w
+        assert x.tobytes() == w.tobytes()
     fs = [f0] + [objective(inst, pen, w) for _, _, w in steps]
     c, memory = sparselp.npg.C, sparselp.npg.MEMORY
     for i, (x, _, w) in enumerate(steps):
@@ -190,9 +201,9 @@ def gen_penalty_problem(q):
 
 @pytest.mark.parametrize("q", [1.0, 2.0])
 def test_carried_residual_matches_a_fresh_product(q):
-    # the residual travels with the iterate, computed from the trial's
-    # support columns or from all of A; either way it must be A x - b of
-    # the returned point, to roundoff
+    # the residual travels with the iterate, computed from the working
+    # set's columns or from all of A; either way it must be A x - b of the
+    # returned point, to roundoff
     inst, pen, x_hat = gen_penalty_problem(q)
     starts = {
         "dense": least_squares_min_norm(inst.a, inst.b),
@@ -204,15 +215,15 @@ def test_carried_residual_matches_a_fresh_product(q):
         gap = np.abs(out.r_final - (inst.a @ out.x_final - inst.b))
         assert (gap <= 1e-12 * scale).all()
         assert out.iters <= out.trials
-        assert 0 <= out.restricted_trials <= out.trials
-    # the dense start's first trials take the full product, the sparse
-    # start's the restricted one
-    assert outs["dense"].restricted_trials < outs["dense"].trials
-    assert outs["sparse"].restricted_trials > 0
+        # the first iteration always takes the full product
+        assert 1 <= out.full_products <= out.iters
+    # from the sparse start the screen skips the full product
+    assert outs["sparse"].full_products < outs["sparse"].iters
 
 
 def test_trial_at_zero_gives_minus_b():
-    # an empty support gathers no columns: the residual is -b exactly
+    # an empty trial point adds nothing to the product: the residual is -b
+    # exactly
     inst, pen, _ = gen_penalty_problem(1.0)
     seen = []
 
@@ -221,8 +232,8 @@ def test_trial_at_zero_gives_minus_b():
             seen.append(r.copy())
             return pen.value(r)
 
-        def value_and_grad(self, r):
-            return pen.value_and_grad(r)
+        def value_and_grad_parts(self, r):
+            return pen.value_and_grad_parts(r)
 
     prox_vector = sparselp.npg.prox_vector
 
@@ -233,15 +244,103 @@ def test_trial_at_zero_gives_minus_b():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sparselp.npg, "prox_vector", zero_first)
-        out = npg_solve(inst, Recording(), np.ones(inst.n), eps=1e-6)
-    assert out.restricted_trials >= 1
+        npg_solve(inst, Recording(), np.ones(inst.n), eps=1e-6)
     assert seen[0].tobytes() == (-inst.b).tobytes()
 
 
 def test_counters_count_every_trial():
     inst, pen, x_hat = gen_penalty_problem(1.0)
-    with recorded_trials() as rows:
+    columns = []
+    working_columns = sparselp.npg.working_columns
+
+    def counted(a, work):
+        columns.append(work)
+        return working_columns(a, work)
+
+    with recorded_trials() as rows, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sparselp.npg, "working_columns", counted)
         out = npg_solve(inst, pen, 0.9 * x_hat, eps=1e-8)
     assert out.trials == len(rows)
-    restrict = sparselp.npg._RESTRICT
-    assert out.restricted_trials == sum(restrict * np.count_nonzero(w) <= inst.n for _, _, w in rows)
+    # the start gathers all of A, and every later working set comes from a
+    # rebuild, which takes the full product
+    assert columns[0] is None
+    assert len(columns) - 1 <= out.full_products <= out.iters
+
+
+def screened_solve(solve, inst):
+    """A whole solve with its trials recorded, as (coef, u, center, l, w)
+    rows: (coef, u) are the gradient pieces the loop got at the center."""
+    pieces = []
+
+    class Kept(SmoothedPenalty):
+        def value_and_grad_parts(self, r):
+            out = super().value_and_grad_parts(r)
+            pieces.append(out[1:])
+            return out
+
+    with recorded_trials() as rows, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sparselp.solver, "SmoothedPenalty", Kept)
+        rep = solve(inst)
+    # each iteration takes the pieces at its center once: at the start of
+    # a round or when it accepted the step before
+    assert len(pieces) == rep.inner_iters_total
+    iteration = np.cumsum([i == 0 or x is not rows[i - 1][0] for i, (x, _, _) in enumerate(rows)])
+    return rep, [(*pieces[k - 1], *row) for k, row in zip(iteration, rows)]
+
+
+def scaled_columns(inst, columns, factor):
+    a = np.array(inst.a)
+    a[:, columns] *= factor
+    return ProblemInstance(m=inst.m, n=inst.n, a=a, b=inst.b, sigma=inst.sigma, p=inst.p)
+
+
+def screen_cases():
+    inst1, inst2, _, _ = gen_matched_pair(GenSpec(m=40, n=200, s=4, delta=1e-3, seed=3))
+    inst1, inst2 = replace_p(inst1, 0.5), replace_p(inst2, 0.5)
+    return {
+        "l1": (solve_l1, inst1),
+        "l2": (solve_l2, inst2),
+        # the largest column norm is 1e3, and that column sits in W
+        "l1-one-column-x1e3": (solve_l1, scaled_columns(inst1, [7], 1e3)),
+        # every column outside W has norm 1e3
+        "l1-all-columns-x1e3": (solve_l1, scaled_columns(inst1, slice(None), 1e3)),
+    }
+
+
+@pytest.mark.parametrize("case", list(screen_cases()))
+def test_trials_equal_the_full_gradient_prox(case):
+    # the working set is exact: every trial point has the support of the
+    # prox taken with the full gradient at its center, A^T u from the
+    # pieces the loop got there, and the same values up to the summation
+    # order of the products
+    solve, inst = screen_cases()[case]
+    rep, rows = screened_solve(solve, inst)
+    assert rep.stop_reason == "converged"
+    assert rep.full_products_total < rep.inner_iters_total
+    for coef, u, center, l, w in rows:
+        g = coef * (inst.a.T @ u)
+        z = prox_vector(center, g, l, inst.p)
+        np.testing.assert_array_equal(z != 0.0, w != 0.0)
+        np.testing.assert_allclose(w, z, rtol=1e-12, atol=0.0)
+
+
+def test_dense_start_ends_on_a_small_working_set():
+    # from the dense least-squares anchor the loop starts on all of x and
+    # shrinks its working set to a few times the support once the anchor
+    # leaves the last three iterates
+    inst, pen, _ = gen_penalty_problem(1.0)
+    x0 = least_squares_min_norm(inst.a, inst.b)
+    assert np.count_nonzero(x0) == inst.n
+    sets = []
+    working_columns = sparselp.npg.working_columns
+
+    def kept(a, work):
+        sets.append(work)
+        return working_columns(a, work)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sparselp.npg, "working_columns", kept)
+        out = npg_solve(inst, pen, x0, eps=1e-8)
+    assert sets[0] is None
+    assert sets[-1] is not None and 8 * sets[-1].size <= inst.n
+    assert np.isin(np.flatnonzero(out.x_final), sets[-1]).all()

@@ -250,6 +250,14 @@ def test_boundary_scaling_rejects_trivial_instances(golden):
     assert boundary_scaling_alpha(on_l2, x, 1.0) == pytest.approx(1.0 / 6.0, abs=1e-15)
 
 
+def test_p_star_rejects_trivial_instances(golden):
+    # with ||b||_1 <= sigma the origin is feasible and every minimizer is 0:
+    # the threshold is undefined, as are solve and verify
+    for sigma in (6.0, 7.5):  # ||b||_1 = 6
+        with pytest.raises(TrivialInstance):
+            estimate_p_star(replace(golden, sigma=sigma))
+
+
 def test_boundary_scaling_lands_on_the_ball_side(golden, rng):
     # alpha x is on the boundary to roundoff, and never outside: draws
     # around the interpolating point, scaled within the ball's reach, on

@@ -113,16 +113,20 @@ def test_report_counts_the_walk(desk_solution):
 
 def test_report_counts_the_trials(desk_solution):
     # every inner iteration makes at least one line-search trial, and the
-    # restricted residual is a subset of them; the rounds add up to the total
+    # iterations that took the full A^T product are a subset of them, at
+    # least the first of each round; the rounds add up to the total
     _, _, rep = desk_solution
     assert rep.trials_total >= rep.inner_iters_total
-    assert 0 < rep.restricted_total <= rep.trials_total
+    assert rep.outer_iters <= rep.full_products_total < rep.inner_iters_total
     assert sum(r.inner_trials for r in rep.trace) == rep.trials_total
-    assert sum(r.restricted_trials for r in rep.trace) == rep.restricted_total
+    assert sum(r.full_products for r in rep.trace) == rep.full_products_total
     assert all(r.inner_iters <= r.inner_trials for r in rep.trace)
-    assert all(r.restricted_trials <= r.inner_trials for r in rep.trace)
+    assert all(1 <= r.full_products <= r.inner_iters for r in rep.trace)
     d = rep.to_dict()
-    assert (d["trials_total"], d["restricted_total"]) == (rep.trials_total, rep.restricted_total)
+    assert (d["trials_total"], d["full_products_total"]) == (
+        rep.trials_total,
+        rep.full_products_total,
+    )
 
 
 def test_report_derives_from_trace_and_point(desk_solution):
@@ -135,7 +139,7 @@ def test_report_derives_from_trace_and_point(desk_solution):
             "outer_iters": len(rep.trace),
             "inner_iters_total": sum(r.inner_iters for r in rep.trace),
             "trials_total": sum(r.inner_trials for r in rep.trace),
-            "restricted_total": sum(r.restricted_trials for r in rep.trace),
+            "full_products_total": sum(r.full_products for r in rep.trace),
             "eta1": rep.trace[-1].eta1,
             "eta2": rep.trace[-1].eta2,
             "support": tuple(np.flatnonzero(rep.x_star).tolist()),
@@ -169,7 +173,7 @@ def test_trial_counters_never_change_the_solve(desk_solution, desk_trials):
     again, rows, _ = desk_trials
     assert again.x_star.tobytes() == rep.x_star.tobytes()
     assert again.trials_total == rep.trials_total == len(rows)
-    assert again.restricted_total == rep.restricted_total
+    assert again.full_products_total == rep.full_products_total
 
 
 def test_round_starts_from_half_the_last_step_constant(desk_trials):
