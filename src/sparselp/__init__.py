@@ -39,11 +39,8 @@ from .oracle import (
     PStarEstimate,
     all_orthant_vertices,
     boundary_scaling_alpha,
-    build_sign_matrix,
     estimate_p_star,
     is_l0_optimal,
-    l1_ball_halfspaces,
-    residual_sandwich_check,
     solve_exact_l0,
     solve_exact_lp_quasinorm,
 )

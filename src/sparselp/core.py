@@ -8,7 +8,13 @@ A problem instance is the data (A, b, sigma, p) of
 with A an m-by-n dense matrix.  An instance is valid once built: m, n >= 1,
 A and b finite and of matching shapes, sigma finite and >= 0, or the
 constructor raises.  Instances are immutable after construction; the
-arrays are marked read-only so they can be shared freely.  The blanket
+arrays are marked read-only so they can be shared freely, also across a
+pickle round-trip.  A and b live in one matrix record per draw, which also
+caches what is derived from them alone: the column norms and the
+minimum-norm least-squares anchor the solver starts from.  The anchor is
+thus computed once per matrix record, not once per solve.  Instances that
+differ only in sigma or p (replace_p, share_data, the two instances of
+gen.gen_matched_pair) share the record.  The blanket
 assumption ||b||_q > sigma, which rules out x = 0 being feasible, depends
 on the ball's norm q, so validate_instance checks it where q is known.
 
@@ -30,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonFinite, ParseError, TrivialInstance
-from .linalg import lq_norm
+from .linalg import least_squares_min_norm, lq_norm
 
 FILE_FORMAT_VERSION = 1
 
@@ -43,34 +49,21 @@ def _frozen_array(values, shape=None) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class ProblemInstance:
-    """Immutable problem data.
+@dataclass(frozen=True, eq=False)
+class _MatrixRecord:
+    """A and b of one draw, checked and frozen once, and the values derived
+    from them alone, each computed on first use and read-only.
 
-    Parameters
-    ----------
-    m, n : int
-        Number of rows and columns of ``a``.
-    a : array_like
-        Measurement matrix, shape (m, n) or flat of length m*n (row-major).
-    b : array_like
-        Right-hand side, length m.
-    sigma : float
-        Radius of the residual ball, >= 0.
-    p : float
-        Exponent of the objective.  Solvers require 0 < p < 1; the exact
-        oracle additionally understands p = 0.
-
-    Raises DimensionMismatch for m or n below 1 or shapes that do not match
-    them, and NonFinite for nan or inf data or a negative sigma.
+    Instances that differ only in sigma or p share one record (share_data),
+    so A is stored once and the anchor is computed once per draw.  Only
+    n-vectors are cached: a Gram matrix or a factor per record would cost
+    m^2 floats for every record a caller holds.
     """
 
     m: int
     n: int
     a: np.ndarray
     b: np.ndarray
-    sigma: float
-    p: float = 0.5
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
@@ -91,21 +84,98 @@ class ProblemInstance:
             raise DimensionMismatch(f"b has shape {b.shape}, expected ({self.m},)")
         if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise NonFinite("instance data contains nan or inf")
-        sigma = float(self.sigma)
-        if not (np.isfinite(sigma) and sigma >= 0.0):
-            raise NonFinite(f"sigma must be finite and >= 0, got {sigma}")
         object.__setattr__(self, "a", _frozen_array(a, (self.m, self.n)))
         object.__setattr__(self, "b", _frozen_array(b, (self.m,)))
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "p", float(self.p))
+
+    def __setstate__(self, state):
+        # unpickled arrays come back writeable; the record's are shared
+        for value in state.values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        self.__dict__.update(state)
+
+    @functools.cached_property
+    def col_norms(self) -> np.ndarray:
+        return _frozen_array(np.sqrt(np.einsum("ij,ij->j", self.a, self.a)))
+
+    @functools.cached_property
+    def anchor(self) -> np.ndarray:
+        x = least_squares_min_norm(self.a, self.b)
+        x.flags.writeable = False
+        return x
+
+
+@dataclass(frozen=True, eq=False)
+class ProblemInstance:
+    """Immutable problem data.
+
+    Parameters
+    ----------
+    m, n : int
+        Number of rows and columns of ``a``.
+    a : array_like
+        Measurement matrix, shape (m, n) or flat of length m*n (row-major).
+    b : array_like
+        Right-hand side, length m.
+    sigma : float
+        Radius of the residual ball, >= 0.
+    p : float
+        Exponent of the objective.  Solvers require 0 < p < 1; the exact
+        oracle additionally understands p = 0.
+
+    Raises DimensionMismatch for m or n below 1 or shapes that do not match
+    them, and NonFinite for nan or inf data or a negative sigma.
+
+    The constructor copies ``a`` and ``b`` into a new matrix record;
+    replace_p and share_data build instances on an existing one.  Equality
+    and hashing are by identity.
+    """
+
+    m: int
+    n: int
+    a: np.ndarray
+    b: np.ndarray
+    sigma: float
+    p: float = 0.5
+    _record: _MatrixRecord = dataclasses.field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._attach(_MatrixRecord(self.m, self.n, self.a, self.b), self.sigma, self.p)
+
+    @classmethod
+    def _on_record(cls, record: _MatrixRecord, sigma, p) -> ProblemInstance:
+        inst = object.__new__(cls)
+        inst._attach(record, sigma, p)
+        return inst
+
+    def _attach(self, record: _MatrixRecord, sigma, p) -> None:
+        sigma = float(sigma)
+        if not (np.isfinite(sigma) and sigma >= 0.0):
+            raise NonFinite(f"sigma must be finite and >= 0, got {sigma}")
+        for name, value in (
+            ("m", record.m), ("n", record.n), ("a", record.a), ("b", record.b),
+            ("sigma", sigma), ("p", float(p)), ("_record", record),
+        ):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        # rebuilt on its unpickled record, whose arrays come back read-only
+        return (ProblemInstance._on_record, (self._record, self.sigma, self.p))
 
     def residual(self, x) -> np.ndarray:
         return self.a @ np.asarray(x, dtype=np.float64) - self.b
 
-    @functools.cached_property
+    @property
     def col_norms(self) -> np.ndarray:
-        """The 2-norms of A's columns, computed on first use; read-only."""
-        return _frozen_array(np.sqrt(np.einsum("ij,ij->j", self.a, self.a)))
+        """The 2-norms of A's columns, computed once per matrix record; read-only."""
+        return self._record.col_norms
+
+    @property
+    def anchor(self) -> np.ndarray:
+        """The minimum-norm least-squares point of A x ~ b
+        (linalg.least_squares_min_norm), computed once per matrix record on
+        first use; read-only."""
+        return self._record.anchor
 
 
 def validate_instance(inst: ProblemInstance, q: float = 1.0) -> None:
@@ -204,7 +274,10 @@ class SolveReport:
 
     wall_time covers the outer loop and the finish (the l1 vertex walk or
     the l2 boundary scaling, then the certification); setup_time is the
-    time spent before it on the feasible anchor and its residual.
+    time spent before it on the feasible anchor and its residual.  The
+    anchor is computed once per matrix record, so setup_time is near zero
+    on a repeat solve of the same draw, at another p or on its matched
+    pair.
     walk_steps counts the vertex walk's steps and walk_drops the
     coordinates they zeroed (both 0 on the l2 ball).  eta3 is the final
     point's constraint violation.  Everything the trace or x_star already
@@ -287,6 +360,14 @@ class SolveReport:
         }
 
 
+def share_data(inst: ProblemInstance, sigma: float, p: float) -> ProblemInstance:
+    """An instance with another sigma and p that shares inst's matrix
+    record: A and b are neither copied nor scanned again, and the column
+    norms and the anchor, once computed, serve both."""
+    return ProblemInstance._on_record(inst._record, sigma, p)
+
+
 def replace_p(inst: ProblemInstance, p: float) -> ProblemInstance:
-    """Copy of an instance with a different objective exponent."""
-    return dataclasses.replace(inst, p=float(p))
+    """An instance with a different objective exponent that shares inst's
+    A, b and matrix record (see share_data)."""
+    return share_data(inst, inst.sigma, p)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ProblemInstance
+from .core import ProblemInstance, share_data
 from .errors import InvalidParam, InvariantViolation
 from .linalg import lq_norm, numerical_rank
 
@@ -123,8 +123,10 @@ def gen_matched_pair(spec: GenSpec):
     Used for solver comparisons on identical data (same A, x_hat, xi, b)
     where each solver measures the residual in its own norm.  Reseeds if
     either norm check fails, so both instances come from the same draw.
+    The second instance shares the first's matrix record (core.share_data):
+    A is stored once, and the anchor a solve computes on one serves both.
     """
     a, x_hat, xi, b, (sigma1, sigma2) = _accepted_draw(spec, (1.0, 2.0))
     inst1 = ProblemInstance(m=spec.m, n=spec.n, a=a, b=b, sigma=sigma1, p=0.5)
-    inst2 = ProblemInstance(m=spec.m, n=spec.n, a=a, b=b, sigma=sigma2, p=0.5)
+    inst2 = share_data(inst1, sigma2, 0.5)
     return inst1, inst2, x_hat, xi

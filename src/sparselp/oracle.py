@@ -16,8 +16,8 @@ minimal size, each orthant's piece of the ball restricted to J is pointed
 and, when nonempty, has vertices, whose supports lie inside J and so, by
 minimality, equal J.  The sparsest level is therefore the fewest nonzeros
 over the orthant vertices, found by scanning support sizes upward (see
-solve_exact_l0).  Also here: the exponent threshold estimate and two
-inequality checks used by the test suites.
+solve_exact_l0).  Also here: the exponent threshold estimate, the
+sparsest-solution membership test and the boundary scaling factor.
 """
 
 from __future__ import annotations
@@ -32,34 +32,11 @@ from .core import ProblemInstance, validate_instance
 from .errors import NotFeasible, TooLarge
 from .linalg import RANK_REL_TOL_FACTOR, ball_entry, lq_norm
 
-SIGN_MATRIX_MAX_M = 16
-SANDWICH_MAX_M = 12
 ENUM_MAX_M = 8
 ENUM_MAX_N = 10
 SINGULAR_TOL = 1e-10  # least singular value floor of a unit-row system
 DEDUP_TOL = 1e-9
 FEAS_TOL = 1e-9
-
-
-def build_sign_matrix(m: int) -> np.ndarray:
-    """All 2^m sign vectors as rows, lexicographic with +1 before -1.
-
-    The list is closed under negation: row i and row 2^m - 1 - i are
-    opposite.
-    """
-    if m > SIGN_MATRIX_MAX_M:
-        raise TooLarge(f"2^{m} sign vectors is beyond the oracle's reach")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    rows = np.array(list(itertools.product((1.0, -1.0), repeat=m)))
-    rows.flags.writeable = False
-    return rows
-
-
-def l1_ball_halfspaces(inst: ProblemInstance):
-    """(A_tilde, b_tilde) with {||Ax-b||_1 <= sigma} = {A_tilde x <= b_tilde}."""
-    u = build_sign_matrix(inst.m)
-    return u @ inst.a, u @ inst.b + inst.sigma
 
 
 @dataclass(frozen=True)
@@ -344,25 +321,6 @@ def estimate_p_star(inst: ProblemInstance, vertices=None, sparsest_k: int | None
     else:
         p_star = min(1.0, float(np.log((s + 1) / s) / np.log(r / r_tilde)))
     return PStarEstimate(p_star=p_star, r=float(r), r_tilde=float(r_tilde), s=int(sparsest_k))
-
-
-def residual_sandwich_check(inst: ProblemInstance, x):
-    """Two-sided bound of the constraint violation by the facet excesses.
-
-    Returns (lhs, mid, rhs, holds) with
-    lhs = 2^(1-m) ||(A_tilde x - b_tilde)_+||_1 <= (||Ax-b||_1 - sigma)_+
-    <= ||(A_tilde x - b_tilde)_+||_1 = rhs.
-    """
-    if inst.m > SANDWICH_MAX_M:
-        raise TooLarge(f"sandwich check capped at m <= {SANDWICH_MAX_M}")
-    at, bt = l1_ball_halfspaces(inst)
-    excess = np.maximum(at @ np.asarray(x, dtype=np.float64) - bt, 0.0)
-    rhs = float(excess.sum())
-    lhs = float(2.0 ** (1 - inst.m) * rhs)
-    mid = max(lq_norm(inst.residual(x), 1.0) - inst.sigma, 0.0)
-    slack = 1e-10 * (1.0 + rhs + mid)
-    holds = (lhs <= mid + slack) and (mid <= rhs + slack)
-    return lhs, mid, rhs, bool(holds)
 
 
 def boundary_scaling_alpha(inst: ProblemInstance, x, q: float = 1.0) -> float:

@@ -12,7 +12,8 @@ from itertools import combinations, product
 
 import numpy as np
 
-from sparselp.errors import InvalidParam, NonFinite
+from sparselp.errors import InvalidParam, NonFinite, TooLarge
+from sparselp.linalg import lq_norm
 
 
 def t2_cdf(t):
@@ -174,14 +175,62 @@ def exact_l1_entry(a, b, z_from, z_to, sigma):
     return None
 
 
-# -- orthant vertices by a scan over every n-subset of the facets ------------
+# -- the l1 ball as 2^m half-spaces ------------------------------------------
 #
 # The feasible set {x : ||Ax - b||_1 <= sigma} is {x : U A x <= U b + sigma}
-# over all 2^m sign vectors U.  A vertex of its intersection with a closed
-# orthant solves n independent active constraints taken among these 2^m
-# facets and the n coordinate planes, so scanning every n-subset of the
-# combined rows finds the vertices of all orthants at once.  The library
-# scans lines instead, far fewer candidates, by a different argument.
+# over all 2^m sign vectors U.  The library never forms these facets.
+
+SIGN_MATRIX_MAX_M = 16
+SANDWICH_MAX_M = 12
+
+
+def build_sign_matrix(m: int) -> np.ndarray:
+    """All 2^m sign vectors as rows, lexicographic with +1 before -1.
+
+    The list is closed under negation: row i and row 2^m - 1 - i are
+    opposite.
+    """
+    if m > SIGN_MATRIX_MAX_M:
+        raise TooLarge(f"2^{m} sign vectors is beyond the oracle's reach")
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    rows = np.array(list(product((1.0, -1.0), repeat=m)))
+    rows.flags.writeable = False
+    return rows
+
+
+def l1_ball_halfspaces(inst):
+    """(A_tilde, b_tilde) with {||Ax-b||_1 <= sigma} = {A_tilde x <= b_tilde}."""
+    u = build_sign_matrix(inst.m)
+    return u @ inst.a, u @ inst.b + inst.sigma
+
+
+def residual_sandwich_check(inst, x):
+    """Two-sided bound of the constraint violation by the facet excesses.
+
+    Returns (lhs, mid, rhs, holds) with
+    lhs = 2^(1-m) ||(A_tilde x - b_tilde)_+||_1 <= (||Ax-b||_1 - sigma)_+
+    <= ||(A_tilde x - b_tilde)_+||_1 = rhs.
+    """
+    if inst.m > SANDWICH_MAX_M:
+        raise TooLarge(f"sandwich check capped at m <= {SANDWICH_MAX_M}")
+    at, bt = l1_ball_halfspaces(inst)
+    excess = np.maximum(at @ np.asarray(x, dtype=np.float64) - bt, 0.0)
+    rhs = float(excess.sum())
+    lhs = float(2.0 ** (1 - inst.m) * rhs)
+    mid = max(lq_norm(inst.residual(x), 1.0) - inst.sigma, 0.0)
+    slack = 1e-10 * (1.0 + rhs + mid)
+    holds = (lhs <= mid + slack) and (mid <= rhs + slack)
+    return lhs, mid, rhs, bool(holds)
+
+
+# -- orthant vertices by a scan over every n-subset of the facets ------------
+#
+# A vertex of the ball's intersection with a closed orthant solves n
+# independent active constraints taken among the 2^m facets and the n
+# coordinate planes, so scanning every n-subset of the combined rows finds
+# the vertices of all orthants at once.  The library scans lines instead,
+# far fewer candidates, by a different argument.
 
 
 def _dedup_close(points, tol):
@@ -202,7 +251,7 @@ def facet_subset_vertices(a, b, sigma):
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     m, n = a.shape
-    u = np.array(list(product((1.0, -1.0), repeat=m)))
+    u = build_sign_matrix(m)
     at, bt = u @ a, u @ b + sigma
     rows = np.vstack([at, np.eye(n)])
     rhs = np.concatenate([bt, np.zeros(n)])

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from refs import grid_prox
+from refs import grid_prox, residual_sandwich_check
 from sparselp import (
     GenSpec,
     ProblemInstance,
@@ -19,7 +19,6 @@ from sparselp import (
     gen_instance,
     is_l0_optimal,
     kkt_property_report,
-    residual_sandwich_check,
     solve_exact_l0,
     solve_exact_lp_quasinorm,
     solve_l1,

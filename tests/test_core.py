@@ -1,14 +1,19 @@
+import dataclasses
 import json
+import pickle
 
 import numpy as np
 import pytest
 
 from sparselp import (
     DimensionMismatch,
+    GenSpec,
     NonFinite,
     ParseError,
     ProblemInstance,
     TrivialInstance,
+    gen_matched_pair,
+    least_squares_min_norm,
     read_instance,
     replace_p,
     support_indices,
@@ -166,8 +171,64 @@ def test_replace_p():
     other = replace_p(inst, 0.3)
     assert other.p == 0.3
     assert inst.p == 0.5
+    assert other.sigma == inst.sigma
+    # shared, not copied: A, b and what is derived from them
+    assert other.a is inst.a and other.b is inst.b
+    assert other.col_norms is inst.col_norms
+    assert other.anchor is inst.anchor
+
+
+def test_instance_copies_the_callers_arrays():
+    a = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, -1.0]])
+    b = np.array([1.0, 2.0])
+    inst = make_inst(a=a, b=b)
+    a[0, 0], b[0] = 9.0, 9.0
+    assert inst.a[0, 0] == 1.0 and inst.b[0] == 1.0
+
+
+def test_anchor_is_the_read_only_least_squares_point():
+    inst = make_inst()
+    np.testing.assert_array_equal(inst.anchor, least_squares_min_norm(inst.a, inst.b))
+    assert not inst.anchor.flags.writeable
+    assert not inst.col_norms.flags.writeable
+    with pytest.raises(ValueError):
+        inst.anchor[0] = 9.0
+
+
+def test_equality_and_hash_are_by_identity():
+    inst1, inst2, _, _ = gen_matched_pair(GenSpec(m=4, n=6, s=2, delta=1e-2, seed=0))
+    assert inst1 == inst1 and not inst1 == inst2 and inst1 != inst2
+    assert hash(inst1) == hash(inst1)
+    table = {inst1: "l1", inst2: "l2"}
+    assert table[inst1] == "l1" and table[inst2] == "l2"
+    assert replace_p(inst1, 0.5) not in table
+
+
+def test_pickle_keeps_arrays_read_only():
+    inst = make_inst()
+    for cached in (False, True):
+        if cached:
+            _ = inst.anchor, inst.col_norms  # computed before pickling
+        back = pickle.loads(pickle.dumps(inst))
+        assert (back.m, back.n, back.sigma, back.p) == (inst.m, inst.n, inst.sigma, inst.p)
+        for name in ("a", "b", "anchor", "col_norms"):
+            arr = getattr(back, name)
+            np.testing.assert_array_equal(arr, getattr(inst, name))
+            assert not arr.flags.writeable, name
+        # the round trip keeps one record under the instance
+        assert replace_p(back, 0.3).a is back.a
+
+
+def test_dataclasses_replace_builds_a_checked_record():
+    inst = make_inst()
+    with pytest.raises(NonFinite):
+        dataclasses.replace(inst, sigma=-1.0)
+    with pytest.raises(NonFinite):
+        dataclasses.replace(inst, sigma=np.nan)
+    other = dataclasses.replace(inst, sigma=0.25)
+    assert other.sigma == 0.25 and other.a is not inst.a
     np.testing.assert_array_equal(other.a, inst.a)
-    np.testing.assert_array_equal(other.b, inst.b)
+    assert not other.a.flags.writeable
 
 
 def test_read_rejects_nonfinite(tmp_path):

@@ -54,8 +54,8 @@ def test_l2_sigma_variant():
 def test_matched_pair_shares_the_draw():
     spec = GenSpec(m=20, n=50, s=5, delta=1e-2, noise="t2", seed=11)
     inst1, inst2, x_hat, xi = gen_matched_pair(spec)
-    np.testing.assert_array_equal(inst1.a, inst2.a)
-    np.testing.assert_array_equal(inst1.b, inst2.b)
+    # one matrix record: the arrays themselves are shared, not copies
+    assert inst2.a is inst1.a and inst2.b is inst1.b
     assert inst1.sigma == spec.delta * lq_norm(xi, 1.0)
     assert inst2.sigma == spec.delta * lq_norm(xi, 2.0)
     assert inst1.sigma >= inst2.sigma  # l1 dominates l2

@@ -4,7 +4,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from refs import exact_l1_fit, facet_subset_vertices
+from refs import (
+    build_sign_matrix,
+    exact_l1_fit,
+    facet_subset_vertices,
+    l1_ball_halfspaces,
+    residual_sandwich_check,
+)
 from sparselp import (
     GenSpec,
     NotFeasible,
@@ -13,12 +19,9 @@ from sparselp import (
     TrivialInstance,
     all_orthant_vertices,
     boundary_scaling_alpha,
-    build_sign_matrix,
     estimate_p_star,
     gen_instance,
     is_l0_optimal,
-    l1_ball_halfspaces,
-    residual_sandwich_check,
     solve_exact_l0,
     solve_exact_lp_quasinorm,
 )

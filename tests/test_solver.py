@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+import sparselp.core
 import sparselp.npg
 import sparselp.solver
 from conftest import recorded_trials
@@ -290,6 +291,46 @@ def test_seed_matches_default_anchor(desk_instance):
     rep_b = solve_l1(inst, seed_x=seed)
     np.testing.assert_array_equal(rep_a.x_star, rep_b.x_star)
     assert rep_a.outer_iters == rep_b.outer_iters
+
+
+def test_one_anchor_per_matched_pair(monkeypatch):
+    # the three solves of one draw (l1 at two exponents, l2) compute the
+    # least-squares anchor on the full A once; the finish's calls take A_J
+    inst1, inst2, _, _ = gen_matched_pair(GenSpec(m=20, n=60, s=3, delta=1e-3, seed=0))
+    full = []
+
+    def counted(module):
+        lstsq = module.least_squares_min_norm
+
+        def wrapper(a, b):
+            full.append(np.shape(a) == (inst1.m, inst1.n))
+            return lstsq(a, b)
+
+        monkeypatch.setattr(module, "least_squares_min_norm", wrapper)
+
+    counted(sparselp.core)
+    counted(sparselp.solver)
+    reports = [solve_l1(replace_p(inst1, 0.5)), solve_l1(replace_p(inst1, 0.1)),
+               solve_l2(replace_p(inst2, 0.5))]
+    assert sum(full) == 1
+    assert all(rep.stop_reason == "converged" for rep in reports)
+
+
+def test_shared_record_solves_like_a_fresh_instance():
+    # a solve that reuses a cached anchor repeats the solve of an instance
+    # built from copies of the same data, bit for bit
+    inst1, inst2, _, _ = gen_matched_pair(GenSpec(m=20, n=60, s=3, delta=1e-3, seed=0))
+    shared = [(solve_l1, replace_p(inst1, 0.5)), (solve_l1, replace_p(inst1, 0.1)),
+              (solve_l2, replace_p(inst2, 0.5))]
+    for solve, inst in shared + shared:
+        fresh = ProblemInstance(inst.m, inst.n, np.array(inst.a), np.array(inst.b),
+                                inst.sigma, inst.p)
+        rep, ref = solve(inst), solve(fresh)
+        assert rep.x_star.tobytes() == ref.x_star.tobytes()
+        # repr tells apart every two floats and matches nan with nan
+        assert repr(rep.trace) == repr(ref.trace)
+        assert (rep.walk_steps, rep.walk_drops, rep.stop_reason) == (
+            ref.walk_steps, ref.walk_drops, ref.stop_reason)
 
 
 def test_one_residual_product_per_trial(monkeypatch):
