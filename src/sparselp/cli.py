@@ -20,7 +20,7 @@ import numpy as np
 
 from . import experiments
 from .core import read_instance, replace_p, write_instance
-from .errors import InvalidParam, SparselpError, TooLarge
+from .errors import EmptySupport, InvalidParam, SparselpError, TooLarge
 from .gen import GenSpec, gen_instance
 from .oracle import (
     all_orthant_vertices,
@@ -30,7 +30,7 @@ from .oracle import (
     solve_exact_lp_quasinorm,
 )
 from .solver import solve_l1, solve_l2
-from .verify import _checks_and_report, all_checks_pass, kkt_property_report
+from .verify import all_checks_pass, certify
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -153,16 +153,11 @@ def cmd_verify(args) -> int:
     inst = read_instance(args.instance)
     p = args.p if args.p is not None else inst.p
     x = _load_vector(args.x)
-    checks, report = _checks_and_report(inst, x, p, float(args.q), args.tol)
-    if report is None:  # the checks stopped at feasibility
-        try:
-            report = kkt_property_report(inst, x, q=float(args.q), feas_tol=args.tol)
-        except SparselpError as exc:
-            report = exc
+    checks, report = certify(inst, x, p, float(args.q), args.tol)
     payload = {
         "checks": [c.to_dict() for c in checks],
         "all_pass": all_checks_pass(checks),
-        "report": {"error": str(report)} if isinstance(report, SparselpError) else report.to_dict(),
+        "report": {"error": str(report)} if isinstance(report, EmptySupport) else report.to_dict(),
     }
     _emit(payload, args)
     return EXIT_OK if payload["all_pass"] else EXIT_RUNTIME

@@ -26,7 +26,6 @@ import numpy as np
 from .core import replace_p
 from .errors import InvalidParam, SparselpError
 from .gen import GenSpec, gen_matched_pair
-from .linalg import lq_norm
 from .smoothing import smoothed_abs, smoothed_plus
 from .solver import solve_l1, solve_l2
 from .verify import kkt_property_report
@@ -112,7 +111,6 @@ def run_cell(cell: Cell) -> RunRecord:
         report = solve(replace_p(inst, p))
         x = report.x_star
         props = kkt_property_report(inst, x, q=q)
-        feas = max(lq_norm(inst.residual(x), q) - inst.sigma, 0.0)
         recerr = float(np.linalg.norm(x - x_hat)) / float(np.linalg.norm(x_hat))
     except SparselpError as exc:
         return RunRecord(
@@ -122,7 +120,7 @@ def run_cell(cell: Cell) -> RunRecord:
         )
     return RunRecord(
         **head, nnz=props.nnz, rank_aj=props.rank_aj, err1=props.err1, err2=props.err2,
-        feas=float(feas), recerr=recerr, outer_iters=report.outer_iters,
+        feas=report.eta3, recerr=recerr, outer_iters=report.outer_iters,
         inner_iters=report.inner_iters_total, wall_time=report.wall_time,
         stop_reason=report.stop_reason,
     )

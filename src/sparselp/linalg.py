@@ -8,8 +8,8 @@ import numpy as np
 
 from .errors import InvalidNorm
 
-# numerical_rank treats singular values below rel_tol * s_max as zero;
-# the default scales with the larger matrix dimension
+# numerical_rank treats singular values below
+# RANK_REL_TOL_FACTOR * max(m, n) * s_max as zero
 RANK_REL_TOL_FACTOR = 1e-10
 
 
@@ -86,20 +86,16 @@ def least_squares_min_norm(a, b) -> np.ndarray:
     return x
 
 
-def numerical_rank(mat, rel_tol: float | None = None) -> int:
-    """Rank by counting singular values above rel_tol * s_max.
-
-    The default tolerance is RANK_REL_TOL_FACTOR * max(m, n).
-    """
+def numerical_rank(mat) -> int:
+    """Rank by counting singular values above
+    RANK_REL_TOL_FACTOR * max(m, n) * s_max."""
     mat = np.atleast_2d(np.asarray(mat, dtype=np.float64))
     if mat.size == 0:
         return 0
-    if rel_tol is None:
-        rel_tol = RANK_REL_TOL_FACTOR * max(mat.shape)
     sv = np.linalg.svd(mat, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
-    return int(np.count_nonzero(sv > rel_tol * sv[0]))
+    return int(np.count_nonzero(sv > RANK_REL_TOL_FACTOR * max(mat.shape) * sv[0]))
 
 
 @dataclass(frozen=True)

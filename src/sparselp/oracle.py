@@ -37,6 +37,7 @@ ENUM_MAX_N = 10
 SINGULAR_TOL = 1e-10  # least singular value floor of a unit-row system
 DEDUP_TOL = 1e-9
 FEAS_TOL = 1e-9
+MEMBER_TOL = 1e-8  # is_l0_optimal's feasibility and zero floor, relative
 
 
 @dataclass(frozen=True)
@@ -270,12 +271,12 @@ def solve_exact_l0(inst: ProblemInstance, vertices=None) -> ExactSolutionSet:
     raise NotFeasible("no support admits a feasible point; data is inconsistent")
 
 
-def is_l0_optimal(inst: ProblemInstance, x, sparsest_k: int, tol: float = 1e-8) -> bool:
+def is_l0_optimal(inst: ProblemInstance, x, sparsest_k: int) -> bool:
     """Membership test for the sparsest-solution set: feasible and exactly
-    sparsest_k nonzeros (counted above a relative floor)."""
+    sparsest_k nonzeros, both to MEMBER_TOL relative."""
     x = np.asarray(x, dtype=np.float64)
-    feasible = lq_norm(inst.residual(x), 1.0) <= inst.sigma + tol * (1.0 + inst.sigma)
-    zero_tol = tol * (1.0 + np.max(np.abs(x), initial=0.0))
+    feasible = lq_norm(inst.residual(x), 1.0) <= inst.sigma + MEMBER_TOL * (1.0 + inst.sigma)
+    zero_tol = MEMBER_TOL * (1.0 + np.max(np.abs(x), initial=0.0))
     nnz = int(np.count_nonzero(np.abs(x) > zero_tol))
     return bool(feasible and nnz == sparsest_k)
 

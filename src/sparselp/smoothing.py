@@ -26,8 +26,7 @@ value_and_grad_parts(r) returns the value with the pieces (coef, u) of the
 gradient, whose residual-space form is coef * u and whose x-space form is
 coef * A^T u.  The caller computes r once per point and makes the products
 with A itself: the inner loop multiplies coef * u by the columns of its
-working set only (see npg.py).  value_and_grad(r) is the x-space gradient
-built from the same pieces with the full A^T product.
+working set only (see npg.py).
 
 The inner loop evaluates the penalty once per line-search trial, and at
 the desk size that cost is numpy call overhead, not arithmetic.  So the
@@ -117,10 +116,3 @@ class SmoothedPenalty:
         if self.q == 1.0:
             return self.lam * val, outer, _smoothed_abs_deriv(r, self.nu)
         return self.lam * val, outer * 2.0, r
-
-    def value_and_grad(self, r):
-        """(value, x-space gradient); an exact zero vector when coef is 0."""
-        val, coef, u = self.value_and_grad_parts(r)
-        if coef == 0.0:
-            return val, np.zeros(self.inst.n)
-        return val, coef * (self.inst.a.T @ u)

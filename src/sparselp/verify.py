@@ -16,6 +16,15 @@ This module computes those quantities for any point and packages them as a
 report plus a pass/fail check list.  err1 is the distance by which the
 infinity norm escapes the sandwich (0 when inside); err2 is the signed
 boundary gap sigma - ||Ax-b||_q.
+
+certify judges a point once: it builds the report first, also for an
+infeasible point, and every check reads it, feasibility included, so the
+residual is formed once.  All checks use one tolerance and one rule,
+excess <= tol, which the report's feasible flag shares; at p = 0 a point on
+the boundary, or outside it within tol, needs no scaling.  x = 0 has no
+report (kkt_property_report raises EmptySupport, returned in its place), and
+an instance with ||b||_q <= sigma is refused whatever the point.
+optimal_point_checks is certify without the report.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ProblemInstance, support_indices, validate_instance
-from .errors import EmptySupport, NotFeasible
+from .errors import EmptySupport
 from .linalg import gram_extremes, lq_norm, numerical_rank
 from .oracle import boundary_scaling_alpha
 
@@ -92,7 +101,7 @@ def kkt_property_report(
     err1 = max(inf_norm - upper, lower - inf_norm, 0.0)
     resid_q = lq_norm(inst.residual(x), q)
     err2 = inst.sigma - resid_q
-    feasible = max(resid_q - inst.sigma, 0.0) < feas_tol
+    feasible = max(resid_q - inst.sigma, 0.0) <= feas_tol
     return KktPropertyReport(
         nnz=nnz,
         rank_aj=rank_aj,
@@ -139,57 +148,57 @@ def optimal_point_checks(
     only mislead.  p = 0 swaps the boundary check for the scaled-boundary
     one (alpha in (0,1] with ||A(alpha x)-b||_q = sigma).
     """
-    return _checks_and_report(inst, x, p, q, tol)[0]
+    return certify(inst, x, p, q, tol)[0]
 
 
-def _checks_and_report(inst: ProblemInstance, x, p: float, q: float, tol: float):
-    """optimal_point_checks and the property report they read.
+def certify(inst: ProblemInstance, x, p: float, q: float = 1.0, tol: float = DEFAULT_TOL):
+    """(optimal_point_checks, the property report they read) at x.
 
-    The report is None when the checks stop at feasibility, which builds
-    none; for x = 0 the EmptySupport raised in its place stands in for it.
+    The report is built first, once, also for an infeasible point, and
+    every check reads it; for x = 0 the EmptySupport raised in its place
+    is returned instead, and fails the checks that need a report.  Raises
+    TrivialInstance when ||b||_q <= sigma, whatever x.
     """
     x = np.asarray(x, dtype=np.float64)
-    checks: list[CheckResult] = []
-    resid_q = lq_norm(inst.residual(x), q)
-    eta3 = max(resid_q - inst.sigma, 0.0)
-    feas_ok = eta3 <= tol
-    checks.append(
-        CheckResult(
-            name="feasible",
-            passed=feas_ok,
-            slack=float(tol - eta3),
-            detail=f"||Ax-b||_{q:g} - sigma = {resid_q - inst.sigma:.3e}",
-        )
-    )
-    if not feas_ok:
-        return checks, None
-
-    # one report serves the boundary, support-rank and sandwich checks; x = 0
-    # has none, which fails the checks that need it instead of raising
     try:
         report = kkt_property_report(inst, x, q=q, feas_tol=tol)
+        excess = 0.0 - report.err2  # ||Ax-b||_q - sigma; 0.0 - keeps a zero positive
     except EmptySupport as exc:
         report = exc
-    no_support = isinstance(report, EmptySupport)
+        excess = lq_norm(inst.b, q) - inst.sigma  # x = 0: the residual is -b
+    eta3 = max(excess, 0.0)
+    feasible = eta3 <= tol  # False also for a NaN residual
+    checks = [
+        CheckResult(
+            name="feasible",
+            passed=feasible,
+            slack=float(tol - eta3),
+            detail=f"||Ax-b||_{q:g} - sigma = {excess:.3e}",
+        )
+    ]
+    if not feasible:
+        return checks, report
+    if isinstance(report, EmptySupport):
+        boundary = "boundary_scaling" if p == 0.0 else "boundary"
+        for name in (boundary, "support_rank"):
+            checks.append(CheckResult(name=name, passed=False, slack=-np.inf, detail=str(report)))
+        return checks, report
 
     if p == 0.0:
-        try:
+        # a point on the boundary, or outside it within tol, needs no scaling
+        if excess >= 0.0:
+            alpha, gap = 1.0, excess
+        else:
             alpha = boundary_scaling_alpha(inst, x, q)
             gap = lq_norm(inst.residual(alpha * x), q) - inst.sigma
-            checks.append(
-                CheckResult(
-                    name="boundary_scaling",
-                    passed=abs(gap) <= tol,
-                    slack=float(tol - abs(gap)),
-                    detail=f"alpha = {alpha:.12g}, boundary gap {gap:.3e}",
-                )
+        checks.append(
+            CheckResult(
+                name="boundary_scaling",
+                passed=abs(gap) <= tol,
+                slack=float(tol - abs(gap)),
+                detail=f"alpha = {alpha:.12g}, boundary gap {gap:.3e}",
             )
-        except NotFeasible as exc:
-            checks.append(
-                CheckResult(name="boundary_scaling", passed=False, slack=-np.inf, detail=str(exc))
-            )
-    elif no_support:
-        checks.append(CheckResult(name="boundary", passed=False, slack=-np.inf, detail=str(report)))
+        )
     else:
         checks.append(
             CheckResult(
@@ -199,12 +208,6 @@ def _checks_and_report(inst: ProblemInstance, x, p: float, q: float, tol: float)
                 detail=f"err2 = {report.err2:.3e}",
             )
         )
-
-    if no_support:
-        checks.append(
-            CheckResult(name="support_rank", passed=False, slack=-np.inf, detail=str(report))
-        )
-        return checks, report
     checks.append(
         CheckResult(
             name="support_rank",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sparselp.npg
+import sparselp.verify
 from sparselp import (
     GenSpec,
     ProblemInstance,
@@ -128,3 +129,31 @@ def accepted_steps(rows):
     return [
         row for i, row in enumerate(rows) if i + 1 == len(rows) or rows[i + 1][0] is not row[0]
     ]
+
+
+def penalty_value_and_grad(pen, r):
+    """(value, x-space gradient coef * A^T u) of a penalty at the residual r,
+    formed from its value_and_grad_parts; an exact zero vector when coef is 0."""
+    val, coef, u = pen.value_and_grad_parts(r)
+    if coef == 0.0:
+        return val, np.zeros(pen.inst.n)
+    return val, coef * (pen.inst.a.T @ u)
+
+
+@pytest.fixture
+def verify_calls(monkeypatch):
+    """Counts of property reports built and residual products made."""
+    calls = {"reports": 0, "residuals": 0}
+    report, residual = sparselp.verify.kkt_property_report, ProblemInstance.residual
+
+    def counting_report(*args, **kwargs):
+        calls["reports"] += 1
+        return report(*args, **kwargs)
+
+    def counting_residual(self, x):
+        calls["residuals"] += 1
+        return residual(self, x)
+
+    monkeypatch.setattr(sparselp.verify, "kkt_property_report", counting_report)
+    monkeypatch.setattr(ProblemInstance, "residual", counting_residual)
+    return calls

@@ -28,7 +28,13 @@ from sparselp.linalg import lq_norm
 from sparselp.npg import npg_solve
 from sparselp.prox import prox_vector
 from sparselp.smoothing import SmoothedPenalty, lp_power_sum, smoothed_abs, smoothed_plus
-from conftest import GOLDEN_VERTEX_SET, TINY_SPECS, accepted_steps, recorded_trials
+from conftest import (
+    GOLDEN_VERTEX_SET,
+    TINY_SPECS,
+    accepted_steps,
+    penalty_value_and_grad,
+    recorded_trials,
+)
 
 
 def _verdict(name, ok, detail):
@@ -257,7 +263,7 @@ def _gradient_worst_rel(rng):
         )
         for _ in range(100):
             x = rng.standard_normal(n)
-            _, grad = pen.value_and_grad(inst.residual(x))
+            _, grad = penalty_value_and_grad(pen, inst.residual(x))
             j = int(rng.integers(n))
             e = np.zeros(n)
             e[j] = h

@@ -4,9 +4,7 @@ import json
 import numpy as np
 import pytest
 
-import sparselp.cli
 import sparselp.oracle
-import sparselp.verify
 from sparselp import OuterRecord, ProblemInstance, read_instance, write_instance
 from sparselp.cli import main
 
@@ -125,27 +123,27 @@ def test_verify_rejects_bad_point(tmp_path, capsys, golden):
     assert json.loads(out)["all_pass"] is False
 
 
-@pytest.mark.parametrize("x, all_pass", [([2.5, 0.0, 0.0], True), ([9.0, 0.0, 0.0], False)])
-def test_verify_builds_one_report(tmp_path, capsys, golden, monkeypatch, x, all_pass):
-    # feasible points reuse the checks' report; infeasible ones stop the
-    # checks at feasibility, so the command builds the report itself
-    calls = []
-    real = sparselp.verify.kkt_property_report
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(sparselp.verify, "kkt_property_report", counting)
-    monkeypatch.setattr(sparselp.cli, "kkt_property_report", counting)
+@pytest.mark.parametrize(
+    "x, all_pass", [([2.5, 0.0, 0.0], True), ([9.0, 0.0, 0.0], False), ([0.0, 0.0, 0.0], False)]
+)
+def test_verify_builds_one_report(tmp_path, capsys, golden, verify_calls, x, all_pass):
+    # the checks and the printed report come from one report, also for an
+    # infeasible point; x = 0, feasible at --tol 10, has none, and its
+    # residual is -b, so it makes no product
+    tol, residuals = ("1e-8", 1) if any(x) else ("10", 0)
     inst_path = golden_file(tmp_path, golden)
     x_path = tmp_path / "x.json"
     x_path.write_text(json.dumps({"x": x}))
-    code, out, _ = run(capsys, "verify", "--instance", inst_path, "--x", str(x_path))
+    code, out, _ = run(
+        capsys, "verify", "--instance", inst_path, "--x", str(x_path), "--p", "0.5", "--tol", tol,
+    )
     payload = json.loads(out)
     assert payload["all_pass"] is all_pass
-    assert payload["report"]["inf_norm"] == x[0]
-    assert len(calls) == 1
+    if any(x):
+        assert payload["report"]["inf_norm"] == x[0]
+    else:
+        assert "no support" in payload["report"]["error"]
+    assert verify_calls == {"reports": 1, "residuals": residuals}
 
 
 def test_solve_trace_and_seed_start(tmp_path, capsys, golden):
@@ -223,12 +221,16 @@ def test_oracle_p_star_rejects_trivial_instance(tmp_path, capsys, golden):
     # file as solve and verify do
     inst_path = tmp_path / "trivial.json"
     write_instance(dataclasses.replace(golden, sigma=6.0), inst_path)
-    x_path = tmp_path / "x.json"
-    x_path.write_text(json.dumps({"x": [0.0, 0.0, 0.0]}))
+    x_paths = []
+    # x = 0 and a boundary point are feasible, [9, 0, 0] is not: verify
+    # refuses the file whatever the point
+    for i, x in enumerate(([0.0, 0.0, 0.0], [2.5, 0.0, 0.0], [9.0, 0.0, 0.0])):
+        x_paths.append(tmp_path / f"x{i}.json")
+        x_paths[-1].write_text(json.dumps({"x": x}))
     for argv in (
         ["oracle", "--p", "0.5", "--p-star"],
         ["solve", "--p", "0.5"],
-        ["verify", "--x", str(x_path)],
+        *(["verify", "--x", str(path)] for path in x_paths),
     ):
         code, out, err = run(capsys, *argv, "--instance", str(inst_path))
         assert (code, out) == (1, "")

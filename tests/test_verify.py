@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-import sparselp.verify
 from sparselp import (
     EmptySupport,
     all_checks_pass,
     kkt_property_report,
+    lq_norm,
     optimal_point_checks,
 )
+from sparselp.verify import certify
 
 
 def test_report_golden_minimizer(golden):
@@ -82,10 +83,13 @@ def test_checks_interior_point_fails_boundary(golden):
 
 
 def test_checks_infeasible_short_circuits(golden):
-    checks = optimal_point_checks(golden, np.array([9.0, 0.0, 0.0]), p=0.5)
+    checks, report = certify(golden, np.array([9.0, 0.0, 0.0]), p=0.5)
     assert len(checks) == 1
     assert checks[0].name == "feasible" and not checks[0].passed
     assert not all_checks_pass(checks)
+    # the point still gets its report
+    assert report == kkt_property_report(golden, np.array([9.0, 0.0, 0.0]))
+    assert not report.feasible and report.err2 == -11.0
 
 
 def test_checks_support_counting_mode(golden):
@@ -115,24 +119,49 @@ def test_check_result_to_dict(golden):
     assert "sigma" in d["detail"]
 
 
-def test_checks_build_one_report(golden, monkeypatch):
-    calls = []
-    real = sparselp.verify.kkt_property_report
+def test_checks_build_one_report(golden, verify_calls):
+    # feasible, infeasible, and x = 0 under a tolerance that makes it
+    # feasible: one report each (for x = 0 the EmptySupport raised in its
+    # place) and one residual product, none for x = 0, whose residual is -b
+    for x, tol, all_pass, residuals in (
+        ([2.5, 0.0, 0.0], 1e-8, True, 1),
+        ([9.0, 0.0, 0.0], 1e-8, False, 1),
+        ([0.0, 0.0, 0.0], 10.0, False, 0),
+    ):
+        verify_calls.update(reports=0, residuals=0)
+        checks, report = certify(golden, np.array(x), 0.5, tol=tol)
+        assert all_checks_pass(checks) is all_pass
+        assert isinstance(report, EmptySupport) == (not any(x))
+        assert verify_calls == {"reports": 1, "residuals": residuals}
+        assert optimal_point_checks(golden, np.array(x), 0.5, tol=tol) == checks
+        assert verify_calls == {"reports": 2, "residuals": 2 * residuals}
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
 
-    monkeypatch.setattr(sparselp.verify, "kkt_property_report", counting)
-    checks = optimal_point_checks(golden, np.array([2.5, 0.0, 0.0]), p=0.5)
-    assert all_checks_pass(checks)
-    assert len(calls) == 1
+def test_report_and_checks_share_the_feasibility_rule(golden):
+    # a point outside the ball by exactly tol is feasible to both
+    x = np.array([2.4, 0.0, 0.0])
+    tol = lq_norm(golden.residual(x), 1.0) - golden.sigma
+    checks, report = certify(golden, x, 0.5, tol=tol)
+    assert checks[0].passed and checks[0].slack == 0.0
+    assert report.feasible
+
+
+def test_support_counting_mode_accepts_points_outside_within_tol(golden):
+    # 5e-9 outside the ball: feasible at the default 1e-8, so the boundary
+    # holds without scaling at p = 0 as it does at p = 0.5
+    x = np.array([2.5 - 2.5e-9, 0.0, 0.0])
+    for p in (0.5, 0.0):
+        checks = optimal_point_checks(golden, x, p)
+        assert all_checks_pass(checks), [c.detail for c in checks]
+    assert checks[1].detail == "alpha = 1, boundary gap 5.000e-09"
 
 
 def test_checks_zero_point_fails_instead_of_raising(golden):
     # a tolerance loose enough that x = 0 counts as feasible (||b||_1 - sigma = 5)
-    checks = optimal_point_checks(golden, np.zeros(3), p=0.5, tol=10.0)
-    assert [c.name for c in checks] == ["feasible", "boundary", "support_rank"]
-    assert checks[0].passed
-    assert not checks[1].passed and not checks[2].passed
-    assert not all_checks_pass(checks)
+    for p, boundary in ((0.5, "boundary"), (0.0, "boundary_scaling")):
+        checks = optimal_point_checks(golden, np.zeros(3), p=p, tol=10.0)
+        assert [c.name for c in checks] == ["feasible", boundary, "support_rank"]
+        assert checks[0].passed
+        assert not checks[1].passed and not checks[2].passed
+        assert "no support" in checks[1].detail
+        assert not all_checks_pass(checks)
