@@ -38,7 +38,6 @@ from .oracle import (
     ExactSolutionSet,
     PStarEstimate,
     all_orthant_vertices,
-    boundary_scaling_alpha,
     estimate_p_star,
     is_l0_optimal,
     solve_exact_l0,

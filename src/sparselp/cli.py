@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import experiments
 from .core import read_instance, replace_p, write_instance
-from .errors import EmptySupport, InvalidParam, SparselpError, TooLarge
+from .errors import EmptySupport, InvalidParam, ParseError, SparselpError, TooLarge
 from .gen import GenSpec, gen_instance
 from .oracle import (
     all_orthant_vertices,
@@ -62,19 +63,20 @@ def _solver_exponent(text: str) -> float:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type for counts (--seeds, --trials, --s-step, --count): an integer >= 1."""
+    """argparse type for sizes (--m, --n, --s) and counts (--seeds, --trials,
+    --s-step, --count): an integer >= 1."""
     n = int(text)
     if n < 1:
-        raise argparse.ArgumentTypeError(f"count must be a positive integer, got {text}")
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
     return n
 
 
-def _noise_scale(text: str) -> float:
-    """argparse type for --delta: finite and >= 0."""
-    delta = float(text)
-    if not (math.isfinite(delta) and delta >= 0.0):
-        raise argparse.ArgumentTypeError(f"noise scale must be finite and >= 0, got {text}")
-    return delta
+def _nonnegative(text: str) -> float:
+    """argparse type for --delta and verify's --tol: finite and >= 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return value
 
 
 def _smoothing_width(text: str) -> float:
@@ -103,13 +105,17 @@ def _write_rows(header, rows, args) -> None:
 
 
 def _load_vector(path) -> np.ndarray:
-    with open(path) as fh:
-        raw = json.load(fh)
-    if isinstance(raw, dict):
-        raw = raw.get("x", raw.get("x_star"))
-        if raw is None:
-            raise SparselpError(f"{path}: no 'x' or 'x_star' field")
-    return np.asarray(raw, dtype=np.float64)
+    """The point in a JSON file: a list, or an object's 'x' or 'x_star' field."""
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+        if isinstance(raw, dict):
+            raw = raw.get("x", raw.get("x_star"))
+            if raw is None:
+                raise ParseError(f"{path}: no 'x' or 'x_star' field")
+        return np.asarray(raw, dtype=np.float64)
+    except (TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+        raise ParseError(f"{path}: bad vector ({exc})") from exc
 
 
 def cmd_gen(args) -> int:
@@ -169,24 +175,23 @@ def cmd_oracle(args) -> int:
     payload: dict = {"n_vertices": len(vertices)}
     if args.list_vertices:
         payload["vertices"] = [[float(v) for v in vert] for vert in vertices]
+    # the sparsest set, read off the held vertices once, on first use
+    sparsest = functools.cache(lambda: solve_exact_l0(inst, vertices=vertices))
     for p in args.p or ():
-        if p == 0.0:
-            sol = solve_exact_l0(inst, vertices=vertices)
-        else:
-            sol = solve_exact_lp_quasinorm(inst, p, vertices=vertices)
+        sol = sparsest() if p == 0.0 else solve_exact_lp_quasinorm(inst, p, vertices)
         payload.setdefault("solutions", {})[repr(p)] = {
             "optimal_value": sol.optimal_value,
             "minimizers": [[float(v) for v in x] for x in sol.minimizers],
         }
     if args.p_star or args.check_inclusion:
-        est = estimate_p_star(inst, vertices=vertices)
+        est = estimate_p_star(inst, vertices, int(sparsest().optimal_value))
         payload.update(
             {"p_star": est.p_star, "r": est.r, "r_tilde": est.r_tilde, "s": est.s}
         )
         if args.check_inclusion:
             inclusion = {}
             for p in (est.p_star / 2.0, 0.9 * est.p_star):
-                sol_p = solve_exact_lp_quasinorm(inst, p, vertices=vertices)
+                sol_p = solve_exact_lp_quasinorm(inst, p, vertices)
                 inclusion[repr(p)] = all(
                     is_l0_optimal(inst, x, est.s) for x in sol_p.minimizers
                 )
@@ -229,10 +234,10 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     sub = subs.add_parser("gen", help="generate a random instance")
-    sub.add_argument("--m", type=int, required=True)
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--s", type=int, required=True, help="planted support size")
-    sub.add_argument("--delta", type=_noise_scale, default=1e-3, help="noise scale")
+    sub.add_argument("--m", type=_positive_int, required=True)
+    sub.add_argument("--n", type=_positive_int, required=True)
+    sub.add_argument("--s", type=_positive_int, required=True, help="planted support size")
+    sub.add_argument("--delta", type=_nonnegative, default=1e-3, help="noise scale")
     sub.add_argument("--noise", choices=("gauss", "t2"), default="gauss")
     sub.add_argument("--q", type=int, choices=(1, 2), default=1, help="norm defining sigma")
     _add_common(sub)
@@ -254,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--p", type=_oracle_exponent, default=None,
                      help="exponent, 0 or in (0, 1] (default: from file)")
     sub.add_argument("--q", type=int, choices=(1, 2), default=1)
-    sub.add_argument("--tol", type=float, default=1e-8,
+    sub.add_argument("--tol", type=_nonnegative, default=1e-8,
                      help="check tolerance; a converged solve ends on a vertex (l1) or the sphere (l2) "
                           "and passes the default 1e-8")
     _add_common(sub)
@@ -274,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("table1", help="solver quality per (noise, p); CSV: noise,p,nnz,rank,err1,err2")
     sub.add_argument("--profile", choices=sorted(experiments.PROFILES), default="desk")
     sub.add_argument("--seeds", type=_positive_int, default=10)
-    sub.add_argument("--delta", type=_noise_scale, default=1e-3)
+    sub.add_argument("--delta", type=_nonnegative, default=1e-3)
     sub.add_argument("--p", type=_solver_exponent, action="append")
     sub.add_argument("--noise", choices=("gauss", "t2"), action="append")
     _add_common(sub)
@@ -291,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("table2", help="l1 solver vs l2 baseline; CSV: noise,m,n,s,delta,solver,nnz,feas,recerr,time")
     sub.add_argument("--profile", choices=sorted(experiments.PROFILES), default="desk")
     sub.add_argument("--seeds", type=_positive_int, default=10)
-    sub.add_argument("--delta", type=_noise_scale, default=1e-3)
+    sub.add_argument("--delta", type=_nonnegative, default=1e-3)
     sub.add_argument("--p", type=_solver_exponent, default=0.5)
     sub.add_argument("--noise", choices=("gauss", "t2"), action="append")
     _add_common(sub)
@@ -306,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("sparsity-vs-p", help="solution sparsity across the exponent grid; CSV: noise,p,nnz")
     sub.add_argument("--profile", choices=sorted(experiments.PROFILES), default="desk")
-    sub.add_argument("--delta", type=_noise_scale, default=1e-3)
+    sub.add_argument("--delta", type=_nonnegative, default=1e-3)
     sub.add_argument("--noise", choices=("gauss", "t2"), action="append")
     _add_common(sub)
     sub.set_defaults(
@@ -319,13 +324,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sub = subs.add_parser("success-curve", help="recovery success rate vs planted sparsity; CSV: noise,solver,p,s,trials,successes,rate")
-    sub.add_argument("--m", type=int, default=64)
-    sub.add_argument("--n", type=int, default=256)
+    sub.add_argument("--m", type=_positive_int, default=64)
+    sub.add_argument("--n", type=_positive_int, default=256)
     sub.add_argument("--s-min", type=int, default=10)
     sub.add_argument("--s-max", type=int, default=35)
     sub.add_argument("--s-step", type=_positive_int, default=5)
     sub.add_argument("--trials", type=_positive_int, default=50)
-    sub.add_argument("--delta", type=_noise_scale, default=1e-3)
+    sub.add_argument("--delta", type=_nonnegative, default=1e-3)
     sub.add_argument("--p", type=_solver_exponent, action="append")
     sub.add_argument("--noise", choices=("gauss", "t2"), action="append")
     sub.add_argument("--solver", choices=("l1", "l2"), action="append")
@@ -356,6 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "gen" and args.s > args.n:
+        parser.error(f"need --s <= --n, got {args.s}, {args.n}")
     if args.command == "success-curve" and not 1 <= args.s_min <= args.s_max <= args.n:
         parser.error(
             f"need 1 <= --s-min <= --s-max <= --n, got {args.s_min}, {args.s_max}, {args.n}"

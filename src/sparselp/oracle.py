@@ -16,8 +16,13 @@ minimal size, each orthant's piece of the ball restricted to J is pointed
 and, when nonempty, has vertices, whose supports lie inside J and so, by
 minimality, equal J.  The sparsest level is therefore the fewest nonzeros
 over the orthant vertices, found by scanning support sizes upward (see
-solve_exact_l0).  Also here: the exponent threshold estimate, the
-sparsest-solution membership test and the boundary scaling factor.
+solve_exact_l0).
+
+Every other exact answer reads the vertex set its caller holds: the power
+sum minimizers (solve_exact_lp_quasinorm) and the exponent threshold
+(estimate_p_star) take all_orthant_vertices(inst) and the sparsest level as
+arguments, so one enumeration serves them all.  is_l0_optimal tests a point
+against the sparsest level.  Checks on a single point live in verify.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import numpy as np
 
 from .core import ProblemInstance, validate_instance
 from .errors import NotFeasible, TooLarge
-from .linalg import RANK_REL_TOL_FACTOR, ball_entry, lq_norm
+from .linalg import RANK_REL_TOL_FACTOR, lq_norm
 
 ENUM_MAX_M = 8
 ENUM_MAX_N = 10
@@ -218,17 +223,16 @@ def all_orthant_vertices(inst: ProblemInstance):
     return tuple(_freeze(_stack(found, inst.n)))  # read-only rows of one array
 
 
-def solve_exact_lp_quasinorm(inst: ProblemInstance, p: float, vertices=None) -> ExactSolutionSet:
+def solve_exact_lp_quasinorm(inst: ProblemInstance, p: float, vertices) -> ExactSolutionSet:
     """Exact solution set of min sum |x_i|^p over the ball, 0 < p <= 1.
 
-    Minimizes the power sum over the union of orthant extreme points, which
-    contains a global minimizer for every such p; ties within a relative
-    1e-9 of the best value are all returned.
+    Minimizes the power sum over vertices, all_orthant_vertices(inst), the
+    union of orthant extreme points, which contains a global minimizer for
+    every such p; ties within a relative 1e-9 of the best value are all
+    returned.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"this solver handles 0 < p <= 1, got {p}")
-    if vertices is None:
-        vertices = all_orthant_vertices(inst)
     if not vertices:
         raise NotFeasible("no extreme points found; is the instance feasible?")
     values = (np.abs(_stack(vertices, inst.n)) ** p).sum(axis=1)
@@ -289,29 +293,22 @@ class PStarEstimate:
     s: int
 
 
-def estimate_p_star(inst: ProblemInstance, vertices=None, sparsest_k: int | None = None) -> PStarEstimate:
+def estimate_p_star(inst: ProblemInstance, vertices, sparsest_k: int) -> PStarEstimate:
     """Exponent threshold below which every power-sum minimizer is sparsest.
 
     r bounds the 2-norm of any feasible point of minimal support through
     the smallest nonzero eigenvalue of A'A; r_tilde is the smallest nonzero
-    coordinate magnitude over all orthant extreme points.  The threshold is
-    min{1, ln(1 + 1/s) / ln(r / r_tilde)}, and 1 when r equals r_tilde.
-    s is sparsest_k, by default the fewest nonzeros over the vertices,
-    which is the sparsest level (see solve_exact_l0).  Raises
-    TrivialInstance when ||b||_1 <= sigma: the origin is then feasible and
-    the bound says nothing.
+    coordinate magnitude over vertices, all_orthant_vertices(inst), whose
+    zeros are exact.  The threshold is min{1, ln(1 + 1/s) / ln(r / r_tilde)},
+    and 1 when r equals r_tilde; s is sparsest_k, the sparsest level (see
+    solve_exact_l0).  Raises TrivialInstance when ||b||_1 <= sigma: the
+    origin is then feasible and the bound says nothing.
     """
     validate_instance(inst, 1.0)
-    if vertices is None:
-        vertices = all_orthant_vertices(inst)
     mags = np.abs(_stack(vertices, inst.n))
-    zero_tol = DEDUP_TOL * (1.0 + mags.max(axis=1, initial=0.0))
-    nonzero = mags > zero_tol[:, None]
-    r_tilde = float(np.min(mags, where=nonzero, initial=np.inf))
+    r_tilde = float(np.min(mags, where=mags > 0.0, initial=np.inf))
     if not np.isfinite(r_tilde):
         raise NotFeasible("no nonzero vertex coordinates; instance is degenerate")
-    if sparsest_k is None:
-        sparsest_k = int(np.count_nonzero(nonzero, axis=1).min())
     sv = np.linalg.svd(inst.a, compute_uv=False)
     pos = sv[sv > RANK_REL_TOL_FACTOR * max(inst.m, inst.n) * sv[0]]
     lam_star = float(pos[-1] ** 2)
@@ -323,23 +320,3 @@ def estimate_p_star(inst: ProblemInstance, vertices=None, sparsest_k: int | None
         p_star = min(1.0, float(np.log((s + 1) / s) / np.log(r / r_tilde)))
     return PStarEstimate(p_star=p_star, r=float(r), r_tilde=float(r_tilde), s=int(sparsest_k))
 
-
-def boundary_scaling_alpha(inst: ProblemInstance, x, q: float = 1.0) -> float:
-    """Scale factor alpha in (0, 1] with ||A(alpha x) - b||_q = sigma.
-
-    Exists for any feasible x because the residual norm exceeds sigma at
-    alpha = 0 (blanket assumption, checked first: TrivialInstance) and is
-    <= sigma at alpha = 1.  It is the entry of the segment from 0 to x into
-    the ball (linalg.ball_entry), so alpha x is inside in floating point; x
-    on the boundary, or outside it by at most 1e-10, gets alpha = 1.
-    """
-    validate_instance(inst, q)
-    x = np.asarray(x, dtype=np.float64)
-    g1 = lq_norm(inst.residual(x), q) - inst.sigma
-    if g1 > 1e-10:
-        raise NotFeasible(f"x violates the ball: ||Ax-b||_{q} - sigma = {g1}")
-    if g1 >= 0.0:
-        return 1.0
-    alpha = ball_entry(inst.a, inst.b, np.zeros_like(x), x, inst.sigma, q)
-    # x is inside, so an entry past it, or a miss at roundoff level, is 1
-    return 1.0 if alpha is None else min(alpha, 1.0)

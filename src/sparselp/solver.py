@@ -32,11 +32,12 @@ at its default tolerance (1e-8), and "stationary_uncertified" when the loop
 met its tolerance but the point fails a check.
 
 The feasible anchor is the minimum-norm least-squares point (or a caller
-seed).  It is ProblemInstance.anchor, computed once per matrix record, so
-a second solve of the same draw (another p, or the matched pair's other
-ball) reuses it.  Its computation, when this solve makes it, and its
-residual are reported as the setup time and excluded from the reported
-wall time, which covers the loop and the finish.  The residual of the
+seed of shape (n,); another shape raises DimensionMismatch).  It is
+ProblemInstance.anchor, computed once per matrix record, so a second solve
+of the same draw (another p, or the matched pair's other ball) reuses it.
+Its computation, when this solve makes it, and its residual are reported
+as the setup time and excluded from the reported wall time, which covers
+the loop and the finish.  The residual of the
 current iterate is carried across outer iterations (the inner loop hands
 back the residual of its final point), so the loop's own bookkeeping
 costs no product with A; the finish multiplies by A_J, the support's
@@ -53,7 +54,7 @@ import time
 import numpy as np
 
 from .core import OuterRecord, ProblemInstance, SolveReport, validate_instance
-from .errors import InfeasibleStart, InvalidParam, InvariantViolation
+from .errors import DimensionMismatch, InfeasibleStart, InvalidParam, InvariantViolation
 from .linalg import ball_entry, least_squares_min_norm, lq_norm
 from .npg import npg_solve
 from .smoothing import SmoothedPenalty, lp_power_sum
@@ -191,6 +192,8 @@ def _solve_penalty(inst, seed_x, q):
 
     t_setup = time.perf_counter()
     x_feas = inst.anchor if seed_x is None else np.array(seed_x, dtype=np.float64)
+    if x_feas.shape != (inst.n,):
+        raise DimensionMismatch(f"seed_x has shape {x_feas.shape}, expected ({inst.n},)")
     r_feas = inst.residual(x_feas)
     res_feas = lq_norm(r_feas, q)
     if res_feas > inst.sigma + 1e-10 * (1.0 + lq_norm(inst.b, q)):

@@ -20,10 +20,13 @@ boundary gap sigma - ||Ax-b||_q.
 certify judges a point once: it builds the report first, also for an
 infeasible point, and every check reads it, feasibility included, so the
 residual is formed once.  All checks use one tolerance and one rule,
-excess <= tol, which the report's feasible flag shares; at p = 0 a point on
-the boundary, or outside it within tol, needs no scaling.  x = 0 has no
-report (kkt_property_report raises EmptySupport, returned in its place), and
-an instance with ||b||_q <= sigma is refused whatever the point.
+excess <= tol, which the report's feasible flag shares.  At p = 0 a point on
+the boundary, or outside it within tol, needs no scaling, and a point inside
+is scaled by alpha, the entry of the segment from 0 to x into the ball
+(linalg.ball_entry), so alpha x is inside in floating point.  x = 0 has no
+report (kkt_property_report raises EmptySupport, returned in its place), an
+x of the wrong shape raises DimensionMismatch, and an instance with
+||b||_q <= sigma is refused whatever the point.
 optimal_point_checks is certify without the report.
 """
 
@@ -34,9 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ProblemInstance, support_indices, validate_instance
-from .errors import EmptySupport
-from .linalg import gram_extremes, lq_norm, numerical_rank
-from .oracle import boundary_scaling_alpha
+from .errors import DimensionMismatch, EmptySupport
+from .linalg import ball_entry, gram_extremes, lq_norm, numerical_rank
 
 DEFAULT_TOL = 1e-8
 
@@ -73,11 +75,13 @@ def kkt_property_report(
     """Measure the optimal-point properties of x; pure, no side effects.
 
     x is expected to be refined (exact zeros off support).  Raises
-    EmptySupport for x = 0, which the blanket assumption ||b||_q > sigma
-    excludes for genuine optima.
+    DimensionMismatch unless x has shape (n,), and EmptySupport for x = 0,
+    which the blanket assumption ||b||_q > sigma excludes for genuine optima.
     """
     validate_instance(inst, q)
     x = np.asarray(x, dtype=np.float64)
+    if x.shape != (inst.n,):
+        raise DimensionMismatch(f"x has shape {x.shape}, expected ({inst.n},)")
     support = support_indices(x)
     if support.size == 0:
         raise EmptySupport("x = 0 has no support; not optimal when ||b||_q > sigma")
@@ -157,7 +161,8 @@ def certify(inst: ProblemInstance, x, p: float, q: float = 1.0, tol: float = DEF
     The report is built first, once, also for an infeasible point, and
     every check reads it; for x = 0 the EmptySupport raised in its place
     is returned instead, and fails the checks that need a report.  Raises
-    TrivialInstance when ||b||_q <= sigma, whatever x.
+    TrivialInstance when ||b||_q <= sigma, whatever x, and DimensionMismatch
+    unless x has shape (n,).
     """
     x = np.asarray(x, dtype=np.float64)
     try:
@@ -189,7 +194,9 @@ def certify(inst: ProblemInstance, x, p: float, q: float = 1.0, tol: float = DEF
         if excess >= 0.0:
             alpha, gap = 1.0, excess
         else:
-            alpha = boundary_scaling_alpha(inst, x, q)
+            # x is inside, so an entry past it, or a miss at roundoff level, is 1
+            t = ball_entry(inst.a, inst.b, np.zeros_like(x), x, inst.sigma, q)
+            alpha = 1.0 if t is None else min(t, 1.0)
             gap = lq_norm(inst.residual(alpha * x), q) - inst.sigma
         checks.append(
             CheckResult(

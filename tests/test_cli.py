@@ -173,6 +173,57 @@ def test_solve_infeasible_start_exits_1(tmp_path, capsys, golden):
     assert "error" in err
 
 
+def test_point_of_wrong_length_or_type_exits_1(tmp_path, capsys, golden):
+    # a point that is not an n-vector of numbers, or not JSON at all, is one
+    # error line, not a traceback
+    inst_path = golden_file(tmp_path, golden)
+    bad = ([2.5, 0.0], [2.5, 0.0, 0.0, 0.0], {"x": "abc"}, {"x": {"a": 1.0}}, [[2.5, 0.0, 0.0]])
+    paths = []
+    for i, doc in enumerate(bad):
+        paths.append(tmp_path / f"bad{i}.json")
+        paths[-1].write_text(json.dumps(doc))
+    paths.append(tmp_path / "broken.json")
+    paths[-1].write_text("[2.5, 0.0,")
+    for path in paths:
+        for argv in (["verify", "--x", str(path)], ["verify", "--x", str(path), "--p", "0"],
+                     ["solve", "--x0", str(path)]):
+            code, out, err = run(capsys, *argv, "--instance", inst_path)
+            assert (code, out) == (1, "")
+            assert err.startswith("sparselp: error:") and err.count("\n") == 1, err
+
+
+def test_tol_and_sizes_are_range_checked_when_parsed(tmp_path, capsys, golden):
+    # --tol inf would pass a point 11 outside the ball, --tol nan would fail
+    # every check: both, and a negative tolerance, are usage errors
+    inst_path = golden_file(tmp_path, golden)
+    x_path = tmp_path / "x.json"
+    x_path.write_text(json.dumps([9.0, 0.0, 0.0]))
+    for bad in ("inf", "nan", "-1e-8", "x"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--instance", inst_path, "--x", str(x_path), "--tol", bad])
+        assert exc.value.code == 64
+        assert "argument --tol:" in capsys.readouterr().err
+    assert run(capsys, "verify", "--instance", inst_path, "--x", str(x_path), "--tol", "0")[0] == 1
+    # sizes are positive integers, and the planted support fits in n
+    gen = {"--m": "2", "--n": "3", "--s": "1"}
+    for flag in gen:
+        for bad in ("0", "-1", "1.5", "x"):
+            argv = [arg for key, val in dict(gen, **{flag: bad}).items() for arg in (key, val)]
+            with pytest.raises(SystemExit) as exc:
+                main(["gen", *argv])
+            assert exc.value.code == 64
+            assert f"argument {flag}:" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--m", "3", "--n", "5", "--s", "9"])
+    assert exc.value.code == 64
+    assert "need --s <= --n, got 9, 5" in capsys.readouterr().err
+    for flag in ("--m", "--n"):
+        with pytest.raises(SystemExit) as exc:
+            main(["success-curve", "--trials", "1", flag, "0"])
+        assert exc.value.code == 64
+        assert f"argument {flag}:" in capsys.readouterr().err
+
+
 def test_solve_missing_file_exits_1(capsys):
     code, _, err = run(capsys, "solve", "--instance", "/nonexistent/inst.json")
     assert code == 1

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import TINY_SPECS
 from refs import exact_l1_entry
-from sparselp import InvalidNorm
+from sparselp import InvalidNorm, gen_instance
 from sparselp.linalg import (
     ball_entry,
     gram_extremes,
@@ -156,3 +157,35 @@ def test_ball_entry_edges():
     for q in (3, 1.5, np.inf):
         with pytest.raises(InvalidNorm):
             ball_entry(a, b, np.zeros(2), np.ones(2), 1.0, q)
+
+
+def test_ball_entry_from_origin_golden(golden):
+    # the segment from 0 to (3, 0, 0) has ||A x(t) - b||_1 = 6 (1 - t), so it
+    # enters the ball at t = 5/6 when sigma = 1 and at t = 1/6 when sigma = 5
+    x = np.array([3.0, 0.0, 0.0])
+    for sigma, t in ((1.0, 5.0 / 6.0), (5.0, 1.0 / 6.0)):
+        assert ball_entry(golden.a, golden.b, np.zeros(3), x, sigma, 1) == pytest.approx(
+            t, abs=1e-15
+        )
+
+
+def test_ball_entry_from_origin_lands_on_the_ball_side(golden, rng):
+    # verify's p = 0 scaling: alpha x, alpha the entry from 0 towards a point
+    # x inside the ball, is on the boundary to roundoff, and never outside.
+    # Draws around the interpolating point, scaled within the ball's reach,
+    # on instances where 0 is outside the ball (the blanket assumption)
+    for inst in [golden] + [gen_instance(spec)[0] for spec in TINY_SPECS]:
+        x_ls = np.linalg.lstsq(inst.a, inst.b, rcond=None)[0]
+        for q in (1.0, 2.0):
+            reach = inst.sigma / np.linalg.norm(inst.b, ord=q)
+            if reach >= 1.0:
+                continue
+            for _ in range(5):
+                x = x_ls * (1.0 + reach * rng.uniform(-0.9, 0.9))
+                x += 0.1 * reach * np.abs(x_ls).max() * rng.standard_normal(inst.n)
+                if np.linalg.norm(inst.residual(x), ord=q) >= inst.sigma:
+                    continue
+                t = ball_entry(inst.a, inst.b, np.zeros_like(x), x, inst.sigma, q)
+                alpha = 1.0 if t is None else min(t, 1.0)
+                gap = np.linalg.norm(inst.residual(alpha * x), ord=q) - inst.sigma
+                assert -1e-12 * (1.0 + np.abs(inst.b).sum()) <= gap <= 0.0

@@ -18,7 +18,6 @@ from sparselp import (
     TooLarge,
     TrivialInstance,
     all_orthant_vertices,
-    boundary_scaling_alpha,
     estimate_p_star,
     gen_instance,
     is_l0_optimal,
@@ -231,54 +230,16 @@ def test_sandwich_property(rng):
         assert lhs <= mid + 1e-10 and mid <= rhs + 1e-10
 
 
-def test_boundary_scaling_golden(golden):
-    assert boundary_scaling_alpha(golden, np.array([3.0, 0.0, 0.0])) == pytest.approx(
-        5.0 / 6.0, abs=1e-15
-    )
-    # already on the boundary: alpha = 1 exactly
-    assert boundary_scaling_alpha(golden, np.array([2.5, 0.0, 0.0])) == 1.0
-    with pytest.raises(NotFeasible):
-        boundary_scaling_alpha(golden, np.array([9.0, 0.0, 0.0]))
-
-
-def test_boundary_scaling_rejects_trivial_instances(golden):
-    # with ||b||_q <= sigma the origin is feasible and no alpha in (0, 1]
-    # puts the scaled point on the boundary
-    x = np.array([3.0, 0.0, 0.0])
-    on_l1 = replace(golden, sigma=6.0)  # ||b||_1 = 6
-    on_l2 = replace(golden, sigma=5.0)  # ||b||_2 = 4.24, ||b||_1 = 6
-    for inst, q in ((on_l1, 1.0), (on_l1, 2.0), (on_l2, 2.0)):
-        with pytest.raises(TrivialInstance):
-            boundary_scaling_alpha(inst, x, q)
-    assert boundary_scaling_alpha(on_l2, x, 1.0) == pytest.approx(1.0 / 6.0, abs=1e-15)
-
-
 def test_p_star_rejects_trivial_instances(golden):
     # with ||b||_1 <= sigma the origin is feasible and every minimizer is 0:
     # the threshold is undefined, as are solve and verify
     for sigma in (6.0, 7.5):  # ||b||_1 = 6
+        inst = replace(golden, sigma=sigma)
+        verts = all_orthant_vertices(inst)
+        level = int(solve_exact_l0(inst, vertices=verts).optimal_value)
+        assert level == 0
         with pytest.raises(TrivialInstance):
-            estimate_p_star(replace(golden, sigma=sigma))
-
-
-def test_boundary_scaling_lands_on_the_ball_side(golden, rng):
-    # alpha x is on the boundary to roundoff, and never outside: draws
-    # around the interpolating point, scaled within the ball's reach, on
-    # instances where 0 is outside the ball (the blanket assumption)
-    for inst in [golden] + [gen_instance(spec)[0] for spec in TINY_SPECS]:
-        x_ls = np.linalg.lstsq(inst.a, inst.b, rcond=None)[0]
-        for q in (1.0, 2.0):
-            reach = inst.sigma / np.linalg.norm(inst.b, ord=q)
-            if reach >= 1.0:
-                continue
-            for _ in range(5):
-                x = x_ls * (1.0 + reach * rng.uniform(-0.9, 0.9))
-                x += 0.1 * reach * np.abs(x_ls).max() * rng.standard_normal(inst.n)
-                if np.linalg.norm(inst.residual(x), ord=q) >= inst.sigma:
-                    continue
-                alpha = boundary_scaling_alpha(inst, x, q)
-                gap = np.linalg.norm(inst.residual(alpha * x), ord=q) - inst.sigma
-                assert -1e-12 * (1.0 + np.abs(inst.b).sum()) <= gap <= 0.0
+            estimate_p_star(inst, verts, level)
 
 
 # -- the sparsest search against a rational-arithmetic reference --

@@ -9,6 +9,7 @@ import sparselp.npg
 import sparselp.solver
 from conftest import penalty_value_and_grad, recorded_trials
 from sparselp import (
+    DimensionMismatch,
     GenSpec,
     InfeasibleStart,
     InvalidParam,
@@ -215,6 +216,14 @@ def test_trace_records_inner_stop(desk_solution):
 def test_infeasible_seed_rejected(golden):
     with pytest.raises(InfeasibleStart):
         solve_l1(golden, seed_x=np.zeros(3))  # ||b||_1 = 6 > sigma = 1
+
+
+def test_seed_of_wrong_shape_rejected(golden):
+    # a seed that is not an n-vector is refused before any product with A
+    for seed in (np.ones(2), np.ones(4), np.ones((1, 3)), np.ones((3, 1))):
+        for solve in (solve_l1, solve_l2):
+            with pytest.raises(DimensionMismatch):
+                solve(golden, seed_x=seed)
 
 
 def test_invalid_p_rejected(golden):

@@ -53,3 +53,55 @@ def test_no_module_reaches_into_another_modules_private_names():
             and _is_private(node.attr)
         ]
     assert found == []
+
+
+# the package's layers, lowest first: a module imports only modules of lower
+# layers, so the point checks in verify do not reach into the exact oracle
+# and no two modules of one layer depend on each other
+LAYERS = (
+    {"errors"},
+    {"linalg"},
+    {"core"},
+    {"smoothing", "prox", "gen", "oracle", "verify"},
+    {"npg"},
+    {"solver"},
+    {"experiments"},
+    {"cli"},
+)
+
+
+def _package_imports(tree):
+    """(line, module) for every import of a package module in one file."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level > 0:
+                module = parts[0]
+            elif parts[0] == "sparselp":
+                module = parts[1] if len(parts) > 1 else ""
+            else:
+                continue
+            if module:
+                yield node.lineno, module
+            else:  # from . import module, from sparselp import module
+                for alias in node.names:
+                    yield node.lineno, alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "sparselp" and len(parts) > 1:
+                    yield node.lineno, parts[1]
+
+
+def test_modules_import_only_lower_layers():
+    layer = {name: i for i, names in enumerate(LAYERS) for name in names}
+    modules = {path.stem: path for path in sorted(PACKAGE.glob("*.py"))}
+    assert set(modules) - {"__init__"} == set(layer)  # every module has a layer
+    found = [
+        f"{name}.py:{line} imports {target}"
+        for name, path in modules.items()
+        if name != "__init__"
+        for line, target in _package_imports(ast.parse(path.read_text(), filename=str(path)))
+        if layer.get(target, len(LAYERS)) >= layer[name]
+    ]
+    assert found == []

@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from sparselp import (
+    DimensionMismatch,
     EmptySupport,
+    TrivialInstance,
     all_checks_pass,
     kkt_property_report,
     lq_norm,
@@ -165,3 +169,43 @@ def test_checks_zero_point_fails_instead_of_raising(golden):
         assert not checks[1].passed and not checks[2].passed
         assert "no support" in checks[1].detail
         assert not all_checks_pass(checks)
+
+
+def test_support_counting_mode_scales_by_the_ball_entry(golden):
+    # alpha is where the segment from 0 to x enters the ball: for (3, 0, 0),
+    # ||A (alpha x) - b||_1 = 6 (1 - alpha) meets sigma = 1 at alpha = 5/6
+    # (to 1e-15 in test_linalg); a point on the boundary keeps alpha = 1
+    # exactly, and a point outside fails feasibility and nothing else
+    checks = optimal_point_checks(golden, np.array([3.0, 0.0, 0.0]), p=0.0)
+    assert checks[1].detail.startswith(f"alpha = {5.0 / 6.0:.12g}, ")
+    checks = optimal_point_checks(golden, np.array([2.5, 0.0, 0.0]), p=0.0)
+    assert checks[1].detail == "alpha = 1, boundary gap 0.000e+00"
+    assert all_checks_pass(checks)
+    checks = optimal_point_checks(golden, np.array([9.0, 0.0, 0.0]), p=0.0)
+    assert [c.name for c in checks] == ["feasible"] and not checks[0].passed
+
+
+def test_support_counting_mode_rejects_trivial_instances(golden):
+    # with ||b||_q <= sigma the origin is feasible and no alpha in (0, 1]
+    # puts the scaled point on the boundary
+    x = np.array([3.0, 0.0, 0.0])
+    on_l1 = replace(golden, sigma=6.0)  # ||b||_1 = 6
+    on_l2 = replace(golden, sigma=5.0)  # ||b||_2 = 4.24, ||b||_1 = 6
+    for inst, q in ((on_l1, 1.0), (on_l1, 2.0), (on_l2, 2.0)):
+        with pytest.raises(TrivialInstance):
+            certify(inst, x, 0.0, q)
+    # 6 (1 - alpha) = 5 (to 1e-15 in test_linalg)
+    scaling = optimal_point_checks(on_l2, x, 0.0, 1.0)[1]
+    assert scaling.detail.startswith(f"alpha = {1.0 / 6.0:.12g}, ")
+
+
+def test_point_of_wrong_shape_is_refused(golden):
+    # an x that is not an n-vector gets no report and no checks
+    for x in (np.ones(2), np.ones(4), np.ones((1, 3)), np.ones((3, 1)), np.zeros(4)):
+        with pytest.raises(DimensionMismatch):
+            kkt_property_report(golden, x)
+        for p in (0.5, 0.0):
+            with pytest.raises(DimensionMismatch):
+                certify(golden, x, p)
+            with pytest.raises(DimensionMismatch):
+                optimal_point_checks(golden, x, p)
