@@ -46,45 +46,30 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _oracle_exponent(text: str) -> float:
-    """argparse type for the oracle's --p: 0 (sparsest) or p in (0, 1]."""
-    p = float(text)
-    if not 0.0 <= p <= 1.0:
-        raise argparse.ArgumentTypeError(f"exponent must be 0 or in (0, 1], got {text}")
-    return p
+def _checked(convert, ok, requirement):
+    """An argparse type: convert the text, then require ok(value); a failure
+    of either is a usage error that states the requirement."""
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"{requirement}, got {text}")
+        return value
+    return parse
 
 
-def _solver_exponent(text: str) -> float:
-    """argparse type for the solver commands' --p: p in (0, 1)."""
-    p = float(text)
-    if not 0.0 < p < 1.0:
-        raise argparse.ArgumentTypeError(f"exponent must be in (0, 1), got {text}")
-    return p
-
-
-def _positive_int(text: str) -> int:
-    """argparse type for sizes (--m, --n, --s) and counts (--seeds, --trials,
-    --s-step, --count): an integer >= 1."""
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return n
-
-
-def _nonnegative(text: str) -> float:
-    """argparse type for --delta and verify's --tol: finite and >= 0."""
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
-    return value
-
-
-def _smoothing_width(text: str) -> float:
-    """argparse type for plot-smoothing's --mu and --nu: finite and > 0."""
-    w = float(text)
-    if not (math.isfinite(w) and w > 0.0):
-        raise argparse.ArgumentTypeError(f"width must be positive and finite, got {text}")
-    return w
+# the oracle's --p: 0 (sparsest) or p in (0, 1]; the solver commands' --p
+_oracle_exponent = _checked(float, lambda p: 0.0 <= p <= 1.0, "exponent must be 0 or in (0, 1]")
+_solver_exponent = _checked(float, lambda p: 0.0 < p < 1.0, "exponent must be in (0, 1)")
+# sizes (--m, --n, --s) and counts (--seeds, --trials, --s-step, --count)
+_positive_int = _checked(int, lambda n: n >= 1, "must be a positive integer")
+_seed = _checked(int, lambda n: n >= 0, "must be a non-negative integer")
+# --delta and verify's --tol; plot-smoothing's --mu and --nu, and --lo, --hi
+_nonnegative = _checked(float, lambda v: math.isfinite(v) and v >= 0.0, "must be finite and >= 0")
+_smoothing_width = _checked(float, lambda w: math.isfinite(w) and w > 0.0, "width must be positive and finite")
+_finite = _checked(float, math.isfinite, "must be finite")
 
 
 def _emit(payload: dict, args) -> None:
@@ -223,7 +208,7 @@ def cmd_plot_smoothing(args) -> int:
 
 
 def _add_common(sub) -> None:
-    sub.add_argument("--seed", type=int, default=0, help="base RNG seed")
+    sub.add_argument("--seed", type=_seed, default=0, help="base RNG seed, >= 0")
     sub.add_argument("--out", type=str, default=None, help="output file (stdout if omitted)")
     sub.add_argument("--json", action="store_true", help="emit JSON instead of CSV/summary")
 
@@ -285,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sub)
     sub.set_defaults(
         func=cmd_grid, header=experiments.TABLE1_HEADER, rows=experiments.table1_rows,
-        cells=lambda a: experiments.table1_cells(
+        cells=lambda a: experiments.profile_cells(
             profile=a.profile, seeds=a.seeds, delta=a.delta,
             p_grid=tuple(a.p) if a.p else experiments.TABLE_P_GRID,
             noises=tuple(a.noise) if a.noise else experiments.NOISES,
@@ -302,8 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sub)
     sub.set_defaults(
         func=cmd_grid, header=experiments.TABLE2_HEADER, rows=experiments.table2_rows,
-        cells=lambda a: experiments.table2_cells(
-            profile=a.profile, seeds=a.seeds, delta=a.delta, p=a.p,
+        cells=lambda a: experiments.profile_cells(
+            profile=a.profile, seeds=a.seeds, delta=a.delta, p_grid=(a.p,),
+            solvers=("l1", "l2"),
             noises=tuple(a.noise) if a.noise else experiments.NOISES,
             base_seed=a.seed,
         ),
@@ -316,8 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sub)
     sub.set_defaults(
         func=cmd_grid, header=experiments.SPARSITY_HEADER, rows=experiments.sparsity_rows,
-        cells=lambda a: experiments.sparsity_cells(
-            profile=a.profile, delta=a.delta,
+        cells=lambda a: experiments.profile_cells(
+            profile=a.profile, seeds=1, p_grid=experiments.SPARSITY_P_GRID, delta=a.delta,
             noises=tuple(a.noise) if a.noise else experiments.NOISES,
             base_seed=a.seed,
         ),
@@ -349,8 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("plot-smoothing", help="sample the smoothing kernels on a grid; CSV: t,plus_value,plus_deriv,abs_value,abs_deriv")
     sub.add_argument("--mu", type=_smoothing_width, default=1.0)
     sub.add_argument("--nu", type=_smoothing_width, default=1.0)
-    sub.add_argument("--lo", type=float, default=-2.0)
-    sub.add_argument("--hi", type=float, default=2.0)
+    sub.add_argument("--lo", type=_finite, default=-2.0)
+    sub.add_argument("--hi", type=_finite, default=2.0)
     sub.add_argument("--count", type=_positive_int, default=401)
     _add_common(sub)
     sub.set_defaults(func=cmd_plot_smoothing)

@@ -208,18 +208,33 @@ def read_instance(path) -> ProblemInstance:
             f"{path}: unsupported format {raw['format']!r}, "
             f"expected {FILE_FORMAT_VERSION}"
         )
+    for key, ok, kind in (
+        ("m", _is_int, "an integer"), ("n", _is_int, "an integer"),
+        ("sigma", _is_number, "a number"), ("p", _is_number, "a number"),
+        ("a", _is_numbers, "an array of numbers"), ("b", _is_numbers, "an array of numbers"),
+    ):
+        if not ok(raw[key]):
+            raise ParseError(f"{path}: field '{key}' must be {kind}, got {raw[key]!r:.40}")
     try:
-        inst = ProblemInstance(
-            m=int(raw["m"]),
-            n=int(raw["n"]),
-            a=raw["a"],
-            b=raw["b"],
-            sigma=raw["sigma"],
-            p=raw["p"],
-        )
+        return ProblemInstance(m=raw["m"], n=raw["n"], a=raw["a"], b=raw["b"], sigma=raw["sigma"], p=raw["p"])
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: bad field value ({exc})") from exc
-    return inst
+
+
+# json.load reads true as a bool and "2" as a str: exact type tests refuse both
+def _is_int(value) -> bool:
+    return type(value) is int
+
+
+def _is_number(value) -> bool:
+    return type(value) in (int, float)
+
+
+def _is_numbers(value) -> bool:
+    """A JSON array, possibly nested, of numbers only."""
+    return isinstance(value, list) and all(
+        _is_numbers(v) if isinstance(v, list) else _is_number(v) for v in value
+    )
 
 
 def write_instance(inst: ProblemInstance, path) -> None:

@@ -1,16 +1,18 @@
 """One grid runner behind the table and figure CLI commands.
 
 Every experiment table is a grid of cells (spec, p, solver): one seeded
-draw, one exponent, and the l1-ball or l2-ball solver.  A per-table cell
-generator lists the cells, run_grid runs them all with the same cell task
-and returns one RunRecord per cell, and a per-table aggregator turns the
-records into the CSV rows the CLI documents.  Seeds are base_seed plus a
-global instance index, so runs are deterministic and instances stay
-disjoint under parallel execution.  SPARSELP_THREADS > 1 fans the cells of
-a grid out to one process pool; records come back in cell order either
-way, so the CSV bytes do not depend on the worker count (wall-time columns
-excepted).  A failure in one cell is recorded in that cell
-(nnz = -1, stop reason "error: ...") and the rest of the grid still runs.
+draw, one exponent, and the l1-ball or l2-ball solver.  A cell generator
+lists the cells, run_grid runs them all with the same cell task, and a
+per-table aggregator turns the one RunRecord per cell into CSV rows.
+profile_cells serves table1, table2 and sparsity-vs-p: seed
+base_seed + noise_index * seeds + seed_index, so every p and both balls
+solve the same draws.  success_cells serves success-curve: its seed
+advances per (noise, solver, p, s, trial), so each rate counts draws of
+its own.  SPARSELP_THREADS > 1 fans the cells of a grid out to one
+process pool; records come back in cell order either way, so the CSV
+bytes do not depend on the worker count (wall-time columns excepted).  A
+failure in one cell is recorded in that cell (nnz = -1, stop reason
+"error: ...") and the rest of the grid still runs.
 """
 
 from __future__ import annotations
@@ -148,15 +150,19 @@ def _means(recs, *fields) -> tuple:
     return tuple(float(np.mean([getattr(r, f) for r in recs])) for f in fields)
 
 
-# -- table 1: solver quality per (noise, p), l1 ball only --------------------
-def table1_cells(
-    profile="desk", seeds=10, p_grid=TABLE_P_GRID, delta=1e-3, noises=NOISES, base_seed=0
+# -- the profile tables: table1, table2 and sparsity-vs-p -------------------
+def profile_cells(
+    profile="desk", seeds=10, p_grid=TABLE_P_GRID, solvers=("l1",), delta=1e-3,
+    noises=NOISES, base_seed=0,
 ):
+    """One draw per (noise, seed), solved at every p on every solver's ball."""
     m, n, s = PROFILES[profile]
     for ni, noise in enumerate(noises):
         for p in p_grid:
             for si in range(seeds):
-                yield Cell(GenSpec(m, n, s, delta, noise, base_seed + ni * seeds + si), p, "l1")
+                spec = GenSpec(m, n, s, delta, noise, base_seed + ni * seeds + si)
+                for solver in solvers:
+                    yield Cell(spec, p, solver)
 
 
 TABLE1_HEADER = ("noise", "p", "nnz", "rank", "err1", "err2")
@@ -168,16 +174,6 @@ def table1_rows(records) -> list[tuple]:
         key + _means(recs, "nnz", "rank_aj", "err1", "err2")
         for key, recs in _groups(records, "noise", "p").items()
     ]
-
-
-# -- table 2: l1-ball solver vs l2-ball baseline on matched instances --------
-def table2_cells(profile="desk", seeds=10, delta=1e-3, p=0.5, noises=NOISES, base_seed=0):
-    m, n, s = PROFILES[profile]
-    for ni, noise in enumerate(noises):
-        for si in range(seeds):
-            spec = GenSpec(m, n, s, delta, noise, base_seed + ni * seeds + si)
-            yield Cell(spec, p, "l1")
-            yield Cell(spec, p, "l2")
 
 
 TABLE2_HEADER = ("noise", "m", "n", "s", "delta", "solver", "nnz", "feas", "recerr", "time")
@@ -192,15 +188,6 @@ def table2_rows(records) -> list[tuple]:
             + _means(recs, "nnz", "feas", "recerr", "wall_time")
         )
     return rows
-
-
-# -- sparsity of the solution across the exponent grid (figure-style) --------
-def sparsity_cells(profile="desk", p_grid=SPARSITY_P_GRID, delta=1e-3, noises=NOISES, base_seed=0):
-    """One instance per noise family, re-solved across the whole p grid."""
-    m, n, s = PROFILES[profile]
-    for ni, noise in enumerate(noises):
-        for p in p_grid:
-            yield Cell(GenSpec(m, n, s, delta, noise, base_seed + ni), p, "l1")
 
 
 SPARSITY_HEADER = ("noise", "p", "nnz")

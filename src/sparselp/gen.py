@@ -52,6 +52,8 @@ class GenSpec:
             raise InvalidParam(f"noise must be one of {NOISE_FAMILIES}, got {self.noise!r}")
         if self.q_for_sigma not in (1.0, 2.0):
             raise InvalidParam(f"q_for_sigma must be 1 or 2, got {self.q_for_sigma}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise InvalidParam(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 def make_rng(seed: int) -> np.random.Generator:

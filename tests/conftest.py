@@ -1,9 +1,11 @@
 import contextlib
+import dataclasses
 
 import numpy as np
 import pytest
 
 import sparselp.npg
+import sparselp.solver
 import sparselp.verify
 from sparselp import (
     GenSpec,
@@ -157,3 +159,15 @@ def verify_calls(monkeypatch):
     monkeypatch.setattr(sparselp.verify, "kkt_property_report", counting_report)
     monkeypatch.setattr(ProblemInstance, "residual", counting_residual)
     return calls
+
+
+@pytest.fixture
+def failing_certificate(monkeypatch):
+    """The solver's certificate of its finished point fails its first check."""
+    checks = sparselp.solver.optimal_point_checks
+
+    def first_fails(*args, **kwargs):
+        first, *rest = checks(*args, **kwargs)
+        return [dataclasses.replace(first, passed=False), *rest]
+
+    monkeypatch.setattr(sparselp.solver, "optimal_point_checks", first_fails)

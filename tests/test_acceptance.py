@@ -23,7 +23,7 @@ from sparselp import (
     solve_exact_lp_quasinorm,
     solve_l1,
 )
-from sparselp.experiments import run_grid, sparsity_cells, table1_cells, table2_cells
+from sparselp.experiments import SPARSITY_P_GRID, profile_cells, run_grid
 from sparselp.linalg import lq_norm
 from sparselp.npg import npg_solve
 from sparselp.prox import prox_vector
@@ -148,7 +148,7 @@ def test_small_exponent_inclusion(tiny_suite):
 def test_desk_quality_grid(monkeypatch):
     monkeypatch.delenv("SPARSELP_THREADS", raising=False)
     t0 = time.perf_counter()
-    records = run_grid(table1_cells(profile="desk", seeds=10, p_grid=(0.5, 0.3, 0.1), delta=1e-3))
+    records = run_grid(profile_cells(profile="desk", seeds=10, p_grid=(0.5, 0.3, 0.1), delta=1e-3))
     elapsed = time.perf_counter() - t0
     assert len(records) == 60
     cells: dict = {}
@@ -179,7 +179,9 @@ def test_desk_quality_grid(monkeypatch):
 
 def test_desk_solver_comparison(monkeypatch):
     monkeypatch.delenv("SPARSELP_THREADS", raising=False)
-    records = run_grid(table2_cells(profile="desk", seeds=10, delta=1e-3, p=0.5))
+    records = run_grid(profile_cells(
+        profile="desk", seeds=10, p_grid=(0.5,), solvers=("l1", "l2"), delta=1e-3
+    ))
     gauss_l1 = [r for r in records if r.noise == "gauss" and r.solver == "l1"]
     assert len(gauss_l1) == 10
     hits = sum(r.recerr <= 5e-3 for r in gauss_l1)
@@ -209,7 +211,7 @@ def test_desk_solver_comparison(monkeypatch):
 
 def test_desk_sparsity_trend(monkeypatch):
     monkeypatch.delenv("SPARSELP_THREADS", raising=False)
-    records = run_grid(sparsity_cells(profile="desk", delta=1e-3))
+    records = run_grid(profile_cells(profile="desk", seeds=1, p_grid=SPARSITY_P_GRID, delta=1e-3))
     details = []
     ok = True
     for noise in ("gauss", "t2"):

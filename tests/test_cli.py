@@ -164,6 +164,12 @@ def test_solve_trace_and_seed_start(tmp_path, capsys, golden):
     assert abs(x[0] - 2.5) < 1e-4
 
 
+def test_uncertified_solve_exits_2(tmp_path, capsys, golden, failing_certificate):
+    code, out, _ = run(capsys, "solve", "--instance", golden_file(tmp_path, golden))
+    assert code == 2
+    assert json.loads(out)["stop_reason"] == "stationary_uncertified"
+
+
 def test_solve_infeasible_start_exits_1(tmp_path, capsys, golden):
     inst_path = golden_file(tmp_path, golden)
     x0_path = tmp_path / "x0.json"
@@ -190,6 +196,21 @@ def test_point_of_wrong_length_or_type_exits_1(tmp_path, capsys, golden):
             code, out, err = run(capsys, *argv, "--instance", inst_path)
             assert (code, out) == (1, "")
             assert err.startswith("sparselp: error:") and err.count("\n") == 1, err
+
+
+def test_negative_seed_is_usage_error(capsys):
+    # the generator's Philox refuses a negative seed; the parser refuses it first
+    commands = (
+        ["gen", "--m", "2", "--n", "3", "--s", "1"],
+        ["table1", "--seeds", "1", "--p", "0.5", "--noise", "gauss"],
+        ["success-curve", "--m", "20", "--n", "40", "--trials", "1"],
+    )
+    for argv in commands:
+        for bad in ("-1", "-3", "1.5", "x"):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--seed", bad])
+            assert exc.value.code == 64
+            assert "argument --seed: must be a non-negative integer" in capsys.readouterr().err
 
 
 def test_tol_and_sizes_are_range_checked_when_parsed(tmp_path, capsys, golden):
@@ -352,6 +373,16 @@ def test_plot_smoothing_stdout(capsys):
     assert lines[0] == "t,plus_value,plus_deriv,abs_value,abs_deriv"
     assert len(lines) == 6
     assert lines[5] == "2.0,2.0,1.0,2.0,1.0"
+
+
+def test_plot_smoothing_bounds_must_be_finite(capsys):
+    # --hi inf printed inf rows under a numpy warning, --lo nan printed nan rows
+    for flag in ("--lo", "--hi"):
+        for bad in ("inf", "-inf", "nan", "x"):
+            with pytest.raises(SystemExit) as exc:
+                main(["plot-smoothing", "--count", "3", f"{flag}={bad}"])
+            assert exc.value.code == 64
+            assert f"argument {flag}: must be finite" in capsys.readouterr().err
 
 
 def test_oracle_rejects_out_of_range_p(tmp_path, capsys, golden):

@@ -160,6 +160,31 @@ def test_read_rejects_garbage(tmp_path):
         read_instance(path)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("m", 2.9),  # was read as m = 2
+        ("m", True),  # was read as m = 1
+        ("m", "2"),
+        ("sigma", "1.0"),
+        ("p", False),
+        ("a", ["1", "0", "1", "0", "1", "-1"]),
+        ("b", [1, True]),
+        ("b", 3.0),
+    ],
+    ids=["m-float", "m-bool", "m-str", "sigma-str", "p-bool", "a-strs", "b-bool-entry", "b-scalar"],
+)
+def test_read_rejects_malformed_field(tmp_path, field, value):
+    path = tmp_path / "bad.json"
+    doc = {"format": 1, "m": 2, "n": 3, "a": [1, 0, 1, 0, 1, -1], "b": [1, 2],
+           "sigma": 0.5, "p": 0.5}
+    path.write_text(json.dumps(doc))
+    assert read_instance(path).m == 2
+    path.write_text(json.dumps(dict(doc, **{field: value})))
+    with pytest.raises(ParseError, match=f"field '{field}'"):
+        read_instance(path)
+
+
 def test_support_set():
     s = support_indices(np.array([0.0, -2.0, 0.0, 1e-300]))
     assert s.tolist() == [1, 3]  # exact-zero test, no threshold

@@ -13,15 +13,13 @@ from sparselp.experiments import (
     TABLE1_HEADER,
     TABLE2_HEADER,
     RunRecord,
+    profile_cells,
     run_grid,
     smoothing_grid,
-    sparsity_cells,
     sparsity_rows,
     success_cells,
     success_rows,
-    table1_cells,
     table1_rows,
-    table2_cells,
     table2_rows,
     thread_count,
     write_csv,
@@ -42,7 +40,7 @@ def test_thread_count(monkeypatch):
 
 
 def test_table1_single_run():
-    recs = run_grid(table1_cells(profile="desk", seeds=1, p_grid=(0.5,), noises=("gauss",)))
+    recs = run_grid(profile_cells(profile="desk", seeds=1, p_grid=(0.5,), noises=("gauss",)))
     assert len(recs) == 1
     r = recs[0]
     assert (r.noise, r.p, r.seed, r.solver) == ("gauss", 0.5, 0, "l1")
@@ -76,7 +74,9 @@ def test_table1_rows_aggregate_in_first_appearance_order():
 
 
 def test_table2_matched_pair_run():
-    recs = run_grid(table2_cells(profile="desk", seeds=1, noises=("gauss",)))
+    recs = run_grid(profile_cells(
+        profile="desk", seeds=1, p_grid=(0.5,), solvers=("l1", "l2"), noises=("gauss",)
+    ))
     assert [r.solver for r in recs] == ["l1", "l2"]
     for r in recs:
         assert (r.m, r.n, r.s) == (100, 500, 10)
@@ -99,7 +99,7 @@ def test_table2_rows_aggregate():
 
 
 def test_sparsity_grid_run():
-    recs = run_grid(sparsity_cells(profile="desk", p_grid=(0.5, 0.3), noises=("gauss",)))
+    recs = run_grid(profile_cells(profile="desk", seeds=1, p_grid=(0.5, 0.3), noises=("gauss",)))
     assert [(r.noise, r.p) for r in recs] == [("gauss", 0.5), ("gauss", 0.3)]
     assert all(r.nnz == 10 for r in recs)
     assert sparsity_rows(recs) == [("gauss", 0.5, 10), ("gauss", 0.3, 10)]
@@ -108,7 +108,7 @@ def test_sparsity_grid_run():
 
 def test_parallel_matches_serial(monkeypatch):
     def run():
-        recs = run_grid(sparsity_cells(profile="desk", p_grid=(0.5,), noises=("gauss", "t2")))
+        recs = run_grid(profile_cells(profile="desk", seeds=1, p_grid=(0.5,), noises=("gauss", "t2")))
         return [dataclasses.replace(r, wall_time=0.0) for r in recs]
 
     monkeypatch.delenv("SPARSELP_THREADS", raising=False)
@@ -143,6 +143,32 @@ def test_success_cells_seed_scheme():
     ]
     assert all(c.p == 0.5 and c.spec.noise == "gauss" for c in cells)
     assert all((c.spec.m, c.spec.n, c.spec.delta) == (20, 40, 1e-3) for c in cells)
+
+
+def test_profile_cells_seed_scheme():
+    # base_seed + noise_index * seeds + seed_index: one draw per (noise, seed),
+    # shared by every p and both balls
+    def grid(**kw):
+        return [(c.spec.noise, c.p, c.spec.seed, c.solver) for c in profile_cells(**kw)]
+
+    assert grid(seeds=2, p_grid=(0.5, 0.1), base_seed=3) == [
+        ("gauss", 0.5, 3, "l1"), ("gauss", 0.5, 4, "l1"),
+        ("gauss", 0.1, 3, "l1"), ("gauss", 0.1, 4, "l1"),
+        ("t2", 0.5, 5, "l1"), ("t2", 0.5, 6, "l1"),
+        ("t2", 0.1, 5, "l1"), ("t2", 0.1, 6, "l1"),
+    ]  # table1
+    assert grid(seeds=2, p_grid=(0.3,), solvers=("l1", "l2"), base_seed=1) == [
+        ("gauss", 0.3, 1, "l1"), ("gauss", 0.3, 1, "l2"),
+        ("gauss", 0.3, 2, "l1"), ("gauss", 0.3, 2, "l2"),
+        ("t2", 0.3, 3, "l1"), ("t2", 0.3, 3, "l2"),
+        ("t2", 0.3, 4, "l1"), ("t2", 0.3, 4, "l2"),
+    ]  # table2
+    assert grid(seeds=1, p_grid=(0.9, 0.5), base_seed=5) == [
+        ("gauss", 0.9, 5, "l1"), ("gauss", 0.5, 5, "l1"),
+        ("t2", 0.9, 6, "l1"), ("t2", 0.5, 6, "l1"),
+    ]  # sparsity-vs-p
+    cells = list(profile_cells(profile="small", seeds=1, p_grid=(0.5,), delta=0.01))
+    assert all((c.spec.m, c.spec.n, c.spec.s, c.spec.delta) == (200, 1000, 20, 0.01) for c in cells)
 
 
 def test_failed_cell_is_recorded_and_grid_continues(monkeypatch):

@@ -70,6 +70,16 @@ def test_restoration_from_just_outside(desk_solution):
         assert lp_power_sum(out, 0.5) <= rep.objective * (1 + 1e-6)
 
 
+def test_point_kept_when_its_least_squares_point_is_outside(golden):
+    # x = (0, 0, 5) has residual (2, -8), and its support's least-squares
+    # point z = 0 has residual (-3, -3): both lie outside the unit ball, so
+    # the finish returns the point as it is, with no walk
+    x = np.array([0.0, 0.0, 5.0])
+    out, steps, drops = sparselp.solver._vertex_finish(golden, x, golden.residual(x))
+    assert out is x
+    assert (steps, drops) == (0, 0)
+
+
 def test_l2_ends_inside_the_sphere():
     _, inst, _, _ = gen_matched_pair(GenSpec(m=20, n=60, s=3, delta=1e-3, seed=0))
     for p in (0.5, 0.1):

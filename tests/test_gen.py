@@ -93,6 +93,15 @@ def test_spec_validation():
         GenSpec(m=5, n=5, s=1, delta=0.1, q_for_sigma=3.0)
 
 
+def test_seed_must_be_a_nonnegative_integer():
+    # Philox refuses a negative seed only when the draw starts; the spec
+    # refuses it, and a seed that is not an integer, when it is built
+    for bad in (-1, 1.5, True, "3", None):
+        with pytest.raises(InvalidParam, match="seed"):
+            GenSpec(m=5, n=5, s=1, delta=0.1, seed=bad)
+    assert GenSpec(m=5, n=5, s=1, delta=0.1, seed=np.int64(7)).seed == 7
+
+
 def test_make_rng_is_stable():
     np.testing.assert_array_equal(
         make_rng(123).standard_normal(6), make_rng(123).standard_normal(6)

@@ -257,6 +257,14 @@ def test_outer_cap_reported(golden, monkeypatch):
     assert rep.outer_iters == 3
 
 
+def test_uncertified_point_is_reported(golden, failing_certificate):
+    # a run that meets the outer tolerance on a point that fails a check
+    # does not report "converged"
+    rep = solve_l1(golden)
+    assert rep.stop_reason == "stationary_uncertified"
+    assert rep.objective == pytest.approx(np.sqrt(2.5), abs=1e-6)  # the point is kept
+
+
 def test_solve_l2_golden(golden):
     # l2 ball with the same radius; optimum for support {0}: x = 3 - 1/sqrt(2)
     rep = solve_l2(golden, seed_x=np.array([3.0, 0.1, 0.0]))
