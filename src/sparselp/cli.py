@@ -72,6 +72,31 @@ _smoothing_width = _checked(float, lambda w: math.isfinite(w) and w > 0.0, "widt
 _finite = _checked(float, math.isfinite, "must be finite")
 
 
+def _join_negative_values(argv) -> list:
+    """argv with each token that float() reads and that starts with '-'
+    joined to the option before it, as --option=value.
+
+    argparse takes -2 for a value, but -1e3 and -inf for option names; no
+    option of this interface is named like a number, so --lo -1e3 then
+    parses as --lo=-1e3 does, for every numeric option."""
+    out = []
+    for token in argv:
+        prev = out[-1] if out else ""
+        if token.startswith("-") and prev.startswith("--") and "=" not in prev and _is_float(token):
+            out[-1] = f"{prev}={token}"
+        else:
+            out.append(token)
+    return out
+
+
+def _is_float(text) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _emit(payload: dict, args) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
@@ -346,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     if args.command == "gen" and args.s > args.n:
         parser.error(f"need --s <= --n, got {args.s}, {args.n}")
     if args.command == "success-curve" and not 1 <= args.s_min <= args.s_max <= args.n:

@@ -5,7 +5,10 @@ entries and normalize each column to unit 2-norm, plant a standard-normal
 vector on a uniformly random size-s support, draw noise xi, then set
 b = A x_hat + delta xi and sigma = delta ||xi||_q.  The planted point is
 feasible with residual norm exactly sigma, sitting on the constraint
-boundary by construction.
+boundary by construction.  An accepted A must have full rank:
+linalg.numerical_rank proves that with one Cholesky of its smaller Gram
+matrix, and counts singular values only when that proof fails; a
+rank-deficient A raises InvariantViolation, which gives the SVD's rank.
 
 All randomness comes from a Philox counter-based generator seeded
 explicitly, so identical GenSpec values give bit-identical instances on

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,6 +12,11 @@ from .errors import InvalidNorm
 # numerical_rank treats singular values below
 # RANK_REL_TOL_FACTOR * max(m, n) * s_max as zero
 RANK_REL_TOL_FACTOR = 1e-10
+_U = np.finfo(np.float64).eps / 2.0  # unit roundoff
+_ETA = float(np.finfo(np.float64).smallest_subnormal)
+# ||A||_F^2 inside this range: the Gram of A can neither overflow nor lose
+# its scale to underflow, so A needs no rescaling
+_FROB_SQ_RANGE = (2.0**-256, 2.0**256)
 
 
 def lq_norm(x, q) -> float:
@@ -88,14 +94,74 @@ def least_squares_min_norm(a, b) -> np.ndarray:
 
 def numerical_rank(mat) -> int:
     """Rank by counting singular values above
-    RANK_REL_TOL_FACTOR * max(m, n) * s_max."""
+    RANK_REL_TOL_FACTOR * max(m, n) * s_max.
+
+    A full rank k = min(m, n) is certified without an SVD, by one Cholesky
+    of the k x k Gram matrix G of A (A A^T, or A^T A when m > n) with its
+    diagonal shifted down by c, where c covers (2 tol ||A||_F)^2, tol =
+    RANK_REL_TOL_FACTOR * max(m, n), plus every rounding error of forming G
+    (gamma_N ||A||_F^2, N = max(m, n)) and of the Cholesky itself (Rump's
+    bound, S. M. Rump, "Verification of positive definiteness", BIT 2006).
+    When that Cholesky completes, s_min(A) > 2 tol ||A||_F >= 2 tol s_max,
+    a margin far above the SVD's own rounding (about p(N) eps s_max), so
+    the SVD count would be k as well.  A failed Cholesky falls back to the
+    SVD count, as do the empty matrix, the zero matrix and non-finite
+    input, which therefore behave as the plain count does.
+    """
     mat = np.atleast_2d(np.asarray(mat, dtype=np.float64))
     if mat.size == 0:
         return 0
+    if _certified_full_rank(mat):
+        return min(mat.shape)
     sv = np.linalg.svd(mat, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
+    if sv[0] == 0.0:
         return 0
     return int(np.count_nonzero(sv > RANK_REL_TOL_FACTOR * max(mat.shape) * sv[0]))
+
+
+def _gamma(j: int) -> float:
+    """Higham's gamma_j = j u / (1 - j u): the relative error bound of a
+    sum of j rounded terms."""
+    return j * _U / (1.0 - j * _U)
+
+
+def _certified_full_rank(a) -> bool:
+    """True when one Cholesky proves s_min(a) > 2 tol ||a||_F (see
+    numerical_rank); False when it cannot, also for zero or non-finite a.
+
+    Let t bound both tr(G) = ||a||_F^2 and the trace of the computed G.
+    The computed G is off by at most gamma_N t + k N eta in 2-norm (eta the
+    smallest subnormal; one more k N eta covers underflow in t), shifting
+    its diagonal rounds by at most u t, and a Cholesky that completes on a
+    symmetric float matrix M proves lambda_min(M) > -(alpha t + 4 k (2 (k +
+    1) + t) eta), alpha = gamma_{k+1} / (1 - 2 gamma_{k+1}) (Rump).  So with
+    c = 4 tol^2 t plus these terms, lambda_min(G) > 4 tol^2 t >= (2 tol
+    ||a||_F)^2.  The few roundings in c itself, and the moves of a
+    rescaling, are far inside the factor 2.
+    """
+    frob_sq = float(np.vdot(a, a))
+    if not _FROB_SQ_RANGE[0] < frob_sq < _FROB_SQ_RANGE[1]:
+        big = max(a.max(), -a.min())
+        if not 0.0 < big < math.inf:  # zero, nan or inf
+            return False
+        # a power of two brings the largest entry to [1/2, 1); exact, except
+        # for entries pushed below the normal range, which move by at most eta
+        a = np.ldexp(a, -math.frexp(big)[1])
+        frob_sq = float(np.vdot(a, a))
+    m, n = a.shape
+    k, big_n = min(m, n), max(m, n)
+    gram = a @ a.T if m <= n else a.T @ a
+    t = frob_sq / (1.0 - _gamma(m * n)) * (1.0 + _gamma(big_n))
+    tol = RANK_REL_TOL_FACTOR * big_n
+    g_k = _gamma(k + 1)
+    rounding = (_gamma(big_n) + _U + g_k / (1.0 - 2.0 * g_k)) * t
+    underflow = _ETA * k * (2 * big_n + 8 * (k + 1) + 4 * t)
+    gram.reshape(-1)[:: k + 1] -= 4.0 * tol * tol * t + rounding + underflow
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,8 @@
 import contextlib
 import dataclasses
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,6 +81,20 @@ def desk_solution(desk_instance):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(np.random.Philox(12345))
+
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+def load_benchmark_module(name):
+    """benchmarks/<name>.py, loaded once as the module benchmark_<name>;
+    read, never changed, so the tests see the benchmark as it runs."""
+    key = f"benchmark_{name}"
+    if key not in sys.modules:
+        spec = importlib.util.spec_from_file_location(key, BENCHMARKS / f"{name}.py")
+        sys.modules[key] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[key])
+    return sys.modules[key]
 
 
 @contextlib.contextmanager

@@ -385,6 +385,20 @@ def test_plot_smoothing_bounds_must_be_finite(capsys):
             assert f"argument {flag}: must be finite" in capsys.readouterr().err
 
 
+def test_negative_values_parse_in_either_spelling(capsys):
+    # argparse reads -1e3 and -inf as option names unless joined with "="
+    spaced = run(capsys, "plot-smoothing", "--count", "3", "--lo", "-1e3", "--hi", "-1")
+    assert spaced == run(capsys, "plot-smoothing", "--count", "3", "--lo=-1e3", "--hi=-1")
+    assert spaced[0] == 0 and spaced[1].splitlines()[1].startswith("-1000.0,")
+    refusals = []
+    for argv in (["--lo", "-inf"], ["--lo=-inf"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["plot-smoothing", "--count", "3", *argv])
+        refusals.append((exc.value.code, capsys.readouterr()))
+    assert refusals[0] == refusals[1]
+    assert refusals[0][0] == 64 and "argument --lo: must be finite, got -inf" in refusals[0][1].err
+
+
 def test_oracle_rejects_out_of_range_p(tmp_path, capsys, golden):
     inst_path = golden_file(tmp_path, golden)
     x_path = tmp_path / "x.json"

@@ -3,8 +3,10 @@ import logging
 import numpy as np
 import pytest
 
+import sparselp.gen
+from conftest import load_benchmark_module
 from refs import t2_cdf
-from sparselp import GenSpec, InvalidParam, gen_instance, gen_matched_pair
+from sparselp import GenSpec, InvalidParam, InvariantViolation, gen_instance, gen_matched_pair
 from sparselp.gen import make_rng, sample_t2
 from sparselp.linalg import lq_norm
 
@@ -75,6 +77,47 @@ def test_reseed_on_degenerate_draw(caplog):
     np.testing.assert_array_equal(inst.a, direct.a)
     np.testing.assert_array_equal(inst.b, direct.b)
     np.testing.assert_array_equal(xi, xi_direct)
+
+
+def test_rank_deficient_draw_is_refused(monkeypatch):
+    # an accepted draw whose A has a duplicated column fails the full-rank
+    # check, and the message gives the rank the SVD counts
+    draw = sparselp.gen._draw
+    drawn = []
+
+    def duplicated(spec, seed):
+        a, x_hat, xi = draw(spec, seed)
+        a[:, 4] = a[:, 1]
+        drawn.append(a)
+        return a, x_hat, xi
+
+    monkeypatch.setattr(sparselp.gen, "_draw", duplicated)
+    with pytest.raises(InvariantViolation, match="drawn 10x6 matrix has rank 5$"):
+        gen_instance(GenSpec(m=10, n=6, s=2, delta=1e-2, seed=3))
+    sv = np.linalg.svd(drawn[-1], compute_uv=False)
+    assert np.count_nonzero(sv > 1e-10 * 10 * sv[0]) == 5
+
+
+@pytest.mark.parametrize("workload", ["desk-grid", "mid-path"])
+def test_benchmark_draws_are_certified_without_an_svd(workload, monkeypatch):
+    # every draw the benchmark builds at seed 0 is certified full rank by the
+    # Gram Cholesky alone: the SVD fallback never runs
+    workloads = load_benchmark_module("workloads")
+    rank = sparselp.gen.numerical_rank
+    ranks = []
+
+    def counted_rank(a):
+        ranks.append(rank(a))
+        return ranks[-1]
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("the rank check fell back to the SVD")
+
+    monkeypatch.setattr(sparselp.gen, "numerical_rank", counted_rank)
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    inputs = workloads.WORKLOADS[workload].build(0, False)
+    assert len(ranks) == len(inputs.cases) > 0
+    assert all(r == min(case.inst_l1.a.shape) for r, case in zip(ranks, inputs.cases))
 
 
 def test_spec_validation():

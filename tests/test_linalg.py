@@ -67,6 +67,106 @@ def test_numerical_rank():
     assert numerical_rank(b) == 2
 
 
+# -- numerical_rank: one Gram Cholesky certifies full rank, the SVD counts
+# -- every other matrix
+
+
+SVD = np.linalg.svd
+
+
+def svd_count(mat):
+    # the rank rule written out: singular values above 1e-10 max(m, n) s_max
+    sv = SVD(mat, compute_uv=False)
+    return int(np.count_nonzero(sv > 1e-10 * max(mat.shape) * sv[0])) if sv[0] > 0.0 else 0
+
+
+def with_singular_values(rng, m, n, sv):
+    # an m x n matrix with singular values sv (largest first), random bases
+    u = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    v = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return (u[:, : len(sv)] * sv) @ v[:, : len(sv)].T
+
+
+def rank_suite(rng):
+    """(label, matrix) pairs: full-rank shapes from 1x1 to 500x2500, both
+    ways round; a smallest singular value at 0.5, 1, 2 and 10 times the
+    threshold; duplicate and zero columns and rows; all of these scaled by
+    2^+-500 and 2^+-1000."""
+    suite = []
+    for m, n in ((1, 1), (1, 6), (2, 3), (5, 5), (7, 30), (40, 200), (100, 500), (500, 2500)):
+        for shape in dict.fromkeys(((m, n), (n, m))):
+            suite.append((f"gauss {shape}", rng.standard_normal(shape)))
+    for m, n in ((6, 9), (9, 6), (40, 200)):
+        k = min(m, n)
+        for factor in (0.5, 1.0, 2.0, 10.0):
+            sv = np.linspace(1.0, 0.5, k)
+            sv[-1] = factor * 1e-10 * max(m, n)
+            suite.append((f"s_min {factor}x threshold {m}x{n}", with_singular_values(rng, m, n, sv)))
+    for m, n in ((8, 5), (5, 8)):
+        a = rng.standard_normal((m, n))
+        dup_col, zero_col, dup_row = a.copy(), a.copy(), a.copy()
+        dup_col[:, 3] = dup_col[:, 1]
+        zero_col[:, 2] = 0.0
+        dup_row[4] = dup_row[0]
+        suite += [
+            (f"duplicate column {m}x{n}", dup_col),
+            (f"zero column {m}x{n}", zero_col),
+            (f"duplicate row {m}x{n}", dup_row),
+        ]
+    suite.append(("rank one", np.outer(rng.standard_normal(4), rng.standard_normal(7))))
+    suite.append(("zero", np.zeros((3, 4))))
+    for label, a in list(suite):
+        if a.size <= 400:
+            for e in (500, -500, 1000, -1000):
+                suite.append((f"{label} * 2^{e}", np.ldexp(a, e)))
+    return suite
+
+
+def test_numerical_rank_equals_the_svd_count(rng, monkeypatch):
+    svd_calls = []
+
+    def counted_svd(*args, **kwargs):
+        svd_calls.append(1)
+        return SVD(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    certified = fallback = 0
+    for label, a in rank_suite(rng):
+        before = len(svd_calls)
+        assert numerical_rank(a) == svd_count(a), label
+        if len(svd_calls) == before:
+            certified += 1
+            assert svd_count(a) == min(a.shape), label  # only full rank is certified
+        else:
+            fallback += 1
+    assert certified >= 40 and fallback >= 40  # both branches run
+
+
+def test_numerical_rank_certifies_random_full_rank(rng, monkeypatch):
+    # a random draw at the generator's shapes never needs the SVD
+    def no_svd(*args, **kwargs):
+        raise AssertionError("the rank check fell back to the SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    for m, n in ((2, 3), (5, 6), (100, 500), (300, 1500), (1500, 300)):
+        a = rng.standard_normal((m, n))
+        a /= np.linalg.norm(a, axis=0)
+        assert numerical_rank(a) == min(m, n)
+
+
+def test_numerical_rank_empty_and_nonfinite():
+    # no matrix reaches the certificate without a nonzero finite entry; these
+    # behave as the SVD count does
+    for shape in ((0, 0), (0, 3), (3, 0)):
+        assert numerical_rank(np.zeros(shape)) == 0
+    a = np.ones((3, 4))
+    a[1, 2] = np.nan
+    for mat in (a, a.T):
+        with pytest.raises(np.linalg.LinAlgError):
+            numerical_rank(mat)
+    assert numerical_rank(np.full((2, 2), np.inf)) == 0  # all-nan singular values count 0
+
+
 def test_gram_extremes_against_eigvalsh(rng):
     for _ in range(50):
         rows = int(rng.integers(1, 8))
