@@ -9,7 +9,9 @@ tiny instances.  The enumeration never forms the 2^m facets: every nonzero
 vertex is an end of the ball's piece of a line on which k - 1 independent
 rows of A_J fit b exactly (J the vertex's support, k = |J|), so one scan
 over these C(m + n, m + 1) lines, at most, yields the extreme points of
-every orthant at once (see all_orthant_vertices).
+every orthant at once.  The scan is one batch: the lines of every support
+size become n-vectors and their ends are found together, and the vertices
+come back as the rows of one read-only array (see all_orthant_vertices).
 
 The same scan answers the sparsest-solution question: on a support J of
 minimal size, each orthant's piece of the ball restricted to J is pointed
@@ -39,10 +41,15 @@ from .linalg import RANK_REL_TOL_FACTOR, lq_norm
 
 ENUM_MAX_M = 8
 ENUM_MAX_N = 10
+LINE_BLOCK = 1024  # lines per end-finding pass: bounds the scan's memory
 SINGULAR_TOL = 1e-10  # least singular value floor of a unit-row system
 DEDUP_TOL = 1e-9
 FEAS_TOL = 1e-9
 MEMBER_TOL = 1e-8  # is_l0_optimal's feasibility and zero floor, relative
+# odd multipliers (golden-ratio steps mod 2^63) that hash a merge-grid cell
+_CELL_HASH = np.array(
+    [(0x9E3779B97F4A7C15 * i) % 2**63 | 1 for i in range(1, ENUM_MAX_N + 1)], dtype=np.int64
+)
 
 
 @dataclass(frozen=True)
@@ -58,88 +65,121 @@ class ExactSolutionSet:
     minimizers: tuple
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.array(arr, dtype=np.float64)
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """Mark a freshly built array read-only and return it."""
     arr.flags.writeable = False
     return arr
 
 
 def _stack(vectors, n: int) -> np.ndarray:
-    """Vectors of length n as the rows of one array, also when there are none."""
+    """Vectors of length n as the rows of one array, also when there are none;
+    an array of rows passes through as a view."""
     return np.asarray(vectors, dtype=np.float64).reshape(len(vectors), n)
 
 
-def _dedup(vectors):
-    """Merge vectors equal within DEDUP_TOL * (1 + ||v||_inf), keeping the
-    first representative.  Two shifted grids catch boundary straddlers."""
-    if not len(vectors):
-        return []
-    stack = np.asarray(vectors, dtype=np.float64)
-    q = DEDUP_TOL * (1.0 + np.max(np.abs(stack), axis=1))
-    grid_a = np.floor(stack / q[:, None]).astype(np.int64)
-    grid_b = np.floor(stack / q[:, None] + 0.5).astype(np.int64)
-    kept = []
-    seen_a, seen_b = set(), set()
-    for i in range(stack.shape[0]):
-        key_a = grid_a[i].tobytes()
-        key_b = grid_b[i].tobytes()
-        if key_a in seen_a or key_b in seen_b:
-            continue
-        seen_a.add(key_a)
-        seen_b.add(key_b)
-        kept.append(stack[i])
-    return kept
+def _dedup(stack: np.ndarray) -> np.ndarray:
+    """Merge rows equal within DEDUP_TOL * (1 + ||v||_inf), keeping the first
+    representative.  Two shifted grids catch boundary straddlers: a row is
+    dropped when it shares a cell of either grid with a row already kept.
+
+    Only a row that shares a cell with another row can be dropped.  Sorting
+    a hash of each grid's cells finds every such row, and the first-wins
+    pass visits those alone; a hash clash only adds a row to that pass.
+    """
+    if len(stack) < 2:
+        return stack
+    q = DEDUP_TOL * (1.0 + np.abs(stack).max(axis=1))
+    grids = [np.floor(stack / q[:, None] + shift).astype(np.int64) for shift in (0.0, 0.5)]
+    collide = np.zeros(len(stack), dtype=bool)
+    for grid in grids:
+        cell = grid @ _CELL_HASH[: stack.shape[1]]  # wraps; equal cells hash alike
+        order = cell.argsort()
+        same = cell[order[1:]] == cell[order[:-1]]
+        collide[order[1:][same]] = collide[order[:-1][same]] = True
+    keep = ~collide
+    seen = (set(), set())
+    for i in np.flatnonzero(collide):
+        keys = [grid[i].tobytes() for grid in grids]
+        if not any(key in cells for key, cells in zip(keys, seen)):
+            for key, cells in zip(keys, seen):
+                cells.add(key)
+            keep[i] = True
+    return stack[keep]
 
 
 @functools.lru_cache(maxsize=None)
 def _line_index(m: int, n: int, k: int):
     """Index arrays of every (support, zero-row set) pair with |J| = k and
-    |Z| = k - 1, supports outer and row sets inner, both lexicographic."""
+    |Z| = k - 1, supports outer and row sets inner, both lexicographic, and
+    the masks of J (lines, n) and Z (lines, m)."""
     supports = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
     rows = np.array(list(itertools.combinations(range(m), k - 1)), dtype=np.intp)
     rows = rows.reshape(len(rows), k - 1)  # also for k = 1
     js = np.repeat(supports, len(rows), axis=0)
     zs = np.tile(rows, (len(supports), 1))
-    js.flags.writeable = zs.flags.writeable = False
-    return js, zs
+    on_j = np.zeros((len(js), n), dtype=bool)
+    on_z = np.zeros((len(js), m), dtype=bool)
+    np.put_along_axis(on_j, js, True, axis=1)
+    np.put_along_axis(on_z, zs, True, axis=1)
+    for arr in (js, zs, on_j, on_z):
+        arr.flags.writeable = False
+    return js, zs, on_j, on_z
 
 
-def _line_ends(inst: ProblemInstance, k: int) -> np.ndarray:
-    """Candidate vertices with k nonzeros: the ends of {f <= sigma} on every
-    line {x_J : A_{Z,J} x_J = b_Z, x_i = 0 off J} with rank A_{Z,J} = k - 1.
-
-    Returns the ends, as rows, that are nonzero on all of J and fit the rows
-    in Z; the caller tests the ball.
+def _lines(inst: ProblemInstance, k: int):
+    """Every line {x : A_{Z,J} x_J = b_Z, x_i = 0 off J} with |J| = k, as
+    n-vectors: x(lam) = x0 + lam d, x0 the min-norm solution on Z and d the
+    null direction, both zero off J.  Returns (x0, d, valid, on_j, on_z);
+    a line is valid when the row-normalised A_{Z,J} has rank k - 1.
     """
-    a, b, sigma = inst.a, inst.b, inst.sigma
-    m = inst.m
-    js, zs = _line_index(m, inst.n, k)
-    lines = np.arange(len(js))[:, None]
-    aj = a.T[js].transpose(0, 2, 1)  # (lines, m, k): A_J
-    az = aj[lines, zs]  # (lines, k - 1, k): A_{Z,J}
+    js, zs, on_j, on_z = _line_index(inst.m, inst.n, k)
+    az = inst.a[zs[:, :, None], js[:, None, :]]  # (lines, k - 1, k): A_{Z,J}
     norms = np.linalg.norm(az, axis=2)
     norms[norms == 0.0] = 1.0
     u, s, vh = np.linalg.svd(az / norms[:, :, None])
     valid = np.all(s > SINGULAR_TOL, axis=1)
     s[~valid] = 1.0
-    # x(lam) = x0 + lam d: x0 the min-norm solution on Z, d the null direction
-    x0 = np.einsum("lij,li->lj", vh[:, : k - 1], np.einsum("lij,li->lj", u, b[zs] / norms) / s)
-    d = vh[:, k - 1]
-    r0 = np.einsum("lik,lk->li", aj, x0) - b
-    g = np.einsum("lik,lk->li", aj, d)
-    r0[lines, zs] = 0.0
-    g[lines, zs] = 0.0
-    g[np.abs(g) <= 1e-12 * np.linalg.norm(aj, axis=2)] = 0.0
+    coef = np.einsum("lij,li->lj", u, inst.b[zs] / norms) / s
+    x0 = np.zeros(on_j.shape)
+    d = np.zeros(on_j.shape)
+    # js rows ascend, as the mask's C order does
+    x0[on_j] = np.einsum("lij,li->lj", vh[:, : k - 1], coef).ravel()
+    d[on_j] = vh[:, k - 1].ravel()
+    return x0, d, valid, on_j, on_z
+
+
+def _line_ends(inst: ProblemInstance, x0, d, valid, on_j, on_z) -> np.ndarray:
+    """Candidate vertices on a block of lines (see _lines): the ends of
+    {f <= sigma} on each line, as rows, line by line and the left end first,
+    that are nonzero on all of J, fit the rows in Z, lie on the boundary and
+    are feasible.
+
+    Each line's arithmetic is elementwise, a contraction of its own row
+    (einsum, which calls no BLAS) or a max, never a matrix product over
+    lines, so its ends do not depend on which other lines share the block.
+    """
+    a, b, sigma = inst.a, inst.b, inst.sigma
+    lines, m = on_z.shape
+    r0 = np.einsum("ln,in->li", x0, a) - b
+    g = np.einsum("ln,in->li", d, a)
+    r0[on_z] = 0.0
+    g[on_z] = 0.0
+    g[np.abs(g) <= 1e-12 * np.sqrt(np.einsum("ln,in->li", on_j.astype(float), a * a))] = 0.0
 
     # f(lam) = sum_i |r0_i + lam g_i| is convex and linear between the
     # sorted breakpoints -r0_i / g_i; rows with g_i = 0 repeat the largest
     moving = g != 0.0
-    valid &= moving.any(axis=1)
+    valid = valid & moving.any(axis=1)
     t = np.where(moving, -r0 / np.where(moving, g, 1.0), -np.inf)
     t = np.sort(np.where(moving, t, t.max(axis=1, keepdims=True)), axis=1)
     t[~valid] = 0.0
-    f = np.abs(r0[:, None, :] + t[:, :, None] * g[:, None, :]).sum(axis=2)
-    tol = FEAS_TOL * (1.0 + np.abs(x0[:, None, :] + t[:, :, None] * d[:, None, :]).max(axis=2))
+    f = np.einsum("lki->lk", np.abs(r0[:, None, :] + t[:, :, None] * g[:, None, :]))
+    # |x0 + t d| at each breakpoint, laid out coordinates first: a max over
+    # the leading axis runs over whole planes, where one over a short last
+    # axis is several times slower, and a max is exact in any order
+    x_t = np.multiply(d.T[:, None, :], t.T, order="C")
+    x_t += x0.T[:, None, :]
+    tol = FEAS_TOL * (1.0 + np.abs(x_t, out=x_t).max(axis=0).T)
     inside = f <= sigma + tol
     valid &= inside.any(axis=1)
 
@@ -149,33 +189,37 @@ def _line_ends(inst: ProblemInstance, k: int) -> np.ndarray:
     # f within tol of sigma is the end itself: this also catches lines
     # that only touch the ball, as every line does when sigma = 0
     step = np.array([-1, 1])
-    j_in = np.stack([np.argmax(inside, axis=1), m - 1 - np.argmax(inside[:, ::-1], axis=1)], axis=1)
-    j_out = np.clip(j_in + step, 0, m - 1)
-    t_in = np.take_along_axis(t, j_in, axis=1)
+    rows = np.arange(lines)[:, None]
+    j_in = np.array([inside.argmax(axis=1), m - 1 - inside[:, ::-1].argmax(axis=1)]).T
+    j_out = np.minimum(np.maximum(j_in + step, 0), m - 1)
+    t_in = t[rows, j_in]
     ray = t_in + step * (1.0 + np.abs(t_in))
-    t_out = np.where(j_out == j_in, ray, np.take_along_axis(t, j_out, axis=1))
+    t_out = np.where(j_out == j_in, ray, t[rows, j_out])
     signs = np.sign(r0[:, None, :] + (0.5 * (t_in + t_out))[:, :, None] * g[:, None, :])
     slope = np.einsum("lei,li->le", signs, g)
     cross = (sigma - np.einsum("lei,li->le", signs, r0)) / np.where(slope == 0.0, 1.0, slope)
-    f_in, tol_in = np.take_along_axis(f, j_in, axis=1), np.take_along_axis(tol, j_in, axis=1)
-    lam = np.where(f_in >= sigma - tol_in, t_in, cross)
-    x_j = x0[:, None, :] + lam[:, :, None] * d[:, None, :]  # (lines, 2, k)
+    lam = np.where(f[rows, j_in] >= sigma - tol[rows, j_in], t_in, cross)
+    x = x0[:, None, :] + lam[:, :, None] * d[:, None, :]  # (lines, 2, n), zero off J
 
-    size = 1.0 + np.abs(x_j).max(axis=2, keepdims=True)
-    z_miss = np.abs(np.einsum("lzk,lek->lez", az, x_j) - b[zs][:, None, :])
-    keep = (
-        valid[:, None]
-        & np.all(np.abs(x_j) > DEDUP_TOL * size, axis=2)
-        & np.all(z_miss <= 1e-8 * size * np.linalg.norm(a[zs], axis=2)[:, None, :], axis=2)
-    )
-    x = np.zeros((len(js), 2, inst.n))
-    np.put_along_axis(x, np.repeat(js[:, None, :], 2, axis=1), x_j, axis=2)
-    return x[keep]
+    # nonzero on all of J (a smaller support finds the rest); the exact fit
+    # on Z and the ball are then tested on the survivors alone
+    mags = np.abs(x)
+    size = 1.0 + mags.max(axis=2)
+    keep = ((mags > DEDUP_TOL * size[:, :, None]) == on_j[:, None, :]).all(axis=2) & valid[:, None]
+    x, size, on_z = x[keep], size[keep], on_z[keep.nonzero()[0]]
+    r = np.einsum("cn,in->ci", x, a) - b
+    fits = (~on_z | (np.abs(r) <= 1e-8 * size[:, None] * np.linalg.norm(a, axis=1))).all(axis=1)
+    gap = np.abs(r).sum(axis=1) - sigma
+    facet = np.linalg.norm(np.einsum("ci,in->cn", np.sign(r), a), axis=1)
+    return x[fits & (gap >= -1e-8 * size * facet) & (gap <= FEAS_TOL * size)]
 
 
-def _vertices_of_size(inst: ProblemInstance, k: int) -> list:
-    """The orthant vertices with exactly k nonzeros, deduplicated, in scan
-    order (see all_orthant_vertices); for k = 0, x = 0 when it is feasible.
+def _scan(inst: ProblemInstance, sizes) -> np.ndarray:
+    """The orthant vertices with k nonzeros for every k in sizes, ascending,
+    deduplicated, as the rows of one array in scan order: by size, then by
+    line in _line_index order, the left end before the right; for k = 0,
+    x = 0 when it is feasible.  The lines of all sizes run through
+    _line_ends together, in blocks of at most LINE_BLOCK lines.
 
     Raises TooLarge beyond ENUM_MAX_M rows or ENUM_MAX_N columns.
     """
@@ -183,20 +227,25 @@ def _vertices_of_size(inst: ProblemInstance, k: int) -> list:
         raise TooLarge(
             f"enumeration capped at m<={ENUM_MAX_M}, n<={ENUM_MAX_N}, got m={inst.m}, n={inst.n}"
         )
-    if k == 0:
-        return [np.zeros(inst.n)] if lq_norm(inst.b, 1.0) - inst.sigma <= FEAS_TOL else []
-    x = _line_ends(inst, k)
-    r = x @ inst.a.T - inst.b
-    size = 1.0 + np.max(np.abs(x), axis=1)
-    gap = np.abs(r).sum(axis=1) - inst.sigma
-    facet = np.linalg.norm(np.sign(r) @ inst.a, axis=1)
-    return _dedup(x[(gap >= -1e-8 * size * facet) & (gap <= FEAS_TOL * size)])
+    found = []
+    if 0 in sizes and lq_norm(inst.b, 1.0) - inst.sigma <= FEAS_TOL:
+        found.append(np.zeros((1, inst.n)))
+    ks = [k for k in sizes if k > 0]
+    if ks:
+        x0, d, valid, on_j, on_z = map(np.concatenate, zip(*(_lines(inst, k) for k in ks)))
+        for lo in range(0, len(valid), LINE_BLOCK):
+            block = slice(lo, lo + LINE_BLOCK)
+            found.append(
+                _line_ends(inst, x0[block], d[block], valid[block], on_j[block], on_z[block])
+            )
+    return _dedup(np.concatenate(found) if found else np.zeros((0, inst.n)))
 
 
-def all_orthant_vertices(inst: ProblemInstance):
-    """Union over all orthants of the extreme points of orthant-and-ball.
+def all_orthant_vertices(inst: ProblemInstance) -> np.ndarray:
+    """Union over all orthants of the extreme points of orthant-and-ball, as
+    the read-only rows of one (V, n) array.
 
-    Method: a scan over lines, one batch per support size k.
+    Method: one batched scan over lines of every support size k.
       * Only boundary points can be vertices.  At a point inside the ball
         only coordinate planes are active, so the one interior vertex is
         x = 0, returned when it is feasible.
@@ -211,16 +260,18 @@ def all_orthant_vertices(inst: ProblemInstance):
         would lie inside a segment of the face.
     The scan visits every pair (J, Z) with |Z| = |J| - 1 <= m - 1 and
     rank A_{Z,J} = k - 1, C(m + n, m + 1) pairs at most, and takes the at
-    most two ends of {f <= sigma} on each.  It finds each end on the linear
-    piece that crosses sigma, between the sorted breakpoints -r0_i / g_i.
+    most two ends of {f <= sigma} on each.  Each size's lines come from
+    one SVD of the stacked A_{Z,J} and become n-vectors, zero off J, so
+    the end finding runs over the lines of all sizes at once, in blocks
+    of at most LINE_BLOCK lines.  It finds each end on the linear piece
+    that crosses sigma, between the sorted breakpoints -r0_i / g_i.
     A candidate is kept when it is nonzero on all of J (a smaller support
     finds the rest), its rows in Z fit exactly, it lies on the boundary and
-    it is feasible; survivors are deduplicated size by size (the merge
-    grid only joins vectors with equal supports).  Raises TooLarge beyond
-    ENUM_MAX_M rows or ENUM_MAX_N columns.
+    it is feasible; survivors are deduplicated in one pass (the merge grid
+    only joins vectors with equal supports).  Rows come size by size.
+    Raises TooLarge beyond ENUM_MAX_M rows or ENUM_MAX_N columns.
     """
-    found = [v for k in range(min(inst.m, inst.n) + 1) for v in _vertices_of_size(inst, k)]
-    return tuple(_freeze(_stack(found, inst.n)))  # read-only rows of one array
+    return _frozen(_scan(inst, range(min(inst.m, inst.n) + 1)))
 
 
 def solve_exact_lp_quasinorm(inst: ProblemInstance, p: float, vertices) -> ExactSolutionSet:
@@ -233,7 +284,7 @@ def solve_exact_lp_quasinorm(inst: ProblemInstance, p: float, vertices) -> Exact
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"this solver handles 0 < p <= 1, got {p}")
-    if not vertices:
+    if not len(vertices):
         raise NotFeasible("no extreme points found; is the instance feasible?")
     values = (np.abs(_stack(vertices, inst.n)) ** p).sum(axis=1)
     best = float(values.min())
@@ -265,12 +316,12 @@ def solve_exact_l0(inst: ProblemInstance, vertices=None) -> ExactSolutionSet:
         if not nnz.size:
             raise NotFeasible("no support admits a feasible point; data is inconsistent")
         k = int(nnz.min())
-        minimizers = tuple(_freeze(stack[nnz == k]))
+        minimizers = tuple(_frozen(stack[nnz == k]))
         return ExactSolutionSet(p=0.0, optimal_value=float(k), minimizers=minimizers)
     for k in range(min(inst.m, inst.n) + 1):
-        witnesses = _vertices_of_size(inst, k)
-        if witnesses:
-            minimizers = tuple(_freeze(_stack(witnesses, inst.n)))
+        witnesses = _scan(inst, (k,))
+        if len(witnesses):
+            minimizers = tuple(_frozen(witnesses))
             return ExactSolutionSet(p=0.0, optimal_value=float(k), minimizers=minimizers)
     raise NotFeasible("no support admits a feasible point; data is inconsistent")
 

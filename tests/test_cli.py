@@ -312,17 +312,17 @@ def test_oracle_p_star_rejects_trivial_instance(tmp_path, capsys, golden):
 def test_oracle_sparsest_reuses_vertices(tmp_path, capsys, golden, monkeypatch):
     # --p 0 filters the vertices already enumerated: one scan of the sizes
     # 0..min(m, n), not a second one for the sparsest level
-    sizes = []
-    scan = sparselp.oracle._vertices_of_size
+    scans = []
+    scan = sparselp.oracle._scan
 
-    def counted(inst, k):
-        sizes.append(k)
-        return scan(inst, k)
+    def counted(inst, sizes):
+        scans.append(list(sizes))
+        return scan(inst, sizes)
 
-    monkeypatch.setattr(sparselp.oracle, "_vertices_of_size", counted)
+    monkeypatch.setattr(sparselp.oracle, "_scan", counted)
     code, out, _ = run(capsys, "oracle", "--instance", golden_file(tmp_path, golden), "--p", "0")
     assert code == 0
-    assert sizes == [0, 1, 2]
+    assert scans == [[0, 1, 2]]
     sol = json.loads(out)["solutions"]["0.0"]
     assert sol["optimal_value"] == 1.0
     assert sorted(sol["minimizers"]) == [[0.0, 2.5, 0.0], [0.0, 3.5, 0.0], [2.5, 0.0, 0.0], [3.5, 0.0, 0.0]]

@@ -21,6 +21,7 @@ from sparselp import (
     estimate_p_star,
     gen_instance,
     is_l0_optimal,
+    oracle,
     solve_exact_l0,
     solve_exact_lp_quasinorm,
 )
@@ -171,7 +172,7 @@ def test_vertex_certificates_beyond_reference(m, n, seed):
     # sign(r)'A) have rank n, and the sparsest vertex is a sparsest point
     inst, _, _ = gen_instance(GenSpec(m=m, n=n, s=2, delta=0.4, noise="gauss", seed=seed))
     verts = all_orthant_vertices(inst)
-    assert verts
+    assert len(verts)
     for v in verts:
         r = inst.residual(v)
         assert abs(np.abs(r).sum() - inst.sigma) <= 1e-9
@@ -280,9 +281,9 @@ def test_sparsest_against_exact_scan(rng):
     assert sigmas == {0, 1, 2}
 
 
-def test_sparsest_from_held_vertices(rng):
-    # filtering held vertices gives the scan's level and its witness arrays,
-    # in the same order; the 8x10 sigma = 0 case is the scan's worst
+def held_vertex_cases(rng):
+    # the acceptance suite, wider draws up to the cap, and the 8x10
+    # sigma = 0 case, the sparsest scan's worst
     cases = [gen_instance(spec)[0] for spec in TINY_SPECS]
     cases += [
         gen_instance(GenSpec(m=m, n=n, s=2, delta=0.4, noise="t2", seed=seed))[0]
@@ -291,6 +292,13 @@ def test_sparsest_from_held_vertices(rng):
     cases.append(ProblemInstance(
         m=8, n=10, a=rng.standard_normal((8, 10)), b=rng.standard_normal(8), sigma=0.0
     ))
+    return cases
+
+
+def test_sparsest_from_held_vertices(rng):
+    # filtering held vertices gives the scan's level and its witness arrays,
+    # in the same order
+    cases = held_vertex_cases(rng)
     for inst in cases:
         scan = solve_exact_l0(inst)
         held = solve_exact_l0(inst, vertices=all_orthant_vertices(inst))
@@ -301,6 +309,50 @@ def test_sparsest_from_held_vertices(rng):
     assert scan.optimal_value == 8 and len(scan.minimizers) == 45
     with pytest.raises(NotFeasible):
         solve_exact_l0(cases[0], vertices=())
+
+
+def test_scan_has_no_batch_effects(rng, monkeypatch):
+    # all_orthant_vertices runs the lines of every size through one batch
+    # and cuts it into blocks elsewhere than a one-size scan does; each
+    # line's arithmetic is its own, so every size's rows are bitwise those
+    # of the one-size scan, and of scans in blocks of 37 lines and of one
+    # line (where numpy's loops see a batch axis of length 1)
+    held = [(inst, all_orthant_vertices(inst)) for inst in held_vertex_cases(rng)]
+    for inst, verts in held:
+        nnz = np.count_nonzero(verts, axis=1)
+        assert np.all(np.diff(nnz) >= 0)  # rows come size by size
+        for k in range(min(inst.m, inst.n) + 1):
+            assert np.array_equal(verts[nnz == k], oracle._scan(inst, (k,)))
+    for block, count in ((37, len(TINY_SPECS)), (1, len(TINY_SPECS) // 2)):
+        monkeypatch.setattr(oracle, "LINE_BLOCK", block)
+        for inst, verts in held[:count]:
+            assert np.array_equal(all_orthant_vertices(inst), verts)
+
+
+def test_dedup_merge_rule():
+    # rows [x q, 0] with q = DEDUP_TOL: the cell width 1e-9 (1 + |x| q) is
+    # q to 1e-7 relative, so grid a cuts at integer x and grid b, shifted
+    # by half a cell, at half-integer x
+    def rows(*xs):
+        return np.array([[x * oracle.DEDUP_TOL, 0.0] for x in xs])
+
+    def kept(*xs):
+        return [float(v[0] / oracle.DEDUP_TOL) for v in oracle._dedup(rows(*xs))]
+
+    # an exact duplicate merges into the first; order is kept
+    assert kept(3.2, 7.6, 3.2) == pytest.approx([3.2, 7.6])
+    # straddling a cut of one grid, two rows share a cell of the other
+    assert kept(10.95, 11.05) == pytest.approx([10.95])  # grid a cuts at 11
+    assert kept(10.45, 10.55) == pytest.approx([10.45])  # grid b cuts at 10.5
+    # a chain: 10.8 shares grid a's cell with 10.2 and grid b's with 11.4,
+    # which shares no cell with 10.2.  Dropping 10.8 frees 11.4, so the
+    # sequential rule keeps it, where keeping only the first row of every
+    # cell in each grid would drop it
+    assert kept(10.2, 10.8, 11.4) == pytest.approx([10.2, 11.4])
+    # distinct rows never merge, nor do the golden vertices
+    assert kept(10.2, 12.2, -10.2) == pytest.approx([10.2, 12.2, -10.2])
+    golden = np.array(sorted(GOLDEN_VERTEX_SET))
+    assert np.array_equal(oracle._dedup(golden), golden)
 
 
 def test_is_l0_optimal(golden):
