@@ -31,7 +31,7 @@ from .oracle import (
     solve_exact_lp_quasinorm,
 )
 from .solver import solve_l1, solve_l2
-from .verify import all_checks_pass, certify
+from .verify import DEFAULT_TOL, all_checks_pass, certify
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -269,9 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--p", type=_oracle_exponent, default=None,
                      help="exponent, 0 or in (0, 1] (default: from file)")
     sub.add_argument("--q", type=int, choices=(1, 2), default=1)
-    sub.add_argument("--tol", type=_nonnegative, default=1e-8,
+    sub.add_argument("--tol", type=_nonnegative, default=DEFAULT_TOL,
                      help="check tolerance; a converged solve ends on a vertex (l1) or the sphere (l2) "
-                          "and passes the default 1e-8")
+                          f"and passes the default {DEFAULT_TOL:g}")
     _add_common(sub)
     sub.set_defaults(func=cmd_verify)
 

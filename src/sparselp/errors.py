@@ -47,7 +47,8 @@ class TooLarge(SparselpError):
 
 
 class NotFeasible(SparselpError):
-    """The given point is not feasible for the residual constraint."""
+    """No feasible vertex or support: the exact oracle found nothing in the
+    residual ball to answer from."""
 
 
 class EmptySupport(SparselpError):

@@ -1,4 +1,8 @@
-"""Dense linear-algebra helpers shared by the solver and the verifiers."""
+"""Dense linear-algebra helpers shared by the solver and the verifiers.
+
+singular_value_rank is the package's one rank rule: numerical_rank,
+gram_extremes, the solver's vertex walk and the oracle's line scan call it.
+"""
 
 from __future__ import annotations
 
@@ -7,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidNorm
+from .errors import InvalidNorm, InvalidParam
 
-# numerical_rank treats singular values below
+# singular_value_rank treats singular values at or below
 # RANK_REL_TOL_FACTOR * max(m, n) * s_max as zero
 RANK_REL_TOL_FACTOR = 1e-10
 _U = np.finfo(np.float64).eps / 2.0  # unit roundoff
@@ -92,9 +96,16 @@ def least_squares_min_norm(a, b) -> np.ndarray:
     return x
 
 
+def singular_value_rank(sv, shape):
+    """Rank of m x n matrices, shape = (m, n), from their singular values,
+    descending along the last axis of sv (leading axes batch): the count
+    above RANK_REL_TOL_FACTOR * max(m, n) * s_max; 0 for zero or NaN."""
+    sv = np.asarray(sv)
+    return (sv > RANK_REL_TOL_FACTOR * max(shape) * sv[..., :1]).sum(axis=-1)
+
+
 def numerical_rank(mat) -> int:
-    """Rank by counting singular values above
-    RANK_REL_TOL_FACTOR * max(m, n) * s_max.
+    """Rank by the rule of singular_value_rank.
 
     A full rank k = min(m, n) is certified without an SVD, by one Cholesky
     of the k x k Gram matrix G of A (A A^T, or A^T A when m > n) with its
@@ -113,10 +124,7 @@ def numerical_rank(mat) -> int:
         return 0
     if _certified_full_rank(mat):
         return min(mat.shape)
-    sv = np.linalg.svd(mat, compute_uv=False)
-    if sv[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sv > RANK_REL_TOL_FACTOR * max(mat.shape) * sv[0]))
+    return int(singular_value_rank(np.linalg.svd(mat, compute_uv=False), mat.shape))
 
 
 def _gamma(j: int) -> float:
@@ -167,7 +175,8 @@ def _certified_full_rank(a) -> bool:
 @dataclass(frozen=True)
 class GramExtremes:
     """Extreme eigenvalues of A_J' A_J (lambda_min over all n_J eigenvalues,
-    so it is 0 whenever A_J has more columns than rows)."""
+    so it is 0 whenever A_J is rank-deficient by singular_value_rank, in
+    particular when it has more columns than rows)."""
 
     lambda_min: float
     lambda_max: float
@@ -175,11 +184,9 @@ class GramExtremes:
 
 def gram_extremes(a_j) -> GramExtremes:
     a_j = np.atleast_2d(np.asarray(a_j, dtype=np.float64))
-    rows, cols = a_j.shape
-    if cols == 0:
-        raise ValueError("gram_extremes needs at least one column")
+    if a_j.shape[1] == 0:
+        raise InvalidParam("gram_extremes needs at least one column")
     sv = np.linalg.svd(a_j, compute_uv=False)
-    lam_max = float(sv[0] ** 2)
-    lam_min = 0.0 if cols > rows else float(sv[-1] ** 2)
-    return GramExtremes(lambda_min=lam_min, lambda_max=lam_max)
+    lam_min = float(sv[-1] ** 2) if singular_value_rank(sv, a_j.shape) == a_j.shape[1] else 0.0
+    return GramExtremes(lambda_min=lam_min, lambda_max=float(sv[0] ** 2))
 

@@ -9,9 +9,11 @@ tiny instances.  The enumeration never forms the 2^m facets: every nonzero
 vertex is an end of the ball's piece of a line on which k - 1 independent
 rows of A_J fit b exactly (J the vertex's support, k = |J|), so one scan
 over these C(m + n, m + 1) lines, at most, yields the extreme points of
-every orthant at once.  The scan is one batch: the lines of every support
-size become n-vectors and their ends are found together, and the vertices
-come back as the rows of one read-only array (see all_orthant_vertices).
+every orthant at once.  A line counts when its k - 1 rows are independent
+by linalg.singular_value_rank, the package's one rank rule.  The scan is
+one batch: the lines of every support size become n-vectors and their ends
+are found together, and the vertices come back as the rows of one
+read-only array (see all_orthant_vertices).
 
 The same scan answers the sparsest-solution question: on a support J of
 minimal size, each orthant's piece of the ball restricted to J is pointed
@@ -36,13 +38,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ProblemInstance, validate_instance
-from .errors import NotFeasible, TooLarge
-from .linalg import RANK_REL_TOL_FACTOR, lq_norm
+from .errors import InvalidParam, NotFeasible, TooLarge
+from .linalg import lq_norm, singular_value_rank
 
 ENUM_MAX_M = 8
 ENUM_MAX_N = 10
 LINE_BLOCK = 1024  # lines per end-finding pass: bounds the scan's memory
-SINGULAR_TOL = 1e-10  # least singular value floor of a unit-row system
 DEDUP_TOL = 1e-9
 FEAS_TOL = 1e-9
 MEMBER_TOL = 1e-8  # is_l0_optimal's feasibility and zero floor, relative
@@ -130,14 +131,15 @@ def _lines(inst: ProblemInstance, k: int):
     """Every line {x : A_{Z,J} x_J = b_Z, x_i = 0 off J} with |J| = k, as
     n-vectors: x(lam) = x0 + lam d, x0 the min-norm solution on Z and d the
     null direction, both zero off J.  Returns (x0, d, valid, on_j, on_z);
-    a line is valid when the row-normalised A_{Z,J} has rank k - 1.
+    a line is valid when the row-normalised A_{Z,J} has rank k - 1 by
+    linalg.singular_value_rank, counted for all lines of size k at once.
     """
     js, zs, on_j, on_z = _line_index(inst.m, inst.n, k)
     az = inst.a[zs[:, :, None], js[:, None, :]]  # (lines, k - 1, k): A_{Z,J}
     norms = np.linalg.norm(az, axis=2)
     norms[norms == 0.0] = 1.0
     u, s, vh = np.linalg.svd(az / norms[:, :, None])
-    valid = np.all(s > SINGULAR_TOL, axis=1)
+    valid = singular_value_rank(s, (k - 1, k)) == k - 1
     s[~valid] = 1.0
     coef = np.einsum("lij,li->lj", u, inst.b[zs] / norms) / s
     x0 = np.zeros(on_j.shape)
@@ -283,7 +285,7 @@ def solve_exact_lp_quasinorm(inst: ProblemInstance, p: float, vertices) -> Exact
     returned.
     """
     if not 0.0 < p <= 1.0:
-        raise ValueError(f"this solver handles 0 < p <= 1, got {p}")
+        raise InvalidParam(f"this solver handles 0 < p <= 1, got {p}")
     if not len(vertices):
         raise NotFeasible("no extreme points found; is the instance feasible?")
     values = (np.abs(_stack(vertices, inst.n)) ** p).sum(axis=1)
@@ -361,8 +363,7 @@ def estimate_p_star(inst: ProblemInstance, vertices, sparsest_k: int) -> PStarEs
     if not np.isfinite(r_tilde):
         raise NotFeasible("no nonzero vertex coordinates; instance is degenerate")
     sv = np.linalg.svd(inst.a, compute_uv=False)
-    pos = sv[sv > RANK_REL_TOL_FACTOR * max(inst.m, inst.n) * sv[0]]
-    lam_star = float(pos[-1] ** 2)
+    lam_star = float(sv[singular_value_rank(sv, inst.a.shape) - 1] ** 2)
     r = (inst.sigma + lq_norm(inst.b, 2.0)) / np.sqrt(lam_star)
     s = max(sparsest_k, 1)
     if r <= r_tilde * (1.0 + 1e-12):

@@ -55,7 +55,7 @@ import numpy as np
 
 from .core import OuterRecord, ProblemInstance, SolveReport, validate_instance
 from .errors import DimensionMismatch, InfeasibleStart, InvalidParam, InvariantViolation
-from .linalg import ball_entry, least_squares_min_norm, lq_norm
+from .linalg import ball_entry, least_squares_min_norm, lq_norm, singular_value_rank
 from .npg import npg_solve
 from .smoothing import SmoothedPenalty, lp_power_sum
 from .verify import all_checks_pass, optimal_point_checks
@@ -76,8 +76,6 @@ OUTER_ITER_CAP = 500
 # a residual row within this share of its float scale |A_J||z| + |b| is zero;
 # also the relative tie width of the walk's ratio test
 ROUNDOFF = 1e-12
-# singular values of the face rows below this share of the largest are zero
-RANK_TOL = 1e-10
 
 
 def progress_measures(x_next, x_prev, inst: ProblemInstance, q: float, r_next, phi_next, phi_prev):
@@ -107,9 +105,11 @@ def _vertex_finish(inst, x, r):
     A residual row that reaches zero joins the face, a coordinate that
     reaches zero leaves the support.  When the projected gradient vanishes
     any null direction of the face will do.  The walk stops when the face
-    rows have full column rank: the point is a vertex, which the face
-    equations then fix exactly; if rounding leaves it outside, it enters the
-    ball along the direction that lowers the facet's target.
+    rows have full column rank, judged by the package's one rank rule
+    (linalg.singular_value_rank): the point is a vertex, which the face
+    equations then fix exactly (linalg.least_squares_min_norm); if rounding
+    leaves it outside, it enters the ball along the direction that lowers
+    the facet's target.
     """
     a, b, sigma, p = inst.a, inst.b, inst.sigma, inst.p
     support = np.flatnonzero(x)
@@ -142,8 +142,9 @@ def _vertex_finish(inst, x, r):
         r = aj @ z - b
         zero |= np.abs(r) <= roundoff(z)
         signs = np.where(zero, 0.0, np.sign(r))
-        _, sv, vh = np.linalg.svd(np.vstack([signs @ aj, aj[zero]]))
-        rank = int(np.count_nonzero(sv > RANK_TOL * sv[0]))
+        face = np.vstack([signs @ aj, aj[zero]])
+        _, sv, vh = np.linalg.svd(face)
+        rank = int(singular_value_rank(sv, face.shape))
         if rank == z.size:
             break
         null = vh[rank:]
@@ -173,7 +174,7 @@ def _vertex_finish(inst, x, r):
     rhs = np.zeros((len(rows), 2))
     rhs[:, 0] = np.concatenate([[sigma + signs @ b], b[zero]])
     rhs[0, 1] = 1.0
-    z_v, w = np.linalg.lstsq(rows, rhs, rcond=None)[0].T
+    z_v, w = least_squares_min_norm(rows, rhs).T
     out, lowered = np.zeros(inst.n), np.zeros(inst.n)
     out[support], lowered[support] = z_v, z_v - w
     t = ball_entry(a, b, out, lowered, sigma, 1.0)

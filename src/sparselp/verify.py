@@ -19,14 +19,16 @@ boundary gap sigma - ||Ax-b||_q.
 
 certify judges a point once: it builds the report first, also for an
 infeasible point, and every check reads it, feasibility included, so the
-residual is formed once.  All checks use one tolerance and one rule,
-excess <= tol, which the report's feasible flag shares.  At p = 0 a point on
-the boundary, or outside it within tol, needs no scaling, and a point inside
-is scaled by alpha, the entry of the segment from 0 to x into the ball
-(linalg.ball_entry), so alpha x is inside in floating point.  x = 0 has no
-report (kkt_property_report raises EmptySupport, returned in its place), an
-x of the wrong shape raises DimensionMismatch, and an instance with
-||b||_q <= sigma is refused whatever the point.
+residual is formed once.  Its feasible check is the one feasibility
+verdict, the report only measures.  All checks use one tolerance and one
+rule, excess <= tol.  rank_aj and lambda_min (0 whenever rank_aj <
+nnz) follow linalg.singular_value_rank, the one rank rule.  At p = 0 a
+point on the boundary, or outside it within tol, needs no scaling, and a
+point inside is scaled by alpha, the entry of the segment from 0 to x into
+the ball (linalg.ball_entry), so alpha x is inside in floating point.
+x = 0 has no report (kkt_property_report raises EmptySupport, returned in
+its place), an x of the wrong shape raises DimensionMismatch, and an
+instance with ||b||_q <= sigma is refused whatever the point.
 optimal_point_checks is certify without the report.
 """
 
@@ -54,24 +56,15 @@ class KktPropertyReport:
     upper_bound: float
     lambda_min: float
     lambda_max: float
-    feasible: bool
     # raw signed slacks; err1 clips these at zero
     lower_slack: float
     upper_slack: float
 
     def to_dict(self) -> dict:
-        out = {}
-        for key, val in self.__dict__.items():
-            out[key] = val if isinstance(val, (int, bool)) else float(val)
-        return out
+        return {key: val if isinstance(val, int) else float(val) for key, val in vars(self).items()}
 
 
-def kkt_property_report(
-    inst: ProblemInstance,
-    x,
-    q: float = 1.0,
-    feas_tol: float = DEFAULT_TOL,
-) -> KktPropertyReport:
+def kkt_property_report(inst: ProblemInstance, x, q: float = 1.0) -> KktPropertyReport:
     """Measure the optimal-point properties of x; pure, no side effects.
 
     x is expected to be refined (exact zeros off support).  Raises
@@ -103,9 +96,7 @@ def kkt_property_report(
     lower_slack = inf_norm - lower
     upper_slack = upper - inf_norm
     err1 = max(inf_norm - upper, lower - inf_norm, 0.0)
-    resid_q = lq_norm(inst.residual(x), q)
-    err2 = inst.sigma - resid_q
-    feasible = max(resid_q - inst.sigma, 0.0) <= feas_tol
+    err2 = inst.sigma - lq_norm(inst.residual(x), q)
     return KktPropertyReport(
         nnz=nnz,
         rank_aj=rank_aj,
@@ -116,7 +107,6 @@ def kkt_property_report(
         upper_bound=float(upper),
         lambda_min=float(ge.lambda_min),
         lambda_max=float(ge.lambda_max),
-        feasible=bool(feasible),
         lower_slack=float(lower_slack),
         upper_slack=float(upper_slack),
     )
@@ -166,7 +156,7 @@ def certify(inst: ProblemInstance, x, p: float, q: float = 1.0, tol: float = DEF
     """
     x = np.asarray(x, dtype=np.float64)
     try:
-        report = kkt_property_report(inst, x, q=q, feas_tol=tol)
+        report = kkt_property_report(inst, x, q=q)
         excess = 0.0 - report.err2  # ||Ax-b||_q - sigma; 0.0 - keeps a zero positive
     except EmptySupport as exc:
         report = exc

@@ -3,13 +3,15 @@ import pytest
 
 from conftest import TINY_SPECS
 from refs import exact_l1_entry
-from sparselp import InvalidNorm, gen_instance
+from sparselp import InvalidNorm, InvalidParam, ProblemInstance, gen_instance, linalg, oracle
 from sparselp.linalg import (
+    RANK_REL_TOL_FACTOR,
     ball_entry,
     gram_extremes,
     least_squares_min_norm,
     lq_norm,
     numerical_rank,
+    singular_value_rank,
 )
 
 
@@ -182,8 +184,43 @@ def test_gram_extremes_against_eigvalsh(rng):
 
 
 def test_gram_extremes_rejects_empty():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParam):
         gram_extremes(np.zeros((3, 0)))
+
+
+# -- the one rank rule: every caller judges a singular value near the cut
+# -- 1e-10 max(m, n) s_max alike
+
+
+def test_rank_rule_agrees_across_its_callers(monkeypatch):
+    # two unit rows at a small angle, A = [[1, 0, 0], [1, e, 0]]: s_max is
+    # sqrt(2) and s_min s_max = e, so e = 6e-10 c puts s_min at c times the
+    # cut 1e-10 * 3 * s_max.  The rows are unit to the last bit for c <= 2,
+    # so the line scan's row normalisation leaves A_{Z,J} = A as it is.  At
+    # 0.5x and 2x the Gram Cholesky cannot certify (it proves s_min > 2x the
+    # cut) and the SVD count decides; at 1000x the Cholesky does
+    for factor, full, certified in ((0.5, False, False), (2.0, True, False), (1e3, True, True)):
+        a = np.array([[1.0, 0.0, 0.0], [1.0, factor * RANK_REL_TOL_FACTOR * 3 * 2, 0.0]])
+        sv = SVD(a, compute_uv=False)
+        assert sv[1] / (RANK_REL_TOL_FACTOR * 3 * sv[0]) == pytest.approx(factor, rel=1e-5)
+        rank = 2 if full else 1
+        assert singular_value_rank(sv, a.shape) == rank
+        for mat in (a, a.T):
+            assert linalg._certified_full_rank(mat) is certified
+            assert numerical_rank(mat) == rank
+            with monkeypatch.context() as patch:  # the SVD count alone
+                patch.setattr(linalg, "_certified_full_rank", lambda mat: False)
+                assert numerical_rank(mat) == rank
+        assert (gram_extremes(a.T).lambda_min > 0.0) is full
+        assert gram_extremes(a).lambda_min == 0.0  # more columns than rows
+        inst = ProblemInstance(m=2, n=3, a=a, b=np.array([3.0, 3.0]), sigma=1.0, p=0.5)
+        assert oracle._lines(inst, 3)[2].tolist() == [full]  # the one line, Z = {0, 1}
+
+
+def test_singular_value_rank_batches_over_leading_axes():
+    sv = np.array([[2.0, 1.0, 0.0], [1.0, 1e-12, 0.0], [0.0, 0.0, 0.0], [np.nan] * 3])
+    np.testing.assert_array_equal(singular_value_rank(sv, (3, 4)), [2, 1, 0, 0])
+    np.testing.assert_array_equal(singular_value_rank(np.zeros((5, 0)), (0, 1)), np.zeros(5))
 
 
 

@@ -13,6 +13,7 @@ from refs import (
 )
 from sparselp import (
     GenSpec,
+    InvalidParam,
     NotFeasible,
     ProblemInstance,
     TooLarge,
@@ -80,9 +81,9 @@ def test_golden_l1_solution(golden, golden_vertices):
 
 
 def test_quasinorm_rejects_bad_p(golden, golden_vertices):
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParam):
         solve_exact_lp_quasinorm(golden, 0.0, vertices=golden_vertices)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParam):
         solve_exact_lp_quasinorm(golden, 1.5, vertices=golden_vertices)
 
 

@@ -376,3 +376,47 @@ def test_one_residual_product_per_trial(monkeypatch):
         assert rep.stop_reason == "converged"
         assert rep.trials_total == calls["prox"]
         assert calls["residual"] <= 6
+
+
+def _permuted_solves(noise, seed, p, q, perm_seed):
+    # one desk draw and its column-permuted copy, both solved on the q ball
+    pair = gen_matched_pair(GenSpec(m=100, n=500, s=10, delta=1e-3, noise=noise, seed=seed))
+    inst = replace_p(pair[q - 1], p)
+    perm = np.random.default_rng(perm_seed).permutation(inst.n)
+    permuted = ProblemInstance(
+        m=inst.m, n=inst.n, a=inst.a[:, perm], b=inst.b, sigma=inst.sigma, p=p
+    )
+    solve = solve_l1 if q == 1 else solve_l2
+    return solve(inst), solve(permuted), perm
+
+
+@pytest.mark.parametrize(
+    "noise, seed, p, q",
+    [
+        ("t2", 2, 0.5, 1),  # the widest objective gap seen, 4.6e-4
+        ("gauss", 0, 0.1, 1),
+        ("t2", 1, 0.5, 2),
+    ],
+)
+def test_column_permutation_maps_the_solution(noise, seed, p, q):
+    # permuting A's columns permutes the problem: the support maps through
+    # the permutation and the objective agrees; float sums in another order
+    # move the path, so the vertex reached on that support may differ
+    rep, rep_perm, perm = _permuted_solves(noise, seed, p, q, perm_seed=0)
+    assert rep.stop_reason == rep_perm.stop_reason == "converged"
+    np.testing.assert_array_equal(
+        np.sort(perm[np.flatnonzero(rep_perm.x_star)]), np.flatnonzero(rep.x_star)
+    )
+    assert rep_perm.objective == pytest.approx(rep.objective, rel=1e-3)
+
+
+@pytest.mark.xfail(strict=True, reason="the permuted solve ends on an 11th nonzero")
+def test_column_permutation_known_break():
+    # the same draw as the widest gap above under another permutation: both
+    # solves converge, the permuted one with one more nonzero and an
+    # objective 2.3e-3 higher, past the 1e-3 bound
+    rep, rep_perm, perm = _permuted_solves("t2", 2, 0.5, 1, perm_seed=5)
+    np.testing.assert_array_equal(
+        np.sort(perm[np.flatnonzero(rep_perm.x_star)]), np.flatnonzero(rep.x_star)
+    )
+    assert rep_perm.objective == pytest.approx(rep.objective, rel=1e-3)

@@ -57,6 +57,20 @@ def test_no_module_reaches_into_another_modules_private_names():
     assert found == []
 
 
+def test_rank_tolerance_is_read_only_in_linalg():
+    # one rank rule: every other module counts singular values through
+    # linalg.singular_value_rank, not with a cut of its own
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path.name != "linalg.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if "RANK_REL_TOL_FACTOR"
+        in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+    ]
+    assert found == []
+
+
 # the package's layers, lowest first: a module imports only modules of lower
 # layers, so the point checks in verify do not reach into the exact oracle
 # and no two modules of one layer depend on each other

@@ -12,13 +12,20 @@ from sparselp import (
     lq_norm,
     optimal_point_checks,
 )
-from sparselp.verify import certify
+from sparselp.verify import DEFAULT_TOL, certify
+
+
+def feasible_verdict(inst, x, tol=DEFAULT_TOL):
+    # the one feasibility verdict: certify's feasible check, not the report
+    check = certify(inst, np.asarray(x), 0.5, tol=tol)[0][0]
+    assert check.name == "feasible"
+    return check.passed
 
 
 def test_report_golden_minimizer(golden):
     rep = kkt_property_report(golden, np.array([2.5, 0.0, 0.0]))
     assert rep.nnz == 1 and rep.rank_aj == 1
-    assert rep.feasible
+    assert feasible_verdict(golden, [2.5, 0.0, 0.0])
     assert rep.err2 == 0.0
     assert rep.err1 == pytest.approx(0.0, abs=1e-12)
     # support column (1,1): Gram extremes are both 2; recompute the sandwich
@@ -48,7 +55,7 @@ def test_report_rank_deficient_support(golden):
     rep = kkt_property_report(golden, np.array([2.0, 0.3, 0.2]))
     assert rep.nnz == 3 and rep.rank_aj == 2
     assert rep.upper_bound == np.inf
-    assert not rep.feasible
+    assert not feasible_verdict(golden, [2.0, 0.3, 0.2])
 
 
 def test_report_rejects_zero(golden):
@@ -59,11 +66,10 @@ def test_report_rejects_zero(golden):
 def test_report_to_dict(golden):
     d = kkt_property_report(golden, np.array([2.5, 0.0, 0.0])).to_dict()
     assert d["nnz"] == 1
-    assert isinstance(d["feasible"], bool)
     assert isinstance(d["err2"], float)
     assert set(d) == {
         "nnz", "rank_aj", "err1", "err2", "inf_norm", "lower_bound",
-        "upper_bound", "lambda_min", "lambda_max", "feasible",
+        "upper_bound", "lambda_min", "lambda_max",
         "lower_slack", "upper_slack",
     }
 
@@ -93,7 +99,7 @@ def test_checks_infeasible_short_circuits(golden):
     assert not all_checks_pass(checks)
     # the point still gets its report
     assert report == kkt_property_report(golden, np.array([9.0, 0.0, 0.0]))
-    assert not report.feasible and report.err2 == -11.0
+    assert report.err2 == -11.0
 
 
 def test_checks_support_counting_mode(golden):
@@ -142,12 +148,13 @@ def test_checks_build_one_report(golden, verify_calls):
 
 
 def test_report_and_checks_share_the_feasibility_rule(golden):
-    # a point outside the ball by exactly tol is feasible to both
+    # a point outside the ball by exactly tol is feasible: the check judges
+    # the excess the report measured, and the report holds no verdict
     x = np.array([2.4, 0.0, 0.0])
     tol = lq_norm(golden.residual(x), 1.0) - golden.sigma
     checks, report = certify(golden, x, 0.5, tol=tol)
     assert checks[0].passed and checks[0].slack == 0.0
-    assert report.feasible
+    assert -report.err2 == tol and not hasattr(report, "feasible")
 
 
 def test_support_counting_mode_accepts_points_outside_within_tol(golden):
