@@ -31,7 +31,7 @@ from .errors import (
     TooLarge,
     TrivialInstance,
 )
-from .gen import GenSpec, gen_instance, gen_matched_pair, make_rng
+from .gen import GenSpec, gen_instance, gen_matched_pair
 from .linalg import gram_extremes, least_squares_min_norm, lq_norm, numerical_rank
 from .npg import NpgOutcome, npg_solve
 from .oracle import (
@@ -39,13 +39,12 @@ from .oracle import (
     PStarEstimate,
     all_orthant_vertices,
     estimate_p_star,
-    is_l0_optimal,
     solve_exact_l0,
     solve_exact_lp_quasinorm,
 )
 from .prox import prox_threshold, prox_vector
 from .smoothing import SmoothedPenalty, lp_power_sum, smoothed_abs, smoothed_plus
-from .solver import progress_measures, solve_l1, solve_l2
+from .solver import solve_l1, solve_l2
 from .verify import (
     CheckResult,
     KktPropertyReport,

@@ -22,11 +22,10 @@ import numpy as np
 from . import experiments
 from .core import read_instance, replace_p, write_instance
 from .errors import EmptySupport, InvalidParam, ParseError, SparselpError, TooLarge
-from .gen import GenSpec, gen_instance
+from .gen import DEFAULT_DELTA, NOISE_FAMILIES, GenSpec, gen_instance
 from .oracle import (
     all_orthant_vertices,
     estimate_p_star,
-    is_l0_optimal,
     solve_exact_l0,
     solve_exact_lp_quasinorm,
 )
@@ -202,8 +201,9 @@ def cmd_oracle(args) -> int:
             inclusion = {}
             for p in (est.p_star / 2.0, 0.9 * est.p_star):
                 sol_p = solve_exact_lp_quasinorm(inst, p, vertices)
+                # held vertices: exact zeros, feasible by the enumerator's rule
                 inclusion[repr(p)] = all(
-                    is_l0_optimal(inst, x, est.s) for x in sol_p.minimizers
+                    np.count_nonzero(x) == est.s for x in sol_p.minimizers
                 )
             payload["inclusion_in_sparsest"] = inclusion
     _emit(payload, args)
@@ -247,8 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--m", type=_positive_int, required=True)
     sub.add_argument("--n", type=_positive_int, required=True)
     sub.add_argument("--s", type=_positive_int, required=True, help="planted support size")
-    sub.add_argument("--delta", type=_nonnegative, default=1e-3, help="noise scale")
-    sub.add_argument("--noise", choices=("gauss", "t2"), default="gauss")
+    sub.add_argument("--delta", type=_nonnegative, default=DEFAULT_DELTA, help="noise scale")
+    sub.add_argument("--noise", choices=NOISE_FAMILIES, default="gauss")
     sub.add_argument("--q", type=int, choices=(1, 2), default=1, help="norm defining sigma")
     _add_common(sub)
     sub.set_defaults(func=cmd_gen)
@@ -289,16 +289,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("table1", help="solver quality per (noise, p); CSV: noise,p,nnz,rank,err1,err2")
     sub.add_argument("--profile", choices=sorted(experiments.PROFILES), default="desk")
     sub.add_argument("--seeds", type=_positive_int, default=10)
-    sub.add_argument("--delta", type=_nonnegative, default=1e-3)
+    sub.add_argument("--delta", type=_nonnegative, default=DEFAULT_DELTA)
     sub.add_argument("--p", type=_solver_exponent, action="append")
-    sub.add_argument("--noise", choices=("gauss", "t2"), action="append")
+    sub.add_argument("--noise", choices=NOISE_FAMILIES, action="append")
     _add_common(sub)
     sub.set_defaults(
         func=cmd_grid, header=experiments.TABLE1_HEADER, rows=experiments.table1_rows,
         cells=lambda a: experiments.profile_cells(
             profile=a.profile, seeds=a.seeds, delta=a.delta,
             p_grid=tuple(a.p) if a.p else experiments.TABLE_P_GRID,
-            noises=tuple(a.noise) if a.noise else experiments.NOISES,
+            noises=tuple(a.noise) if a.noise else NOISE_FAMILIES,
             base_seed=a.seed,
         ),
     )
@@ -306,30 +306,30 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("table2", help="l1 solver vs l2 baseline; CSV: noise,m,n,s,delta,solver,nnz,feas,recerr,time")
     sub.add_argument("--profile", choices=sorted(experiments.PROFILES), default="desk")
     sub.add_argument("--seeds", type=_positive_int, default=10)
-    sub.add_argument("--delta", type=_nonnegative, default=1e-3)
+    sub.add_argument("--delta", type=_nonnegative, default=DEFAULT_DELTA)
     sub.add_argument("--p", type=_solver_exponent, default=0.5)
-    sub.add_argument("--noise", choices=("gauss", "t2"), action="append")
+    sub.add_argument("--noise", choices=NOISE_FAMILIES, action="append")
     _add_common(sub)
     sub.set_defaults(
         func=cmd_grid, header=experiments.TABLE2_HEADER, rows=experiments.table2_rows,
         cells=lambda a: experiments.profile_cells(
             profile=a.profile, seeds=a.seeds, delta=a.delta, p_grid=(a.p,),
             solvers=("l1", "l2"),
-            noises=tuple(a.noise) if a.noise else experiments.NOISES,
+            noises=tuple(a.noise) if a.noise else NOISE_FAMILIES,
             base_seed=a.seed,
         ),
     )
 
     sub = subs.add_parser("sparsity-vs-p", help="solution sparsity across the exponent grid; CSV: noise,p,nnz")
     sub.add_argument("--profile", choices=sorted(experiments.PROFILES), default="desk")
-    sub.add_argument("--delta", type=_nonnegative, default=1e-3)
-    sub.add_argument("--noise", choices=("gauss", "t2"), action="append")
+    sub.add_argument("--delta", type=_nonnegative, default=DEFAULT_DELTA)
+    sub.add_argument("--noise", choices=NOISE_FAMILIES, action="append")
     _add_common(sub)
     sub.set_defaults(
         func=cmd_grid, header=experiments.SPARSITY_HEADER, rows=experiments.sparsity_rows,
         cells=lambda a: experiments.profile_cells(
             profile=a.profile, seeds=1, p_grid=experiments.SPARSITY_P_GRID, delta=a.delta,
-            noises=tuple(a.noise) if a.noise else experiments.NOISES,
+            noises=tuple(a.noise) if a.noise else NOISE_FAMILIES,
             base_seed=a.seed,
         ),
     )
@@ -341,9 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--s-max", type=int, default=35)
     sub.add_argument("--s-step", type=_positive_int, default=5)
     sub.add_argument("--trials", type=_positive_int, default=50)
-    sub.add_argument("--delta", type=_nonnegative, default=1e-3)
+    sub.add_argument("--delta", type=_nonnegative, default=DEFAULT_DELTA)
     sub.add_argument("--p", type=_solver_exponent, action="append")
-    sub.add_argument("--noise", choices=("gauss", "t2"), action="append")
+    sub.add_argument("--noise", choices=NOISE_FAMILIES, action="append")
     sub.add_argument("--solver", choices=("l1", "l2"), action="append")
     _add_common(sub)
     sub.set_defaults(

@@ -5,18 +5,21 @@ A problem instance is the data (A, b, sigma, p) of
     minimize    sum_i |x_i|^p        (0 < p <= 1, or p = 0 for the oracle)
     subject to  ||A x - b||_1 <= sigma
 
-with A an m-by-n dense matrix.  An instance is valid once built: m, n >= 1,
-A and b finite and of matching shapes, sigma finite and >= 0, or the
-constructor raises.  Instances are immutable after construction; the
-arrays are marked read-only so they can be shared freely, also across a
-pickle round-trip.  A and b live in one matrix record per draw, which also
-caches what is derived from them alone: the column norms and the
-minimum-norm least-squares anchor the solver starts from.  The anchor is
-thus computed once per matrix record, not once per solve.  Instances that
-differ only in sigma or p (replace_p, share_data, the two instances of
-gen.gen_matched_pair) share the record.  The blanket
+with A an m-by-n dense matrix; m and n are read off A.  An instance is
+valid once built: A a finite matrix with m, n >= 1, b finite of length m,
+sigma finite and >= 0, or the constructor raises.  Instances are immutable
+after construction; the arrays are marked read-only so they can be shared
+freely, also across a pickle round-trip.  A and b live in one matrix record
+per draw, which also caches what is derived from them alone: the column
+norms and the minimum-norm least-squares anchor the solver starts from.
+The anchor is thus computed once per matrix record, not once per solve.
+Instances that differ only in sigma or p (replace_p, share_data, the two
+instances of gen.gen_matched_pair) share the record.  The blanket
 assumption ||b||_q > sigma, which rules out x = 0 being feasible, depends
 on the ball's norm q, so validate_instance checks it where q is known.
+
+The instance file stores m and n beside a flat, row-major A (a nested A
+reads too); read_instance checks A against them and builds the instance.
 
 A solve report stores what the solve measured and derives the rest
 (support, iteration totals, the last progress measures) from its point
@@ -41,10 +44,8 @@ from .linalg import least_squares_min_norm, lq_norm
 FILE_FORMAT_VERSION = 1
 
 
-def _frozen_array(values, shape=None) -> np.ndarray:
+def _frozen_array(values) -> np.ndarray:
     arr = np.array(values, dtype=np.float64, copy=True)
-    if shape is not None:
-        arr = arr.reshape(shape)
     arr.flags.writeable = False
     return arr
 
@@ -60,32 +61,20 @@ class _MatrixRecord:
     m^2 floats for every record a caller holds.
     """
 
-    m: int
-    n: int
     a: np.ndarray
     b: np.ndarray
 
     def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise DimensionMismatch(f"need m >= 1 and n >= 1, got m={self.m}, n={self.n}")
         a = np.asarray(self.a, dtype=np.float64)
-        if a.ndim == 1:
-            if self.m * self.n != a.size:
-                raise DimensionMismatch(
-                    f"flat a has {a.size} entries, expected m*n = {self.m * self.n}"
-                )
-            a = a.reshape(self.m, self.n)
-        elif a.shape != (self.m, self.n):
-            raise DimensionMismatch(
-                f"a has shape {a.shape}, expected {(self.m, self.n)}"
-            )
+        if a.ndim != 2 or a.size == 0:
+            raise DimensionMismatch(f"a must be a matrix with m, n >= 1, got shape {a.shape}")
         b = np.asarray(self.b, dtype=np.float64)
-        if b.shape != (self.m,):
-            raise DimensionMismatch(f"b has shape {b.shape}, expected ({self.m},)")
+        if b.shape != a.shape[:1]:
+            raise DimensionMismatch(f"b has shape {b.shape}, expected ({a.shape[0]},)")
         if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise NonFinite("instance data contains nan or inf")
-        object.__setattr__(self, "a", _frozen_array(a, (self.m, self.n)))
-        object.__setattr__(self, "b", _frozen_array(b, (self.m,)))
+        object.__setattr__(self, "a", _frozen_array(a))
+        object.__setattr__(self, "b", _frozen_array(b))
 
     def __setstate__(self, state):
         # unpickled arrays come back writeable; the record's are shared
@@ -111,10 +100,8 @@ class ProblemInstance:
 
     Parameters
     ----------
-    m, n : int
-        Number of rows and columns of ``a``.
     a : array_like
-        Measurement matrix, shape (m, n) or flat of length m*n (row-major).
+        Measurement matrix, shape (m, n) with m, n >= 1.
     b : array_like
         Right-hand side, length m.
     sigma : float
@@ -123,16 +110,17 @@ class ProblemInstance:
         Exponent of the objective.  Solvers require 0 < p < 1; the exact
         oracle additionally understands p = 0.
 
-    Raises DimensionMismatch for m or n below 1 or shapes that do not match
-    them, and NonFinite for nan or inf data or a negative sigma.
+    ``m`` and ``n`` are attributes, the shape of ``a``.  Raises
+    DimensionMismatch when ``a`` is not a nonempty matrix or ``b`` does not
+    match its rows, and NonFinite for nan or inf data or a negative sigma.
 
     The constructor copies ``a`` and ``b`` into a new matrix record;
     replace_p and share_data build instances on an existing one.  Equality
     and hashing are by identity.
     """
 
-    m: int
-    n: int
+    m: int = dataclasses.field(init=False)
+    n: int = dataclasses.field(init=False)
     a: np.ndarray
     b: np.ndarray
     sigma: float
@@ -140,7 +128,7 @@ class ProblemInstance:
     _record: _MatrixRecord = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
-        self._attach(_MatrixRecord(self.m, self.n, self.a, self.b), self.sigma, self.p)
+        self._attach(_MatrixRecord(self.a, self.b), self.sigma, self.p)
 
     @classmethod
     def _on_record(cls, record: _MatrixRecord, sigma, p) -> ProblemInstance:
@@ -152,15 +140,12 @@ class ProblemInstance:
         sigma = float(sigma)
         if not (np.isfinite(sigma) and sigma >= 0.0):
             raise NonFinite(f"sigma must be finite and >= 0, got {sigma}")
+        m, n = record.a.shape
         for name, value in (
-            ("m", record.m), ("n", record.n), ("a", record.a), ("b", record.b),
+            ("m", m), ("n", n), ("a", record.a), ("b", record.b),
             ("sigma", sigma), ("p", float(p)), ("_record", record),
         ):
             object.__setattr__(self, name, value)
-
-    def __reduce__(self):
-        # rebuilt on its unpickled record, whose arrays come back read-only
-        return (ProblemInstance._on_record, (self._record, self.sigma, self.p))
 
     def residual(self, x) -> np.ndarray:
         return self.a @ np.asarray(x, dtype=np.float64) - self.b
@@ -192,7 +177,11 @@ def validate_instance(inst: ProblemInstance, q: float = 1.0) -> None:
 
 
 def read_instance(path) -> ProblemInstance:
-    """Load an instance from a JSON file written by write_instance."""
+    """Load an instance from a JSON file written by write_instance.
+
+    The file's a is flat (row-major) or nested; either way it must hold an
+    m-by-n matrix, m and n as the file states them, or DimensionMismatch.
+    """
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -215,8 +204,14 @@ def read_instance(path) -> ProblemInstance:
     ):
         if not ok(raw[key]):
             raise ParseError(f"{path}: field '{key}' must be {kind}, got {raw[key]!r:.40}")
+    m, n = raw["m"], raw["n"]
     try:
-        return ProblemInstance(m=raw["m"], n=raw["n"], a=raw["a"], b=raw["b"], sigma=raw["sigma"], p=raw["p"])
+        a = np.asarray(raw["a"], dtype=np.float64)
+        if a.ndim == 1 and min(m, n) >= 0 and a.size == m * n:
+            a = a.reshape(m, n)
+        if a.shape != (m, n):
+            raise DimensionMismatch(f"{path}: a has shape {a.shape}, expected ({m}, {n})")
+        return ProblemInstance(a=a, b=raw["b"], sigma=raw["sigma"], p=raw["p"])
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: bad field value ({exc})") from exc
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import replace_p
 from .errors import InvalidParam, SparselpError
-from .gen import GenSpec, gen_matched_pair
+from .gen import DEFAULT_DELTA, NOISE_FAMILIES, GenSpec, gen_matched_pair
 from .smoothing import smoothed_abs, smoothed_plus
 from .solver import solve_l1, solve_l2
 from .verify import kkt_property_report
@@ -39,7 +39,6 @@ PROFILES = {
 }
 TABLE_P_GRID = (0.9, 0.7, 0.5, 0.3, 0.1)
 SPARSITY_P_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))
-NOISES = ("gauss", "t2")
 SUCCESS_THRESHOLD = 5e-3
 
 
@@ -152,8 +151,8 @@ def _means(recs, *fields) -> tuple:
 
 # -- the profile tables: table1, table2 and sparsity-vs-p -------------------
 def profile_cells(
-    profile="desk", seeds=10, p_grid=TABLE_P_GRID, solvers=("l1",), delta=1e-3,
-    noises=NOISES, base_seed=0,
+    profile="desk", seeds=10, p_grid=TABLE_P_GRID, solvers=("l1",), delta=DEFAULT_DELTA,
+    noises=NOISE_FAMILIES, base_seed=0,
 ):
     """One draw per (noise, seed), solved at every p on every solver's ball."""
     m, n, s = PROFILES[profile]
@@ -200,7 +199,7 @@ def sparsity_rows(records) -> list[tuple]:
 # -- success-rate curve over the planted sparsity ----------------------------
 def success_cells(
     m=64, n=256, s_values=(10, 15, 20, 25, 30, 35), trials=50, p_grid=(0.5,),
-    delta=1e-3, noises=("gauss",), solvers=("l1",), base_seed=0,
+    delta=DEFAULT_DELTA, noises=("gauss",), solvers=("l1",), base_seed=0,
 ):
     seed = base_seed
     for noise in noises:

@@ -31,6 +31,7 @@ from .linalg import lq_norm, numerical_rank
 log = logging.getLogger("sparselp.gen")
 
 NOISE_FAMILIES = ("gauss", "t2")
+DEFAULT_DELTA = 1e-3  # the noise scale of the experiment grids and the CLI
 MAX_RESEEDS = 32
 
 
@@ -118,7 +119,7 @@ def gen_instance(spec: GenSpec):
     """Generate (instance, x_hat, xi) for one noise family, with sigma in
     the norm spec.q_for_sigma."""
     a, x_hat, xi, b, (sigma,) = _accepted_draw(spec, (spec.q_for_sigma,))
-    inst = ProblemInstance(m=spec.m, n=spec.n, a=a, b=b, sigma=sigma, p=0.5)
+    inst = ProblemInstance(a, b, sigma)
     return inst, x_hat, xi
 
 
@@ -132,6 +133,6 @@ def gen_matched_pair(spec: GenSpec):
     A is stored once, and the anchor a solve computes on one serves both.
     """
     a, x_hat, xi, b, (sigma1, sigma2) = _accepted_draw(spec, (1.0, 2.0))
-    inst1 = ProblemInstance(m=spec.m, n=spec.n, a=a, b=b, sigma=sigma1, p=0.5)
+    inst1 = ProblemInstance(a, b, sigma1)
     inst2 = share_data(inst1, sigma2, 0.5)
     return inst1, inst2, x_hat, xi

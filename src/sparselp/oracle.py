@@ -25,8 +25,9 @@ solve_exact_l0).
 Every other exact answer reads the vertex set its caller holds: the power
 sum minimizers (solve_exact_lp_quasinorm) and the exponent threshold
 (estimate_p_star) take all_orthant_vertices(inst) and the sparsest level as
-arguments, so one enumeration serves them all.  is_l0_optimal tests a point
-against the sparsest level.  Checks on a single point live in verify.
+arguments, so one enumeration serves them all.  A held vertex is sparsest
+when its exact nonzero count is the sparsest level.  Checks on a single
+point live in verify.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ ENUM_MAX_N = 10
 LINE_BLOCK = 1024  # lines per end-finding pass: bounds the scan's memory
 DEDUP_TOL = 1e-9
 FEAS_TOL = 1e-9
-MEMBER_TOL = 1e-8  # is_l0_optimal's feasibility and zero floor, relative
 # odd multipliers (golden-ratio steps mod 2^63) that hash a merge-grid cell
 _CELL_HASH = np.array(
     [(0x9E3779B97F4A7C15 * i) % 2**63 | 1 for i in range(1, ENUM_MAX_N + 1)], dtype=np.int64
@@ -326,16 +326,6 @@ def solve_exact_l0(inst: ProblemInstance, vertices=None) -> ExactSolutionSet:
             minimizers = tuple(_frozen(witnesses))
             return ExactSolutionSet(p=0.0, optimal_value=float(k), minimizers=minimizers)
     raise NotFeasible("no support admits a feasible point; data is inconsistent")
-
-
-def is_l0_optimal(inst: ProblemInstance, x, sparsest_k: int) -> bool:
-    """Membership test for the sparsest-solution set: feasible and exactly
-    sparsest_k nonzeros, both to MEMBER_TOL relative."""
-    x = np.asarray(x, dtype=np.float64)
-    feasible = lq_norm(inst.residual(x), 1.0) <= inst.sigma + MEMBER_TOL * (1.0 + inst.sigma)
-    zero_tol = MEMBER_TOL * (1.0 + np.max(np.abs(x), initial=0.0))
-    nnz = int(np.count_nonzero(np.abs(x) > zero_tol))
-    return bool(feasible and nnz == sparsest_k)
 
 
 @dataclass(frozen=True)

@@ -214,7 +214,7 @@ def _solve_penalty(inst, seed_x, q):
     # the step constant the inner loop accepted last; None starts round 0 from 1
     l_bar = None
     trace = []
-    stop_reason = "outer_cap"
+    stop_reason = None  # set in the round that ends the loop
     prev_lam = None
     prev_pen_feas = None
 
@@ -240,12 +240,13 @@ def _solve_penalty(inst, seed_x, q):
             raise InvariantViolation(
                 f"outer iterate {k} lost the objective anchor: {phi_next} > {anchor_cap}"
             )
+        etas = progress_measures(
+            x_next, x, inst, q=q, r_next=r_next, phi_next=phi_next, phi_prev=phi
+        )
         if prev_lam is not None:
-            if q == 1.0:
-                gap = max(lq_norm(r_next, 1.0) - inst.sigma, 0.0)
-            else:
-                # the q=2 penalty bounds the squared-norm excess
-                gap = max(float(r_next @ r_next) - inst.sigma**2, 0.0)
+            # the q=1 penalty bounds the norm excess, eta3; the q=2 penalty
+            # the squared-norm excess
+            gap = etas[2] if q == 1.0 else max(float(r_next @ r_next) - inst.sigma**2, 0.0)
             if not prev_lam * gap <= phi_feas + prev_pen_feas + _ANCHOR_SLACK * (
                 1.0 + phi_feas + prev_pen_feas
             ):
@@ -254,12 +255,12 @@ def _solve_penalty(inst, seed_x, q):
                     " with the penalty weight"
                 )
 
-        etas = progress_measures(
-            x_next, x, inst, q=q, r_next=r_next, phi_next=phi_next, phi_prev=phi
-        )
         worst = max(etas)
-        done = worst < OUTER_TOL or k + 1 >= OUTER_ITER_CAP
-        rho = np.nan if done else (RHO_SLOW if worst < ETA_SWITCH else RHO_FAST)
+        if worst < OUTER_TOL:
+            stop_reason = "converged"
+        elif k + 1 == OUTER_ITER_CAP:
+            stop_reason = "outer_cap"
+        rho = np.nan if stop_reason else (RHO_SLOW if worst < ETA_SWITCH else RHO_FAST)
         trace.append(
             OuterRecord(
                 k=k,
@@ -280,10 +281,7 @@ def _solve_penalty(inst, seed_x, q):
             )
         )
         x, r, phi = x_next, r_next, phi_next
-        if worst < OUTER_TOL:
-            stop_reason = "converged"
-            break
-        if k + 1 >= OUTER_ITER_CAP:
+        if stop_reason:
             break
         prev_lam, prev_pen_feas = lam, pen_feas
         theta = 1.0 / rho

@@ -25,7 +25,7 @@ def golden():
     """Tiny 2x3 instance whose solution set is known in closed form."""
     a = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, -1.0]])
     b = np.array([3.0, 3.0])
-    return ProblemInstance(m=2, n=3, a=a, b=b, sigma=1.0, p=0.5)
+    return ProblemInstance(a=a, b=b, sigma=1.0, p=0.5)
 
 
 @pytest.fixture(scope="session")

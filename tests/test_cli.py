@@ -329,7 +329,7 @@ def test_oracle_sparsest_reuses_vertices(tmp_path, capsys, golden, monkeypatch):
 
 
 def test_oracle_cap_exits_2(tmp_path, capsys):
-    big = ProblemInstance(m=9, n=3, a=np.ones((9, 3)), b=np.ones(9), sigma=0.5)
+    big = ProblemInstance(a=np.ones((9, 3)), b=np.ones(9), sigma=0.5)
     path = tmp_path / "big.json"
     write_instance(big, path)
     code, _, err = run(capsys, "oracle", "--instance", str(path), "--p", "0.5")

@@ -24,8 +24,6 @@ from sparselp import (
 
 def make_inst(**kw):
     base = dict(
-        m=2,
-        n=3,
         a=np.array([[1.0, 0.0, 1.0], [0.0, 1.0, -1.0]]),
         b=np.array([1.0, 2.0]),
         sigma=0.5,
@@ -43,12 +41,29 @@ def test_instance_arrays_are_read_only():
         inst.b[0] = 9.0
 
 
-def test_instance_accepts_flat_matrix():
-    inst = ProblemInstance(
-        m=2, n=2, a=np.array([1.0, 2.0, 3.0, 4.0]), b=np.array([1.0, 1.0]), sigma=0.1
-    )
-    assert inst.a.shape == (2, 2)
-    assert inst.a[1, 0] == 3.0
+def test_read_accepts_flat_and_nested_matrix(tmp_path):
+    # the file states m and n; its a is flat (row-major) or nested
+    path = tmp_path / "inst.json"
+    doc = {"format": 1, "m": 2, "n": 2, "b": [1.0, 1.0], "sigma": 0.1, "p": 0.5}
+    for a in ([1.0, 2.0, 3.0, 4.0], [[1.0, 2.0], [3.0, 4.0]]):
+        path.write_text(json.dumps(dict(doc, a=a)))
+        inst = read_instance(path)
+        assert (inst.m, inst.n) == inst.a.shape == (2, 2)
+        assert inst.a[1, 0] == 3.0
+
+
+def test_read_rejects_a_that_does_not_fit_the_sizes(tmp_path):
+    path = tmp_path / "inst.json"
+    doc = {"format": 1, "m": 2, "n": 3, "b": [1.0, 2.0], "sigma": 0.5, "p": 0.5}
+    for sizes, a in (
+        ({}, [1, 0, 1, 0, 1]),  # flat, one entry short
+        ({}, [[1, 0], [0, 1], [1, -1]]),  # nested, transposed
+        ({"m": -2, "n": -3}, [1, 0, 1, 0, 1, -1]),  # m * n = 6 entries
+        ({"m": 0, "b": []}, []),
+    ):
+        path.write_text(json.dumps(dict(doc, a=a, **sizes)))
+        with pytest.raises(DimensionMismatch):
+            read_instance(path)
 
 
 def test_residual():
@@ -59,19 +74,33 @@ def test_residual():
 
 def test_constructor_rejects_bad_shapes():
     with pytest.raises(DimensionMismatch):
-        make_inst(a=np.ones((3, 3)))
-    with pytest.raises(DimensionMismatch):
         make_inst(b=np.ones(3))
     with pytest.raises(DimensionMismatch):
-        make_inst(a=np.ones(5))  # flat with wrong length
+        make_inst(a=np.ones(6))  # flat: only a file states m and n
+    with pytest.raises(DimensionMismatch):
+        make_inst(a=np.ones((0, 3)), b=np.ones(0))
+    with pytest.raises(TypeError):
+        make_inst(m=2, n=3)  # the sizes are a's shape, not parameters
+
+
+def test_sizes_are_the_shape_of_a():
+    inst = make_inst()
+    assert [f.name for f in dataclasses.fields(inst) if f.init] == ["a", "b", "sigma", "p"]
+    for other in (
+        inst,
+        replace_p(inst, 0.3),
+        dataclasses.replace(inst, sigma=0.25),
+        pickle.loads(pickle.dumps(inst)),
+    ):
+        assert (other.m, other.n) == other.a.shape == (2, 3)
 
 
 def test_validate_rejects_empty_dims():
     # an empty instance cannot be built, so there is none to validate
     with pytest.raises(DimensionMismatch):
-        validate_instance(ProblemInstance(m=0, n=3, a=np.ones((0, 3)), b=np.ones(0), sigma=1.0))
+        validate_instance(ProblemInstance(a=np.ones((0, 3)), b=np.ones(0), sigma=1.0))
     with pytest.raises(DimensionMismatch):
-        ProblemInstance(m=2, n=0, a=np.ones((2, 0)), b=np.ones(2), sigma=1.0)
+        ProblemInstance(a=np.ones((2, 0)), b=np.ones(2), sigma=1.0)
 
 
 def test_constructor_rejects_nonfinite_data():

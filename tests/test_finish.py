@@ -93,7 +93,7 @@ def test_l2_ends_inside_the_sphere():
 def test_all_ones_row_reaches_one_nonzero():
     # min sum|x|^0.5 over |sum x - 3| <= 1: the optimum puts 2 on one
     # coordinate, phi = sqrt(2); the outer loop alone stops at nnz 5
-    inst = ProblemInstance(m=1, n=5, a=np.ones((1, 5)), b=np.array([3.0]), sigma=1.0, p=0.5)
+    inst = ProblemInstance(a=np.ones((1, 5)), b=np.array([3.0]), sigma=1.0, p=0.5)
     rep = solve_l1(inst)
     assert rep.stop_reason == "converged"
     assert len(rep.support) == 1
@@ -105,7 +105,7 @@ def test_zero_sigma_ends_on_a_basic_solution():
     # with sigma = 0 the ball is the affine set Ax = b and its vertices are
     # basic solutions; residuals at roundoff level count as on the boundary
     rng = np.random.default_rng(0)
-    inst = ProblemInstance(m=5, n=12, a=rng.standard_normal((5, 12)),
+    inst = ProblemInstance(a=rng.standard_normal((5, 12)),
                            b=rng.standard_normal(5), sigma=0.0, p=0.5)
     rep = solve_l1(inst)
     assert rep.stop_reason == "converged"

@@ -143,7 +143,7 @@ def test_lp_power_sum_matches_frozen_kernel(rng):
 
 def _instance(rng, m=6, n=9, sigma=0.5):
     return ProblemInstance(
-        m=m, n=n, a=rng.standard_normal((m, n)), b=rng.standard_normal(m), sigma=sigma, p=0.5
+        a=rng.standard_normal((m, n)), b=rng.standard_normal(m), sigma=sigma, p=0.5
     )
 
 
@@ -181,12 +181,12 @@ def test_penalties_match_frozen_kernels_at_edges(rng):
     # smoothed sum is sum|r_i| = 3.5 exactly
     r = np.array([1.0, -2.0, 0.25, -0.25])
     for sigma, slope in ((3.5 - 0.5 * mu, 1.0), (3.5 + 0.5 * mu, 0.0)):
-        inst_s = ProblemInstance(m=4, n=5, a=inst.a, b=inst.b, sigma=sigma, p=0.5)
+        inst_s = ProblemInstance(a=inst.a, b=inst.b, sigma=sigma, p=0.5)
         _, g = check_penalty(1.0, inst_s, lam, mu, nu, r)
         assert (not g.any()) == (slope == 0.0)
     # outer == 0: deep inside the ball, the gradient is an exact zero vector
     for q, _ in PENALTIES:
-        inst_in = ProblemInstance(m=4, n=5, a=inst.a, b=inst.b, sigma=100.0, p=0.5)
+        inst_in = ProblemInstance(a=inst.a, b=inst.b, sigma=100.0, p=0.5)
         val, g = check_penalty(q, inst_in, lam, mu, nu, r)
         assert val == 0.0 and not g.any()
 

@@ -213,7 +213,7 @@ def test_rank_rule_agrees_across_its_callers(monkeypatch):
                 assert numerical_rank(mat) == rank
         assert (gram_extremes(a.T).lambda_min > 0.0) is full
         assert gram_extremes(a).lambda_min == 0.0  # more columns than rows
-        inst = ProblemInstance(m=2, n=3, a=a, b=np.array([3.0, 3.0]), sigma=1.0, p=0.5)
+        inst = ProblemInstance(a=a, b=np.array([3.0, 3.0]), sigma=1.0, p=0.5)
         assert oracle._lines(inst, 3)[2].tolist() == [full]  # the one line, Z = {0, 1}
 
 

@@ -22,7 +22,7 @@ from sparselp.smoothing import SmoothedPenalty, lp_power_sum
 def small_instance():
     a = np.array([[1.0, 0.5, 0.0, 0.2], [0.0, 1.0, -0.5, 0.1], [0.3, 0.0, 1.0, -0.4]])
     b = np.array([2.0, -1.5, 1.0])
-    return ProblemInstance(m=3, n=4, a=a, b=b, sigma=0.4, p=0.5)
+    return ProblemInstance(a=a, b=b, sigma=0.4, p=0.5)
 
 
 def l1_penalty(inst, lam, mu, nu):
@@ -291,7 +291,7 @@ def screened_solve(solve, inst):
 def scaled_columns(inst, columns, factor):
     a = np.array(inst.a)
     a[:, columns] *= factor
-    return ProblemInstance(m=inst.m, n=inst.n, a=a, b=inst.b, sigma=inst.sigma, p=inst.p)
+    return ProblemInstance(a=a, b=inst.b, sigma=inst.sigma, p=inst.p)
 
 
 def screen_cases():

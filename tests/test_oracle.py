@@ -21,7 +21,6 @@ from sparselp import (
     all_orthant_vertices,
     estimate_p_star,
     gen_instance,
-    is_l0_optimal,
     oracle,
     solve_exact_l0,
     solve_exact_lp_quasinorm,
@@ -108,13 +107,13 @@ def test_golden_inclusion(golden, golden_vertices):
     est = estimate_p_star(golden, vertices=golden_vertices, sparsest_k=1)
     for p in (est.p_star / 2, 0.9 * est.p_star):
         sol = solve_exact_lp_quasinorm(golden, p, vertices=golden_vertices)
-        assert all(is_l0_optimal(golden, x, sparsest_k=1) for x in sol.minimizers)
+        assert all(np.count_nonzero(x) == 1 for x in sol.minimizers)
 
 
 def test_enumeration_caps(rng):
     # one cap pair, m <= 8 and n <= 10, for the vertices and the sparsest search
     for m, n in ((9, 3), (2, 11)):
-        big = ProblemInstance(m=m, n=n, a=np.ones((m, n)), b=np.ones(m), sigma=0.5)
+        big = ProblemInstance(a=np.ones((m, n)), b=np.ones(m), sigma=0.5)
         with pytest.raises(TooLarge):
             all_orthant_vertices(big)
         with pytest.raises(TooLarge):
@@ -122,9 +121,7 @@ def test_enumeration_caps(rng):
     # at the cap, and the sparsest search's worst case: with sigma = 0 and
     # generic data the ball is the affine set Ax = b, whose vertices are the
     # 45 basic solutions on 8 of the 10 columns, so the level is m
-    flat = ProblemInstance(
-        m=8, n=10, a=rng.standard_normal((8, 10)), b=rng.standard_normal(8), sigma=0.0
-    )
+    flat = ProblemInstance(a=rng.standard_normal((8, 10)), b=rng.standard_normal(8), sigma=0.0)
     wide, _, _ = gen_instance(GenSpec(m=6, n=10, s=2, delta=0.4, noise="gauss", seed=0))
     for inst, level, count in ((flat, 8, 45), (wide, 1, 6)):
         verts = all_orthant_vertices(inst)
@@ -134,7 +131,7 @@ def test_enumeration_caps(rng):
         assert len(l0.minimizers) == count
     # at the row cap: the ball is the cross-polytope 1 + 0.5 B_1, all
     # inside the positive orthant, so its 16 corners are the only vertices
-    square = ProblemInstance(m=8, n=8, a=np.eye(8), b=np.ones(8), sigma=0.5)
+    square = ProblemInstance(a=np.eye(8), b=np.ones(8), sigma=0.5)
     corners = np.vstack([np.ones(8) + 0.5 * np.eye(8), np.ones(8) - 0.5 * np.eye(8)])
     assert as_set(all_orthant_vertices(square)) == as_set(corners)
 
@@ -160,7 +157,7 @@ def test_vertices_match_facet_subset_scan(golden, rng):
         n = int(rng.integers(1, 6))
         a = rng.integers(-2, 3, size=(m, n)).astype(float)
         b = rng.integers(-2, 3, size=m).astype(float)
-        cases.append(ProblemInstance(m=m, n=n, a=a, b=b, sigma=float(rng.integers(0, 3))))
+        cases.append(ProblemInstance(a=a, b=b, sigma=float(rng.integers(0, 3))))
     for inst in cases:
         expected = facet_subset_vertices(inst.a, inst.b, inst.sigma)
         assert_same_vertices(all_orthant_vertices(inst), expected)
@@ -210,7 +207,7 @@ def test_sandwich_golden(golden):
     assert holds
     with pytest.raises(TooLarge):
         residual_sandwich_check(
-            ProblemInstance(m=13, n=2, a=np.ones((13, 2)), b=np.ones(13), sigma=1.0),
+            ProblemInstance(a=np.ones((13, 2)), b=np.ones(13), sigma=1.0),
             np.zeros(2),
         )
 
@@ -220,8 +217,6 @@ def test_sandwich_property(rng):
         m = int(rng.integers(1, 7))
         n = int(rng.integers(1, 5))
         inst = ProblemInstance(
-            m=m,
-            n=n,
             a=rng.standard_normal((m, n)),
             b=rng.standard_normal(m),
             sigma=float(rng.uniform(0.01, 2.0)),
@@ -259,7 +254,7 @@ def test_sparsest_against_exact_scan(rng):
         sigma = int(rng.integers(0, 3))
         a = rng.integers(-3, 4, size=(m, n))
         b = rng.integers(-5, 6, size=m)
-        inst = ProblemInstance(m=m, n=n, a=a.astype(float), b=b.astype(float), sigma=sigma)
+        inst = ProblemInstance(a=a.astype(float), b=b.astype(float), sigma=sigma)
         for level in range(n + 1):
             expected = [
                 supp
@@ -290,9 +285,7 @@ def held_vertex_cases(rng):
         gen_instance(GenSpec(m=m, n=n, s=2, delta=0.4, noise="t2", seed=seed))[0]
         for m, n, seed in ((6, 8, 0), (7, 9, 1), (8, 10, 2))
     ]
-    cases.append(ProblemInstance(
-        m=8, n=10, a=rng.standard_normal((8, 10)), b=rng.standard_normal(8), sigma=0.0
-    ))
+    cases.append(ProblemInstance(a=rng.standard_normal((8, 10)), b=rng.standard_normal(8), sigma=0.0))
     return cases
 
 
@@ -356,12 +349,6 @@ def test_dedup_merge_rule():
     assert np.array_equal(oracle._dedup(golden), golden)
 
 
-def test_is_l0_optimal(golden):
-    assert is_l0_optimal(golden, np.array([3.0, 0.0, 0.0]), sparsest_k=1)
-    assert not is_l0_optimal(golden, np.array([3.0, 1.0, 0.0]), sparsest_k=1)  # nnz 2
-    assert not is_l0_optimal(golden, np.array([9.0, 0.0, 0.0]), sparsest_k=1)  # infeasible
-
-
 def test_tiny_instance_inclusion(rng):
     # a light version of the inclusion suite: minimizers at p below p* are
     # sparsest feasible points, and vertices, so among the sparsest vertices
@@ -374,8 +361,5 @@ def test_tiny_instance_inclusion(rng):
         est = estimate_p_star(inst, vertices=verts, sparsest_k=int(l0.optimal_value))
         for p in (est.p_star / 2, 0.9 * est.p_star):
             sol = solve_exact_lp_quasinorm(inst, p, vertices=verts)
-            assert all(
-                is_l0_optimal(inst, x, sparsest_k=int(l0.optimal_value))
-                for x in sol.minimizers
-            )
+            assert all(np.count_nonzero(x) == l0.optimal_value for x in sol.minimizers)
             assert as_set(sol.minimizers) <= as_set(l0.minimizers)

@@ -86,7 +86,7 @@ def test_lp_power_sum():
 
 
 def test_smoothing_params_validation():
-    inst = ProblemInstance(m=1, n=2, a=np.array([[1.0, 0.0]]), b=np.array([2.0]), sigma=0.5)
+    inst = ProblemInstance(a=np.array([[1.0, 0.0]]), b=np.array([2.0]), sigma=0.5)
     for q in (1.0, 2.0):
         with pytest.raises(InvalidParam):
             SmoothedPenalty(inst, q, lam=0.0, mu=1.0, nu=1.0)
@@ -99,7 +99,7 @@ def test_smoothing_params_validation():
 def _random_instance(rng, m, n):
     a = rng.standard_normal((m, n))
     b = rng.standard_normal(m) + 2.0  # keep ||b||_1 comfortably above sigma
-    return ProblemInstance(m=m, n=n, a=a, b=b, sigma=0.3, p=0.5)
+    return ProblemInstance(a=a, b=b, sigma=0.3, p=0.5)
 
 
 def test_penalty_gradient_by_central_difference(rng):
@@ -140,7 +140,7 @@ def test_penalty_envelope_gap(rng):
 def test_gradient_vanishes_deep_inside(rng):
     # with both widths small, points well inside the ball get zero gradient
     inst = ProblemInstance(
-        m=1, n=2, a=np.array([[1.0, 0.0]]), b=np.array([5.0]), sigma=2.0, p=0.5
+        a=np.array([[1.0, 0.0]]), b=np.array([5.0]), sigma=2.0, p=0.5
     )
     pen = SmoothedPenalty(inst, 1.0, lam=10.0, mu=1e-4, nu=1e-4)
     x = np.array([4.5, 0.0])  # residual -0.5, well inside the sigma=2 ball
@@ -166,7 +166,7 @@ def test_lipschitz_bound_dominates_observed_curvature(rng):
 
 def test_objective_value_composes():
     inst = ProblemInstance(
-        m=1, n=2, a=np.array([[1.0, 1.0]]), b=np.array([4.0]), sigma=0.5, p=0.5
+        a=np.array([[1.0, 1.0]]), b=np.array([4.0]), sigma=0.5, p=0.5
     )
     pen = SmoothedPenalty(inst, 1.0, lam=1.0, mu=1e-6, nu=1e-6)
     x = np.array([1.0, 0.0])

@@ -28,7 +28,7 @@ from sparselp.solver import OUTER_TOL, progress_measures
 
 def test_progress_measures_oracle():
     inst = ProblemInstance(
-        m=1, n=2, a=np.array([[1.0, 0.0]]), b=np.array([2.0]), sigma=0.5, p=0.5
+        a=np.array([[1.0, 0.0]]), b=np.array([2.0]), sigma=0.5, p=0.5
     )
 
     def measures(x_next, x_prev):
@@ -235,7 +235,7 @@ def test_invalid_p_rejected(golden):
 
 def test_trivial_instance_rejected():
     inst = ProblemInstance(
-        m=1, n=2, a=np.array([[1.0, 1.0]]), b=np.array([0.5]), sigma=1.0, p=0.5
+        a=np.array([[1.0, 1.0]]), b=np.array([0.5]), sigma=1.0, p=0.5
     )
     with pytest.raises(TrivialInstance):
         solve_l1(inst)
@@ -277,8 +277,6 @@ def test_solve_l2_golden(golden):
 
 def test_l2_penalty_gradient(rng):
     inst = ProblemInstance(
-        m=3,
-        n=4,
         a=rng.standard_normal((3, 4)),
         b=rng.standard_normal(3) + 1.5,
         sigma=0.4,
@@ -340,8 +338,7 @@ def test_shared_record_solves_like_a_fresh_instance():
     shared = [(solve_l1, replace_p(inst1, 0.5)), (solve_l1, replace_p(inst1, 0.1)),
               (solve_l2, replace_p(inst2, 0.5))]
     for solve, inst in shared + shared:
-        fresh = ProblemInstance(inst.m, inst.n, np.array(inst.a), np.array(inst.b),
-                                inst.sigma, inst.p)
+        fresh = ProblemInstance(np.array(inst.a), np.array(inst.b), inst.sigma, inst.p)
         rep, ref = solve(inst), solve(fresh)
         assert rep.x_star.tobytes() == ref.x_star.tobytes()
         # repr tells apart every two floats and matches nan with nan
@@ -384,7 +381,7 @@ def _permuted_solves(noise, seed, p, q, perm_seed):
     inst = replace_p(pair[q - 1], p)
     perm = np.random.default_rng(perm_seed).permutation(inst.n)
     permuted = ProblemInstance(
-        m=inst.m, n=inst.n, a=inst.a[:, perm], b=inst.b, sigma=inst.sigma, p=p
+        a=inst.a[:, perm], b=inst.b, sigma=inst.sigma, p=p
     )
     solve = solve_l1 if q == 1 else solve_l2
     return solve(inst), solve(permuted), perm

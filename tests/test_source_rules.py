@@ -2,12 +2,15 @@
 benchmark's tracing hooks, which name package code."""
 
 import ast
+import inspect
+import re
 from pathlib import Path
 
 import sparselp
 from conftest import load_benchmark_module
 
 PACKAGE = Path(sparselp.__file__).resolve().parent
+REPO = Path(__file__).resolve().parent.parent
 
 
 def test_package_has_no_assert_statements():
@@ -69,6 +72,34 @@ def test_rank_tolerance_is_read_only_in_linalg():
         in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
     ]
     assert found == []
+
+
+def test_every_exported_function_has_a_user_outside_the_tests():
+    # public API that only the tests use goes: each function the package
+    # exports is named in another package module, a demo, the README or the
+    # benchmark; classes are exempt
+    users = [
+        path
+        for path in (
+            *PACKAGE.glob("*.py"),
+            *(REPO / "demos").glob("*.py"),
+            REPO / "README.md",
+            *(REPO / "benchmarks").glob("*"),
+        )
+        if path.name != "__init__.py" and not path.name.startswith("test_") and path.is_file()
+    ]
+    texts = {path.resolve(): path.read_text() for path in users}
+    homes = {
+        name: Path(inspect.getfile(obj)).resolve()
+        for name in sparselp.__all__
+        if inspect.isfunction(obj := getattr(sparselp, name))
+    }
+    unused = [
+        name
+        for name, home in homes.items()
+        if not any(re.search(rf"\b{name}\b", text) for path, text in texts.items() if path != home)
+    ]
+    assert unused == []
 
 
 # the package's layers, lowest first: a module imports only modules of lower
