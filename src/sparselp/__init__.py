@@ -4,7 +4,12 @@ Solves min sum_i |x_i|^p subject to ||Ax - b||_1 <= sigma for 0 < p < 1 by
 a smoothing penalty method with a nonmonotone proximal-gradient inner loop,
 and provides exact enumeration oracles, optimality verifiers, a seeded
 instance generator, and experiment drivers on top of it.
+
+The top level holds what the README, demos and benchmark use; the inner
+loop, prox, kernels and linear algebra import from their own modules.
 """
+
+import types
 
 from .core import (
     OuterRecord,
@@ -12,7 +17,6 @@ from .core import (
     SolveReport,
     read_instance,
     replace_p,
-    support_indices,
     validate_instance,
     write_instance,
 )
@@ -32,8 +36,7 @@ from .errors import (
     TrivialInstance,
 )
 from .gen import GenSpec, gen_instance, gen_matched_pair
-from .linalg import gram_extremes, least_squares_min_norm, lq_norm, numerical_rank
-from .npg import NpgOutcome, npg_solve
+from .linalg import least_squares_min_norm
 from .oracle import (
     ExactSolutionSet,
     PStarEstimate,
@@ -42,8 +45,6 @@ from .oracle import (
     solve_exact_l0,
     solve_exact_lp_quasinorm,
 )
-from .prox import prox_threshold, prox_vector
-from .smoothing import SmoothedPenalty, lp_power_sum, smoothed_abs, smoothed_plus
 from .solver import solve_l1, solve_l2
 from .verify import (
     CheckResult,
@@ -55,4 +56,6 @@ from .verify import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# every name imported above; the submodules stay attributes, not exports
+__all__ = [name for name, obj in globals().items()
+           if not name.startswith("_") and not isinstance(obj, types.ModuleType)]

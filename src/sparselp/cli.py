@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Subcommands: gen, solve, verify, oracle, table1, table2, sparsity-vs-p,
-success-curve, plot-smoothing.  Every subcommand accepts --seed, --out, and
---json.  Outputs are CSV or JSON only.
+success-curve, plot-smoothing.  Every subcommand accepts --out (stdout if
+omitted); --seed only those that draw instances (gen and the four tables),
+and --json only those with a second format (gen, the four tables and
+plot-smoothing).  Outputs are CSV or JSON only.
 
 Exit codes: 0 success, 1 runtime error, 2 cap exit (iteration cap reached,
 an uncertified solve, or an exact-oracle size cap), 64 usage error.
@@ -96,21 +98,18 @@ def _is_float(text) -> bool:
     return True
 
 
-def _emit(payload: dict, args) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-
-
-def _write_rows(header, rows, args) -> None:
+def _write(args, write) -> None:
+    """Call write(stream) on the file --out names, or on stdout."""
     if args.out:
         with open(args.out, "w", newline="") as fh:
-            experiments.write_csv(fh, header, rows)
+            write(fh)
     else:
-        experiments.write_csv(sys.stdout, header, rows)
+        write(sys.stdout)
+
+
+def _emit(payload: dict, args) -> None:
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    _write(args, lambda fh: print(text, file=fh))
 
 
 def _load_vector(path) -> np.ndarray:
@@ -140,8 +139,8 @@ def cmd_gen(args) -> int:
             "m": inst.m, "n": inst.n, "s": args.s, "sigma": inst.sigma,
             "noise": args.noise, "seed": args.seed, "q": args.q,
             "out": args.out,
-            "x_hat": [float(v) for v in x_hat],
-            "xi": [float(v) for v in xi],
+            "x_hat": x_hat.tolist(),
+            "xi": xi.tolist(),
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
@@ -170,9 +169,11 @@ def cmd_verify(args) -> int:
     x = _load_vector(args.x)
     checks, report = certify(inst, x, p, float(args.q), args.tol)
     payload = {
-        "checks": [c.to_dict() for c in checks],
+        "checks": [dataclasses.asdict(c) for c in checks],
         "all_pass": all_checks_pass(checks),
-        "report": {"error": str(report)} if isinstance(report, EmptySupport) else report.to_dict(),
+        "report": (
+            {"error": str(report)} if isinstance(report, EmptySupport) else dataclasses.asdict(report)
+        ),
     }
     _emit(payload, args)
     return EXIT_OK if payload["all_pass"] else EXIT_RUNTIME
@@ -183,14 +184,14 @@ def cmd_oracle(args) -> int:
     vertices = all_orthant_vertices(inst)
     payload: dict = {"n_vertices": len(vertices)}
     if args.list_vertices:
-        payload["vertices"] = [[float(v) for v in vert] for vert in vertices]
+        payload["vertices"] = vertices.tolist()
     # the sparsest set, read off the held vertices once, on first use
     sparsest = functools.cache(lambda: solve_exact_l0(inst, vertices=vertices))
     for p in args.p or ():
         sol = sparsest() if p == 0.0 else solve_exact_lp_quasinorm(inst, p, vertices)
         payload.setdefault("solutions", {})[repr(p)] = {
             "optimal_value": sol.optimal_value,
-            "minimizers": [[float(v) for v in x] for x in sol.minimizers],
+            "minimizers": [x.tolist() for x in sol.minimizers],
         }
     if args.p_star or args.check_inclusion:
         est = estimate_p_star(inst, vertices, int(sparsest().optimal_value))
@@ -215,9 +216,9 @@ def cmd_grid(args) -> int:
     the cell builder, the row aggregator and the CSV header."""
     records = experiments.run_grid(args.cells(args))
     if args.json:
-        _emit({"records": [r.__dict__ for r in records]}, args)
+        _emit({"records": [dataclasses.asdict(r) for r in records]}, args)
     else:
-        _write_rows(args.header, args.rows(records), args)
+        _write(args, lambda fh: experiments.write_csv(fh, args.header, args.rows(records)))
     return EXIT_OK
 
 
@@ -228,14 +229,18 @@ def cmd_plot_smoothing(args) -> int:
     if args.json:
         _emit({"rows": [list(r) for r in rows]}, args)
     else:
-        _write_rows(experiments.SMOOTHING_HEADER, rows, args)
+        _write(args, lambda fh: experiments.write_csv(fh, experiments.SMOOTHING_HEADER, rows))
     return EXIT_OK
 
 
-def _add_common(sub) -> None:
-    sub.add_argument("--seed", type=_seed, default=0, help="base RNG seed, >= 0")
+def _add_common(sub, *, seed: bool = True, json_out: bool = True) -> None:
+    """--out, with --seed for a command that draws instances and --json for
+    one with a second output format."""
+    if seed:
+        sub.add_argument("--seed", type=_seed, default=0, help="base RNG seed, >= 0")
     sub.add_argument("--out", type=str, default=None, help="output file (stdout if omitted)")
-    sub.add_argument("--json", action="store_true", help="emit JSON instead of CSV/summary")
+    if json_out:
+        sub.add_argument("--json", action="store_true", help="emit JSON instead of CSV/summary")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -260,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--q", type=int, choices=(1, 2), default=1, help="residual ball norm")
     sub.add_argument("--x0", type=str, default=None, help="JSON file with a feasible start")
     sub.add_argument("--trace", action="store_true", help="include the outer-iteration trace")
-    _add_common(sub)
+    _add_common(sub, seed=False, json_out=False)
     sub.set_defaults(func=cmd_solve)
 
     sub = subs.add_parser("verify", help="check a candidate point's optimality properties")
@@ -272,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--tol", type=_nonnegative, default=DEFAULT_TOL,
                      help="check tolerance; a converged solve ends on a vertex (l1) or the sphere (l2) "
                           f"and passes the default {DEFAULT_TOL:g}")
-    _add_common(sub)
+    _add_common(sub, seed=False, json_out=False)
     sub.set_defaults(func=cmd_verify)
 
     sub = subs.add_parser("oracle", help="exact small-instance solutions by enumeration")
@@ -283,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--check-inclusion", action="store_true",
                      help="test minimizers below p-star against the sparsest set")
     sub.add_argument("--list-vertices", action="store_true")
-    _add_common(sub)
+    _add_common(sub, seed=False, json_out=False)
     sub.set_defaults(func=cmd_oracle)
 
     sub = subs.add_parser("table1", help="solver quality per (noise, p); CSV: noise,p,nnz,rank,err1,err2")
@@ -363,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--lo", type=_finite, default=-2.0)
     sub.add_argument("--hi", type=_finite, default=2.0)
     sub.add_argument("--count", type=_positive_int, default=401)
-    _add_common(sub)
+    _add_common(sub, seed=False)
     sub.set_defaults(func=cmd_plot_smoothing)
 
     return parser

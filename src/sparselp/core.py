@@ -252,11 +252,6 @@ def write_instance(inst: ProblemInstance, path) -> None:
         fh.write("\n")
 
 
-def support_indices(x) -> np.ndarray:
-    """Indices of exactly nonzero entries."""
-    return np.flatnonzero(np.asarray(x) != 0.0)
-
-
 @dataclass(frozen=True)
 class OuterRecord:
     """One row of the outer-iteration trace."""
@@ -318,7 +313,7 @@ class SolveReport:
     @property
     def support(self) -> tuple:
         """Sorted indices of the exactly nonzero coordinates of x_star."""
-        return tuple(support_indices(self.x_star).tolist())
+        return tuple(np.flatnonzero(self.x_star).tolist())
 
     @property
     def outer_iters(self) -> int:
@@ -349,7 +344,7 @@ class SolveReport:
     def to_dict(self) -> dict:
         support = self.support
         return {
-            "x_star": [float(v) for v in self.x_star],
+            "x_star": self.x_star.tolist(),
             "objective": self.objective,
             "support": list(support),
             "nnz": len(support),

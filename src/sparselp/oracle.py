@@ -72,12 +72,6 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _stack(vectors, n: int) -> np.ndarray:
-    """Vectors of length n as the rows of one array, also when there are none;
-    an array of rows passes through as a view."""
-    return np.asarray(vectors, dtype=np.float64).reshape(len(vectors), n)
-
-
 def _dedup(stack: np.ndarray) -> np.ndarray:
     """Merge rows equal within DEDUP_TOL * (1 + ||v||_inf), keeping the first
     representative.  Two shifted grids catch boundary straddlers: a row is
@@ -288,7 +282,7 @@ def solve_exact_lp_quasinorm(inst: ProblemInstance, p: float, vertices) -> Exact
         raise InvalidParam(f"this solver handles 0 < p <= 1, got {p}")
     if not len(vertices):
         raise NotFeasible("no extreme points found; is the instance feasible?")
-    values = (np.abs(_stack(vertices, inst.n)) ** p).sum(axis=1)
+    values = (np.abs(vertices) ** p).sum(axis=1)
     best = float(values.min())
     keep = values <= best + 1e-9 * (1.0 + abs(best))
     mins = tuple(vertices[i] for i in np.flatnonzero(keep))
@@ -313,12 +307,11 @@ def solve_exact_l0(inst: ProblemInstance, vertices=None) -> ExactSolutionSet:
     without a second scan.
     """
     if vertices is not None:
-        stack = _stack(vertices, inst.n)
-        nnz = np.count_nonzero(stack, axis=1)
+        nnz = np.count_nonzero(vertices, axis=1)
         if not nnz.size:
             raise NotFeasible("no support admits a feasible point; data is inconsistent")
         k = int(nnz.min())
-        minimizers = tuple(_frozen(stack[nnz == k]))
+        minimizers = tuple(_frozen(vertices[nnz == k]))
         return ExactSolutionSet(p=0.0, optimal_value=float(k), minimizers=minimizers)
     for k in range(min(inst.m, inst.n) + 1):
         witnesses = _scan(inst, (k,))
@@ -348,7 +341,7 @@ def estimate_p_star(inst: ProblemInstance, vertices, sparsest_k: int) -> PStarEs
     origin is then feasible and the bound says nothing.
     """
     validate_instance(inst, 1.0)
-    mags = np.abs(_stack(vertices, inst.n))
+    mags = np.abs(vertices)
     r_tilde = float(np.min(mags, where=mags > 0.0, initial=np.inf))
     if not np.isfinite(r_tilde):
         raise NotFeasible("no nonzero vertex coordinates; instance is degenerate")

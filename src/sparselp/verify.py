@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ProblemInstance, support_indices, validate_instance
+from .core import ProblemInstance, validate_instance
 from .errors import DimensionMismatch, EmptySupport
 from .linalg import ball_entry, gram_extremes, lq_norm, numerical_rank
 
@@ -60,9 +60,6 @@ class KktPropertyReport:
     lower_slack: float
     upper_slack: float
 
-    def to_dict(self) -> dict:
-        return {key: val if isinstance(val, int) else float(val) for key, val in vars(self).items()}
-
 
 def kkt_property_report(inst: ProblemInstance, x, q: float = 1.0) -> KktPropertyReport:
     """Measure the optimal-point properties of x; pure, no side effects.
@@ -75,7 +72,7 @@ def kkt_property_report(inst: ProblemInstance, x, q: float = 1.0) -> KktProperty
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (inst.n,):
         raise DimensionMismatch(f"x has shape {x.shape}, expected ({inst.n},)")
-    support = support_indices(x)
+    support = np.flatnonzero(x)
     if support.size == 0:
         raise EmptySupport("x = 0 has no support; not optimal when ||b||_q > sigma")
     a_j = inst.a[:, support]
@@ -118,14 +115,6 @@ class CheckResult:
     passed: bool
     slack: float
     detail: str
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": bool(self.passed),
-            "slack": float(self.slack),
-            "detail": self.detail,
-        }
 
 
 def optimal_point_checks(

@@ -1,5 +1,9 @@
 import dataclasses
+import importlib
 import json
+import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,6 +118,36 @@ def test_gen_solve_verify_roundtrip(tmp_path, capsys):
     assert verdict["report"]["nnz"] == 3
 
 
+def _verify_golden_minimizer(tmp_path, capsys, golden):
+    x_path = tmp_path / "x.json"
+    x_path.write_text(json.dumps({"x": [2.5, 0.0, 0.0]}))
+    code, out, _ = run(
+        capsys, "verify", "--instance", golden_file(tmp_path, golden), "--x", str(x_path), "--p", "0.5"
+    )
+    assert code == 0
+    return json.loads(out)
+
+
+def test_verify_json_check_fields(tmp_path, capsys, golden):
+    check = _verify_golden_minimizer(tmp_path, capsys, golden)["checks"][0]
+    assert set(check) == {"name", "passed", "slack", "detail"}
+    assert check["name"] == "feasible"
+    assert check["passed"] is True
+    assert isinstance(check["slack"], float)
+    assert "sigma" in check["detail"]
+
+
+def test_verify_json_report_fields(tmp_path, capsys, golden):
+    report = _verify_golden_minimizer(tmp_path, capsys, golden)["report"]
+    assert report["nnz"] == 1
+    assert isinstance(report["err2"], float)
+    assert set(report) == {
+        "nnz", "rank_aj", "err1", "err2", "inf_norm", "lower_bound",
+        "upper_bound", "lambda_min", "lambda_max",
+        "lower_slack", "upper_slack",
+    }
+
+
 def test_verify_rejects_bad_point(tmp_path, capsys, golden):
     inst_path = golden_file(tmp_path, golden)
     x_path = tmp_path / "x.json"
@@ -211,6 +245,44 @@ def test_negative_seed_is_usage_error(capsys):
                 main(argv + ["--seed", bad])
             assert exc.value.code == 64
             assert "argument --seed: must be a non-negative integer" in capsys.readouterr().err
+
+
+def test_options_a_command_does_not_read_are_refused(tmp_path, capsys, golden):
+    # --seed is accepted only where a command draws instances, and --json
+    # only where a command has a second output format
+    inst_path = golden_file(tmp_path, golden)
+    x_path = tmp_path / "x.json"
+    x_path.write_text(json.dumps({"x": [2.5, 0.0, 0.0]}))
+    cases = [
+        (argv, extra)
+        for argv in (
+            ["solve", "--instance", inst_path],
+            ["verify", "--instance", inst_path, "--x", str(x_path)],
+            ["oracle", "--instance", inst_path],
+        )
+        for extra in (["--seed", "0"], ["--json"])
+    ]
+    cases.append((["plot-smoothing", "--count", "3"], ["--seed", "0"]))
+    for argv, extra in cases:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + extra)
+        assert exc.value.code == 64
+        assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
+
+
+def test_console_script_entry_point_runs(monkeypatch, capsys):
+    # the [project.scripts] target that an install puts on PATH, read with a
+    # regex (tomllib is 3.11+): it imports, and runs with no arguments of its
+    # own, reading sys.argv as the script does
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    module, func = re.search(r'^sparselp\s*=\s*"([\w.]+):(\w+)"', scripts, re.M).groups()
+    entry = getattr(importlib.import_module(module), func)
+    monkeypatch.setattr(sys, "argv", ["sparselp", "--help"])
+    with pytest.raises(SystemExit) as exc:
+        entry()
+    assert exc.value.code == 0
+    assert "usage: sparselp" in capsys.readouterr().out
 
 
 def test_tol_and_sizes_are_range_checked_when_parsed(tmp_path, capsys, golden):

@@ -16,7 +16,6 @@ from sparselp import (
     least_squares_min_norm,
     read_instance,
     replace_p,
-    support_indices,
     validate_instance,
     write_instance,
 )
@@ -212,12 +211,6 @@ def test_read_rejects_malformed_field(tmp_path, field, value):
     path.write_text(json.dumps(dict(doc, **{field: value})))
     with pytest.raises(ParseError, match=f"field '{field}'"):
         read_instance(path)
-
-
-def test_support_set():
-    s = support_indices(np.array([0.0, -2.0, 0.0, 1e-300]))
-    assert s.tolist() == [1, 3]  # exact-zero test, no threshold
-    assert tuple(support_indices(np.array([1.0, 0.0, -1.0]))) == (0, 2)
 
 
 def test_replace_p():

@@ -302,7 +302,7 @@ def test_sparsest_from_held_vertices(rng):
             assert np.array_equal(x, y) and not x.flags.writeable
     assert scan.optimal_value == 8 and len(scan.minimizers) == 45
     with pytest.raises(NotFeasible):
-        solve_exact_l0(cases[0], vertices=())
+        solve_exact_l0(cases[0], vertices=np.zeros((0, cases[0].n)))
 
 
 def test_scan_has_no_batch_effects(rng, monkeypatch):

@@ -417,3 +417,54 @@ def test_column_permutation_known_break():
         np.sort(perm[np.flatnonzero(rep_perm.x_star)]), np.flatnonzero(rep.x_star)
     )
     assert rep_perm.objective == pytest.approx(rep.objective, rel=1e-3)
+
+
+def _duplicated_column_solves(noise, seed, p, q):
+    # one desk draw solved plain and with a copy of its first planted column
+    # appended as column n; returns both reports and the copied column
+    inst1, inst2, x_hat, _ = gen_matched_pair(
+        GenSpec(m=100, n=500, s=10, delta=1e-3, noise=noise, seed=seed)
+    )
+    inst = replace_p(inst1 if q == 1 else inst2, p)
+    j = int(np.flatnonzero(x_hat)[0])
+    dup = ProblemInstance(a=np.column_stack([inst.a, inst.a[:, j]]), b=inst.b, sigma=inst.sigma, p=p)
+    solve = solve_l1 if q == 1 else solve_l2
+    return solve(inst), solve(dup), j
+
+
+def _assert_copy_folds_back(rep, rep_dup, j):
+    # a duplicated column adds a copy of one coordinate: a vertex uses at
+    # most one copy, and folding the copy back gives the plain support
+    n = rep.x_star.size
+    assert rep.stop_reason == rep_dup.stop_reason == "converged"
+    assert np.count_nonzero(rep_dup.x_star[[j, n]]) <= 1
+    folded = rep_dup.x_star[:n].copy()
+    folded[j] += rep_dup.x_star[n]
+    np.testing.assert_array_equal(np.flatnonzero(folded), np.flatnonzero(rep.x_star))
+    assert rep_dup.objective == pytest.approx(rep.objective, rel=1e-3)
+
+
+@pytest.mark.parametrize(
+    "noise, seed, p",
+    [
+        pytest.param(
+            noise, seed, p,
+            marks=pytest.mark.xfail(strict=True, reason="converges on another support, +7.1e-4")
+            if (noise, seed, p) == ("t2", 2, 0.5) else (),
+        )
+        for noise, seed, p in itertools.product(("gauss", "t2"), (0, 1, 2), (0.5, 0.1))
+    ],
+)
+def test_duplicated_column_uses_one_copy(noise, seed, p):
+    # objectives agreed within 1.4e-4 on the eleven passing draws; the t2
+    # seed-2 p = 0.5 draw ends on another support (ROADMAP item 2)
+    _assert_copy_folds_back(*_duplicated_column_solves(noise, seed, p, 1))
+
+
+@pytest.mark.xfail(strict=True, reason="solve_l2 splits a duplicated column (ROADMAP item 2)")
+def test_duplicated_column_l2_known_break():
+    # the min-norm anchor splits the column's weight equally between the
+    # copies and nothing on the l2 path breaks the tie: both copies end at
+    # -0.21485 where the plain solve puts -0.42939 on one, support_rank
+    # fails, and the objective is 3.3% higher
+    _assert_copy_folds_back(*_duplicated_column_solves("gauss", 0, 0.5, 2))

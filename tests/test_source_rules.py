@@ -2,6 +2,7 @@
 benchmark's tracing hooks, which name package code."""
 
 import ast
+import importlib
 import inspect
 import re
 from pathlib import Path
@@ -100,6 +101,29 @@ def test_every_exported_function_has_a_user_outside_the_tests():
         if not any(re.search(rf"\b{name}\b", text) for path, text in texts.items() if path != home)
     ]
     assert unused == []
+
+
+# the inner loop's and linear algebra's building blocks, by module: each
+# imports from its own module and none from the package's top level
+INNER_BLOCKS = {
+    "linalg": ("lq_norm", "numerical_rank", "gram_extremes"),
+    "npg": ("npg_solve", "NpgOutcome"),
+    "prox": ("prox_threshold", "prox_vector"),
+    "smoothing": ("SmoothedPenalty", "lp_power_sum", "smoothed_abs", "smoothed_plus"),
+}
+
+
+def test_top_level_exports_no_modules_and_no_inner_blocks():
+    star = {}
+    exec("from sparselp import *", star)
+    modules = [name for name in sparselp.__all__ if inspect.ismodule(getattr(sparselp, name))]
+    assert modules == [] and not any(inspect.ismodule(obj) for obj in star.values())
+    inner = [name for names in INNER_BLOCKS.values() for name in names]
+    assert set(inner + ["support_indices"]).isdisjoint(sparselp.__all__)
+    for module, names in INNER_BLOCKS.items():
+        home = importlib.import_module(f"sparselp.{module}")
+        assert all(hasattr(home, name) for name in names)
+    assert not hasattr(sparselp.core, "support_indices")
 
 
 # the package's layers, lowest first: a module imports only modules of lower

@@ -9,9 +9,9 @@ from sparselp import (
     TrivialInstance,
     all_checks_pass,
     kkt_property_report,
-    lq_norm,
     optimal_point_checks,
 )
+from sparselp.linalg import lq_norm
 from sparselp.verify import DEFAULT_TOL, certify
 
 
@@ -63,17 +63,6 @@ def test_report_rejects_zero(golden):
         kkt_property_report(golden, np.zeros(3))
 
 
-def test_report_to_dict(golden):
-    d = kkt_property_report(golden, np.array([2.5, 0.0, 0.0])).to_dict()
-    assert d["nnz"] == 1
-    assert isinstance(d["err2"], float)
-    assert set(d) == {
-        "nnz", "rank_aj", "err1", "err2", "inf_norm", "lower_bound",
-        "upper_bound", "lambda_min", "lambda_max",
-        "lower_slack", "upper_slack",
-    }
-
-
 def test_checks_pass_on_golden_minimizer(golden):
     checks = optimal_point_checks(golden, np.array([2.5, 0.0, 0.0]), p=0.5)
     assert [c.name for c in checks] == [
@@ -119,14 +108,6 @@ def test_support_counting_mode_judges_at_tol(golden):
         scaling = optimal_point_checks(golden, np.array(x), p=0.0, tol=1e-12)[1]
         assert scaling.name == "boundary_scaling" and scaling.passed, scaling.detail
         assert 0.0 <= scaling.slack <= 1e-12
-
-
-def test_check_result_to_dict(golden):
-    d = optimal_point_checks(golden, np.array([2.5, 0.0, 0.0]), p=0.5)[0].to_dict()
-    assert d["name"] == "feasible"
-    assert d["passed"] is True
-    assert isinstance(d["slack"], float)
-    assert "sigma" in d["detail"]
 
 
 def test_checks_build_one_report(golden, verify_calls):
