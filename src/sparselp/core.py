@@ -277,17 +277,16 @@ class OuterRecord:
 class SolveReport:
     """Result of a full penalty-solver run.
 
-    wall_time covers the outer loop and the finish (the l1 vertex walk or
-    the l2 boundary scaling, then the certification); setup_time is the
-    time spent before it on the feasible anchor and its residual.  The
-    anchor is computed once per matrix record, so setup_time is near zero
-    on a repeat solve of the same draw, at another p or on its matched
-    pair.
-    walk_steps counts the vertex walk's steps and walk_drops the
-    coordinates they zeroed (both 0 on the l2 ball).  eta3 is the final
-    point's constraint violation.  Everything the trace or x_star already
-    holds is read off them: the support, the iteration and trial totals,
-    and eta1 and eta2 of the last outer comparison.
+    wall_time covers the outer loop and the finish (the face walk on either
+    ball, then the certification); setup_time is the time spent before it
+    on the feasible anchor and its residual.  The anchor is computed once
+    per matrix record, so setup_time is near zero on a repeat solve of the
+    same draw, at another p or on its matched pair.
+    walk_steps counts the face walk's steps on either ball and walk_drops
+    the coordinates they zeroed.  eta3 is the final point's constraint
+    violation.  Everything the trace or x_star already holds is read off
+    them: the support, the iteration and trial totals, and eta1 and eta2 of
+    the last outer comparison.
     """
 
     x_star: np.ndarray
@@ -303,8 +302,8 @@ class SolveReport:
     stop_reason: str
     q: float
     trace: tuple  # one OuterRecord per outer round, at least one
-    walk_steps: int = 0
-    walk_drops: int = 0
+    walk_steps: int
+    walk_drops: int
 
     def __post_init__(self):
         object.__setattr__(self, "x_star", _frozen_array(self.x_star))

@@ -1,5 +1,5 @@
 """Outer penalty loop driving the smoothed subproblems towards the
-constrained solution, and the finish that puts its point on a vertex.
+constrained solution, and the face walk that finishes it exactly.
 
 Each outer iteration k solves the smoothed penalized problem at the current
 (lam, mu, nu) by the inner nonmonotone proximal-gradient loop, warm-started
@@ -21,12 +21,13 @@ and the finish does the rest exactly.  On each orthant sum|x|^p is concave
 along every direction that moves the support, so a local minimizer over
 the q = 1 ball is a vertex, with k - 1 residual rows exactly zero (k the
 number of nonzeros), while the loop's point sits strictly inside or just
-outside.  The l1 finish (_vertex_finish) restores the point onto the
-boundary and walks to a vertex by gradient projection restricted to the
-current face (Rosen's method), lowering sum|x|^p at every step.  The q = 2
-ball is not polyhedral, so its finish only scales the point onto the
-sphere.  Each move onto the boundary is one exact linalg.ball_entry, so
-both end on the feasible side in floating point.  The report says
+outside.  One face walk (_face_walk, Rosen's gradient projection) serves
+both balls: it lowers sum|x|^p at every step and ends on a face of full
+column rank, whose rows combine rows of A_J, so nnz = rank(A_J) holds by
+construction.  The l1 finish (_vertex_finish) walks from the boundary to a
+vertex; the l2 finish (_sphere_finish) walks with every row held, then
+scales onto the sphere.  Each move onto the boundary is one exact
+linalg.ball_entry, so both end on the feasible side in floating point.  The report says
 "converged" only when the finished point passes verify.optimal_point_checks
 at its default tolerance (1e-8), and "stationary_uncertified" when the loop
 met its tolerance but the point fails a check.
@@ -92,58 +93,30 @@ def progress_measures(x_next, x_prev, inst: ProblemInstance, q: float, r_next, p
     return eta1, eta2, eta3
 
 
-def _vertex_finish(inst, x, r):
-    """Move an l1 solve's point to a vertex of its orthant's piece of the
-    ball without raising sum|x|^p; returns (x, walk steps, walk drops).
+def _roundoff(aj, z, b):
+    # per-row float scale of A_J z - b; rows below it count as zero
+    return ROUNDOFF * (np.abs(aj) @ np.abs(z) + np.abs(b))
 
-    The point is first put on the boundary (linalg.ball_entry): scaled if it
-    is interior, moved towards its support's least-squares point if it is
-    outside (it is returned unchanged when that point is outside too).
-    Then the walk: on each orthant sum|z|^p is concave, so moving along the
-    face (the zero residual rows plus the facet sign(r)' A_J held fixed) in
-    the projected descent direction lowers it all the way to the first wall.
-    A residual row that reaches zero joins the face, a coordinate that
-    reaches zero leaves the support.  When the projected gradient vanishes
-    any null direction of the face will do.  The walk stops when the face
-    rows have full column rank, judged by the package's one rank rule
-    (linalg.singular_value_rank): the point is a vertex, which the face
-    equations then fix exactly (linalg.least_squares_min_norm); if rounding
-    leaves it outside, it enters the ball along the direction that lowers
-    the facet's target.
-    """
-    a, b, sigma, p = inst.a, inst.b, inst.sigma, inst.p
-    support = np.flatnonzero(x)
-    z, aj = x[support], a[:, support]
 
-    def roundoff(z):
-        # per-row float scale of A_J z - b; rows below it count as zero
-        return ROUNDOFF * (np.abs(aj) @ np.abs(z) + np.abs(b))
-
-    def l1(z, r):
-        return float(np.abs(r)[np.abs(r) > roundoff(z)].sum())
-
-    # a path that reaches the ball only at roundoff level falls back to its end
-    resid = l1(z, r)
-    if resid < sigma:
-        t = ball_entry(aj, b, np.zeros_like(z), z, sigma, 1.0)
-        z = z if t is None else t * z
-    elif resid > sigma:
-        z_ls = least_squares_min_norm(aj, b)
-        if not l1(z_ls, aj @ z_ls - b) <= sigma:
-            return x, 0, 0
-        t = ball_entry(aj, b, z, z_ls, sigma, 1.0)
-        z = z_ls if t is None else z + t * (z_ls - z)
-
+def _face_walk(support, aj, b, z, p, zero):
+    """Walk z (on support, columns aj) along its face, the residual rows
+    in the mask zero plus the facet sign(r)' A_J of the rest; returns
+    (support, z, zero, steps, drops).  Each step moves -grad sum|z|^p,
+    projected onto the face's null space (any null direction if that
+    vanishes), to the first wall: a row that reaches zero joins the mask, a
+    coordinate that reaches zero leaves the support.  The walk stops when
+    the face has full column rank (linalg.singular_value_rank).  With every
+    row held the facet row is zero and no row wall is finite: A z stays
+    fixed."""
     steps = drops = 0
-    zero = np.zeros(inst.m, dtype=bool)  # residual rows held at zero
-    for _ in range(support.size + inst.m):
+    for _ in range(support.size + b.size):
         live = z != 0.0
         support, z, aj = support[live], z[live], aj[:, live]
         r = aj @ z - b
-        zero |= np.abs(r) <= roundoff(z)
+        zero |= np.abs(r) <= _roundoff(aj, z, b)
         signs = np.where(zero, 0.0, np.sign(r))
         face = np.vstack([signs @ aj, aj[zero]])
-        _, sv, vh = np.linalg.svd(face)
+        _, sv, vh = np.linalg.svd(face, full_matrices=face.shape[0] < face.shape[1])
         rank = int(singular_value_rank(sv, face.shape))
         if rank == z.size:
             break
@@ -165,9 +138,43 @@ def _vertex_finish(inst, x, r):
         zero |= t_row <= t * (1.0 + ROUNDOFF)
         steps += 1
         drops += int(hit.sum())
+    return support, z, zero, steps, drops
+
+
+def _vertex_finish(inst, x, r):
+    """Move an l1 solve's point to a vertex of its orthant's piece of the
+    ball without raising sum|x|^p; returns (x, walk steps, walk drops).
+    The point is put on the boundary (linalg.ball_entry): scaled if it is
+    interior, moved towards its support's least-squares point if it is
+    outside (returned unchanged when that point is outside too).  Then
+    _face_walk, from no held row, walks to a vertex, which the face
+    equations fix exactly (linalg.least_squares_min_norm); if rounding
+    leaves it outside, it enters the ball along the direction that lowers
+    the facet's target."""
+    a, b, sigma = inst.a, inst.b, inst.sigma
+    support = np.flatnonzero(x)
+    z, aj = x[support], a[:, support]
+
+    def l1(z, r):
+        return float(np.abs(r)[np.abs(r) > _roundoff(aj, z, b)].sum())
+
+    # a path that reaches the ball only at roundoff level falls back to its end
+    resid = l1(z, r)
+    if resid < sigma:
+        t = ball_entry(aj, b, np.zeros_like(z), z, sigma, 1.0)
+        z = z if t is None else t * z
+    elif resid > sigma:
+        z_ls = least_squares_min_norm(aj, b)
+        if not l1(z_ls, aj @ z_ls - b) <= sigma:
+            return x, 0, 0
+        t = ball_entry(aj, b, z, z_ls, sigma, 1.0)
+        z = z_ls if t is None else z + t * (z_ls - z)
+
+    support, z, zero, steps, drops = _face_walk(support, aj, b, z, inst.p, np.zeros(inst.m, dtype=bool))
 
     # the vertex, and the direction w that lowers its facet target, in one
     # solve; its entry is judged on the full product the report reads
+    aj = a[:, support]
     r = aj @ z - b
     signs = np.where(zero, 0.0, np.sign(r))
     rows = np.vstack([signs @ aj, aj[zero]])
@@ -184,6 +191,19 @@ def _vertex_finish(inst, x, r):
         out = np.zeros(inst.n)
         out[support] = z
     return out, steps, drops
+
+
+def _sphere_finish(inst, x):
+    """Walk an l2 solve's point with every residual row held (_face_walk),
+    then scale it onto the sphere (linalg.ball_entry); returns (x, walk
+    steps, walk drops).  The walk keeps A x fixed and commutes with
+    scaling, and the scaling last keeps the point on the feasible side."""
+    j = np.flatnonzero(x)
+    support, z, _, steps, drops = _face_walk(j, inst.a[:, j], inst.b, x[j], inst.p, np.ones(inst.m, bool))
+    x = np.zeros(inst.n)
+    x[support] = z
+    t = ball_entry(inst.a, inst.b, np.zeros_like(x), x, inst.sigma, 2.0)
+    return (x if t is None else t * x), steps, drops
 
 
 def _solve_penalty(inst, seed_x, q):
@@ -290,11 +310,7 @@ def _solve_penalty(inst, seed_x, q):
         nu *= theta
         eps = max(theta * eps, EPS_FLOOR)
 
-    if q == 1.0:
-        x, walk_steps, walk_drops = _vertex_finish(inst, x, r)
-    else:
-        t = ball_entry(inst.a, inst.b, np.zeros_like(x), x, inst.sigma, 2.0)
-        x, walk_steps, walk_drops = (x if t is None else t * x), 0, 0
+    x, walk_steps, walk_drops = _vertex_finish(inst, x, r) if q == 1.0 else _sphere_finish(inst, x)
     r = inst.residual(x)
     if stop_reason == "converged" and not all_checks_pass(
         optimal_point_checks(inst, x, inst.p, q=q)

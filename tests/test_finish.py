@@ -1,5 +1,6 @@
-"""The finish of a solve: every l1 solve ends on a certified vertex of its
-orthant's piece of the ball, every l2 solve on the l2 sphere."""
+"""The finish of a solve: one face walk serves both balls, so every support
+it ends on has nnz = rank(A_J).  Every l1 solve ends on a certified vertex
+of its orthant's piece of the ball, every l2 solve on the l2 sphere."""
 
 import numpy as np
 import pytest
@@ -90,15 +91,18 @@ def test_l2_ends_inside_the_sphere():
         assert rep.walk_steps == rep.walk_drops == 0
 
 
-def test_all_ones_row_reaches_one_nonzero():
-    # min sum|x|^0.5 over |sum x - 3| <= 1: the optimum puts 2 on one
-    # coordinate, phi = sqrt(2); the outer loop alone stops at nnz 5
+@pytest.mark.parametrize("solve", [solve_l1, solve_l2], ids=["l1", "l2"])
+def test_all_ones_row_reaches_one_nonzero(solve):
+    # min sum|x|^0.5 over |sum x - 3| <= 1 (one row: both balls agree): the
+    # optimum puts 2 on one coordinate, phi = sqrt(2); the outer loop alone
+    # stops at nnz 5, and the face walk drops the other four
     inst = ProblemInstance(a=np.ones((1, 5)), b=np.array([3.0]), sigma=1.0, p=0.5)
-    rep = solve_l1(inst)
+    rep = solve(inst)
     assert rep.stop_reason == "converged"
     assert len(rep.support) == 1
     assert rep.objective == pytest.approx(np.sqrt(2.0), rel=1e-12)
     assert rep.walk_drops == 4
+    assert np.linalg.norm(inst.residual(rep.x_star)) <= inst.sigma
 
 
 def test_zero_sigma_ends_on_a_basic_solution():

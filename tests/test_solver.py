@@ -445,26 +445,20 @@ def _assert_copy_folds_back(rep, rep_dup, j):
 
 
 @pytest.mark.parametrize(
-    "noise, seed, p",
+    "noise, seed, p, q",
     [
         pytest.param(
-            noise, seed, p,
+            noise, seed, p, q,
+            id=f"{noise}-{seed}-{p}" + ("" if q == 1 else "-q2"),
             marks=pytest.mark.xfail(strict=True, reason="converges on another support, +7.1e-4")
-            if (noise, seed, p) == ("t2", 2, 0.5) else (),
+            if (noise, seed, p, q) == ("t2", 2, 0.5, 1) else (),
         )
-        for noise, seed, p in itertools.product(("gauss", "t2"), (0, 1, 2), (0.5, 0.1))
+        for q, noise, seed, p in itertools.product((1, 2), ("gauss", "t2"), (0, 1, 2), (0.5, 0.1))
     ],
 )
-def test_duplicated_column_uses_one_copy(noise, seed, p):
-    # objectives agreed within 1.4e-4 on the eleven passing draws; the t2
-    # seed-2 p = 0.5 draw ends on another support (ROADMAP item 2)
-    _assert_copy_folds_back(*_duplicated_column_solves(noise, seed, p, 1))
-
-
-@pytest.mark.xfail(strict=True, reason="solve_l2 splits a duplicated column (ROADMAP item 2)")
-def test_duplicated_column_l2_known_break():
-    # the min-norm anchor splits the column's weight equally between the
-    # copies and nothing on the l2 path breaks the tie: both copies end at
-    # -0.21485 where the plain solve puts -0.42939 on one, support_rank
-    # fails, and the objective is 3.3% higher
-    _assert_copy_folds_back(*_duplicated_column_solves("gauss", 0, 0.5, 2))
+def test_duplicated_column_uses_one_copy(noise, seed, p, q):
+    # on both balls the finish's face walk ends on a support of full column
+    # rank, so it keeps one copy; objectives agreed within 1.4e-4 on the
+    # eleven passing l1 draws and within 4.1e-5 on the twelve l2 draws; the
+    # l1 t2 seed-2 p = 0.5 draw ends on another support (ROADMAP item 3)
+    _assert_copy_folds_back(*_duplicated_column_solves(noise, seed, p, q))
