@@ -67,7 +67,7 @@ _solver_exponent = _checked(float, lambda p: 0.0 < p < 1.0, "exponent must be in
 # sizes (--m, --n, --s) and counts (--seeds, --trials, --s-step, --count)
 _positive_int = _checked(int, lambda n: n >= 1, "must be a positive integer")
 _seed = _checked(int, lambda n: n >= 0, "must be a non-negative integer")
-# --delta and verify's --tol; plot-smoothing's --mu and --nu, and --lo, --hi
+# --delta and verify's --tol; plot-smoothing's --mu, and --lo, --hi
 _nonnegative = _checked(float, lambda v: math.isfinite(v) and v >= 0.0, "must be finite and >= 0")
 _smoothing_width = _checked(float, lambda w: math.isfinite(w) and w > 0.0, "width must be positive and finite")
 _finite = _checked(float, math.isfinite, "must be finite")
@@ -223,9 +223,7 @@ def cmd_grid(args) -> int:
 
 
 def cmd_plot_smoothing(args) -> int:
-    rows = experiments.smoothing_grid(
-        mu=args.mu, nu=args.nu, lo=args.lo, hi=args.hi, count=args.count
-    )
+    rows = experiments.smoothing_grid(mu=args.mu, lo=args.lo, hi=args.hi, count=args.count)
     if args.json:
         _emit({"rows": [list(r) for r in rows]}, args)
     else:
@@ -364,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("plot-smoothing", help="sample the smoothing kernels on a grid; CSV: t,plus_value,plus_deriv,abs_value,abs_deriv")
     sub.add_argument("--mu", type=_smoothing_width, default=1.0)
-    sub.add_argument("--nu", type=_smoothing_width, default=1.0)
     sub.add_argument("--lo", type=_finite, default=-2.0)
     sub.add_argument("--hi", type=_finite, default=2.0)
     sub.add_argument("--count", type=_positive_int, default=401)

@@ -254,12 +254,11 @@ def write_instance(inst: ProblemInstance, path) -> None:
 
 @dataclass(frozen=True)
 class OuterRecord:
-    """One row of the outer-iteration trace."""
+    """One row of the outer-iteration trace; mu smooths both of the penalty's kinks."""
 
     k: int
     lam: float
     mu: float
-    nu: float
     eps: float
     objective: float
     eta1: float

@@ -229,11 +229,12 @@ def success_rows(records) -> list[tuple]:
 SMOOTHING_HEADER = ("t", "plus_value", "plus_deriv", "abs_value", "abs_deriv")
 
 
-def smoothing_grid(mu: float = 1.0, nu: float = 1.0, lo: float = -2.0, hi: float = 2.0, count: int = 401):
+def smoothing_grid(mu: float = 1.0, lo: float = -2.0, hi: float = 2.0, count: int = 401):
+    """Both kernels, sampled at the one width mu on count points of [lo, hi]."""
     rows = []
     for t in np.linspace(lo, hi, count):
         t = float(t)
         pv, pd = smoothed_plus(t, mu)
-        av, ad = smoothed_abs(t, nu)
+        av, ad = smoothed_abs(t, mu)
         rows.append((t, pv, pd, float(av), float(ad)))
     return rows

@@ -1,24 +1,27 @@
 """Smoothed exact penalty on the residual r = Ax - b.
 
-Two scalar smoothings are composed.  smoothed_plus approximates max(s, 0)
-from above with a quadratic patch of width mu around the kink; smoothed_abs
-approximates |t| the same way with width nu.  One penalty serves both
-residual balls; only its excess over the ball depends on the norm q:
+Two scalar smoothings are composed, both with the one width mu.
+smoothed_plus approximates max(s, 0) from above with a quadratic patch of
+width mu around the kink; smoothed_abs approximates |t| the same way.  As
+|t| = (t)_+ + (-t)_+, smoothed_abs(t, mu) is smoothed_plus(t, mu) +
+smoothed_plus(-t, mu), so one width is the natural one for both kinks.  One
+penalty serves both residual balls; only its excess over the ball depends
+on the norm q:
 
     penalty(r) = lam * smoothed_plus( excess_q(r), mu ),
-    excess_1(r) = sum_i smoothed_abs(r_i, nu) - sigma,
+    excess_1(r) = sum_i smoothed_abs(r_i, mu) - sigma,
     excess_2(r) = ||r||^2 - sigma^2.
 
 For q = 1 the summed smoothed_abs is a smooth overestimate of
 ||Ax - b||_1, so the penalty overestimates lam * (||Ax - b||_1 - sigma)_+
-by at most lam * (mu/8 + m*nu/4).  Both pieces are convex and C^1, with
+by at most lam * mu * (1/8 + m/4).  Both pieces are convex and C^1, with
 gradients clipped to [0,1] and [-1,1] respectively, so the penalty is
-convex with a Lipschitz gradient on all of R^n: (m/mu + 2/nu) * lam *
-||A||^2 bounds the constant, m/mu from the outer quadratic patch (the inner
-sum has gradient norm at most sqrt(m) in residual space) and 2/nu from the
-inner patches.  The inner loop's line search finds its step constant
-without this bound.  For q = 2 the squared residual is already smooth, so
-only the positive part is smoothed and nu is unused.
+convex with a Lipschitz gradient on all of R^n: (m + 2) * lam * ||A||^2 / mu
+bounds the constant, m from the outer quadratic patch (the inner sum has
+gradient norm at most sqrt(m) in residual space) and 2 from the inner
+patches.  The inner loop's line search finds its step constant without
+this bound.  For q = 2 the squared residual is already smooth, so only the
+positive part is smoothed.
 
 The penalty depends on x only through r, and that is the argument it
 takes.  It works in residual space: value(r) is the value, and
@@ -59,23 +62,23 @@ def smoothed_plus(s: float, mu: float) -> tuple[float, float]:
     return val, min(max(s / mu + 0.5, 0.0), 1.0)
 
 
-def _smoothed_abs_value(t: np.ndarray, nu: float) -> np.ndarray:
+def _smoothed_abs_value(t: np.ndarray, mu: float) -> np.ndarray:
     at = np.abs(t)
-    return np.where(at >= 0.5 * nu, at, t * t / nu + 0.25 * nu)
+    return np.where(at >= 0.5 * mu, at, t * t / mu + 0.25 * mu)
 
 
-def _smoothed_abs_deriv(t: np.ndarray, nu: float) -> np.ndarray:
-    return np.minimum(np.maximum(2.0 * t / nu, -1.0), 1.0)
+def _smoothed_abs_deriv(t: np.ndarray, mu: float) -> np.ndarray:
+    return np.minimum(np.maximum(2.0 * t / mu, -1.0), 1.0)
 
 
-def smoothed_abs(t, nu: float):
+def smoothed_abs(t, mu: float):
     """Smoothed absolute value and its derivative, elementwise.
 
-    Equals |t| outside [-nu/2, nu/2] and t^2/nu + nu/4 inside; the
-    derivative is 2 t / nu clipped to [-1, 1].
+    Equals |t| outside [-mu/2, mu/2] and t^2/mu + mu/4 inside; the
+    derivative is 2 t / mu clipped to [-1, 1].
     """
     t = np.asarray(t, dtype=np.float64)
-    return _smoothed_abs_value(t, nu), _smoothed_abs_deriv(t, nu)
+    return _smoothed_abs_value(t, mu), _smoothed_abs_deriv(t, mu)
 
 
 def lp_power_sum(x, p: float) -> float:
@@ -89,20 +92,19 @@ class SmoothedPenalty:
     """lam * smoothed_plus(excess_q(r), mu) for the q = 1 or q = 2 residual
     ball of one instance; r is the residual A x - b."""
 
-    def __init__(self, inst: ProblemInstance, q: float, lam: float, mu: float, nu: float):
+    def __init__(self, inst: ProblemInstance, q: float, lam: float, mu: float):
         if q not in (1.0, 2.0):
             raise InvalidNorm(f"penalty needs q in {{1, 2}}, got {q}")
-        if not (lam > 0 and mu > 0 and nu > 0):
-            raise InvalidParam(f"lam, mu, nu must be positive, got {lam}, {mu}, {nu}")
+        if not (lam > 0 and mu > 0):
+            raise InvalidParam(f"lam, mu must be positive, got {lam}, {mu}")
         self.inst = inst
         self.q = q
         self.lam = lam
         self.mu = mu
-        self.nu = nu
 
     def _excess(self, r) -> float:
         if self.q == 1.0:
-            return float(_smoothed_abs_value(r, self.nu).sum()) - self.inst.sigma
+            return float(_smoothed_abs_value(r, self.mu).sum()) - self.inst.sigma
         return float(r.dot(r)) - self.inst.sigma**2
 
     def value(self, r) -> float:
@@ -114,5 +116,5 @@ class SmoothedPenalty:
         val, der = smoothed_plus(self._excess(r), self.mu)
         outer = self.lam * der
         if self.q == 1.0:
-            return self.lam * val, outer, _smoothed_abs_deriv(r, self.nu)
+            return self.lam * val, outer, _smoothed_abs_deriv(r, self.mu)
         return self.lam * val, outer * 2.0, r

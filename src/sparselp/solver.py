@@ -2,15 +2,15 @@
 constrained solution, and the face walk that finishes it exactly.
 
 Each outer iteration k solves the smoothed penalized problem at the current
-(lam, mu, nu) by the inner nonmonotone proximal-gradient loop, warm-started
-from whichever of {previous iterate, feasible anchor} has the lower current
-objective.  The penalty is one smoothing.SmoothedPenalty on the residual,
-for the q = 1 ball (solve_l1) or the q = 2 ball (solve_l2).  The schedule
-is fixed: (lam, mu, nu) start at (LAMBDA0, MU0, NU0) and the inner
-tolerance at EPS0; afterwards lam grows by rho while mu, nu, and the inner
-tolerance shrink by 1/rho (the tolerance down to EPS_FLOOR); rho is
-RHO_SLOW once all three progress measures are below ETA_SWITCH and
-RHO_FAST before that.  Iteration stops when
+penalty weight lam and smoothing width mu by the inner nonmonotone
+proximal-gradient loop, warm-started from whichever of {previous iterate,
+feasible anchor} has the lower current objective.  The penalty is one
+smoothing.SmoothedPenalty on the residual, for the q = 1 ball (solve_l1) or
+the q = 2 ball (solve_l2).  The schedule is fixed: (lam, mu) start at
+(LAMBDA0, MU0) and the inner tolerance at EPS0; afterwards lam grows by rho
+while mu and the inner tolerance shrink by 1/rho (the tolerance down to
+EPS_FLOOR); rho is RHO_SLOW once all three progress measures are below
+ETA_SWITCH and RHO_FAST before that.  Iteration stops when
 
     max{ rel step, rel objective change, (residual - sigma)_+ } < OUTER_TOL,
 
@@ -66,7 +66,6 @@ _ANCHOR_SLACK = 1e-9
 
 LAMBDA0 = 1.0
 MU0 = 1.0
-NU0 = 1.0
 EPS0 = 1e-3
 RHO_FAST = 2.0
 RHO_SLOW = 1.2
@@ -226,7 +225,7 @@ def _solve_penalty(inst, seed_x, q):
     t0 = time.perf_counter()
     setup_time = t0 - t_setup
 
-    lam, mu, nu = LAMBDA0, MU0, NU0
+    lam, mu = LAMBDA0, MU0
     eps = EPS0
     # the current iterate, its residual A x - b and its power sum travel
     # together
@@ -239,7 +238,7 @@ def _solve_penalty(inst, seed_x, q):
     prev_pen_feas = None
 
     for k in range(OUTER_ITER_CAP):
-        pen = SmoothedPenalty(inst, q, lam, mu, nu)
+        pen = SmoothedPenalty(inst, q, lam, mu)
         pen_feas = pen.value(r_feas)
         f_feas = phi_feas + pen_feas
         f_curr = phi + pen.value(r)
@@ -286,7 +285,6 @@ def _solve_penalty(inst, seed_x, q):
                 k=k,
                 lam=lam,
                 mu=mu,
-                nu=nu,
                 eps=eps,
                 objective=out.f_final,
                 eta1=etas[0],
@@ -307,7 +305,6 @@ def _solve_penalty(inst, seed_x, q):
         theta = 1.0 / rho
         lam *= rho
         mu *= theta
-        nu *= theta
         eps = max(theta * eps, EPS_FLOOR)
 
     x, walk_steps, walk_drops = _vertex_finish(inst, x, r) if q == 1.0 else _sphere_finish(inst, x)

@@ -261,7 +261,6 @@ def _gradient_worst_rel(rng):
             1.0,
             lam=float(rng.uniform(0.5, 4.0)),
             mu=float(rng.uniform(0.05, 1.0)),
-            nu=float(rng.uniform(0.05, 1.0)),
         )
         for _ in range(100):
             x = rng.standard_normal(n)
@@ -336,7 +335,6 @@ def _npg_battery(rng):
             1.0,
             lam=float(10 ** rng.uniform(0, 3)),
             mu=float(10 ** rng.uniform(-2, 0)),
-            nu=float(10 ** rng.uniform(-2, 0)),
         )
         x0 = rng.standard_normal(n)
         f0 = lp_power_sum(x0, inst.p) + pen.value(inst.residual(x0))

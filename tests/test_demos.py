@@ -32,7 +32,7 @@ def test_solve_walkthrough_demo_recovers_support(capsys):
 def test_smoothing_kernels_demo_gaps_within_bounds(capsys):
     runpy.run_path(str(DEMOS / "04_smoothing_kernels.py"), run_name="__main__")
     out = capsys.readouterr().out
-    # the largest gap sits at the kink: mu/8 for the ramp, nu/4 for |t|
+    # the largest gap sits at the kink: mu/8 for the ramp, mu/4 for |t|
     assert "   0.00   0.12500  0.00000   0.12500" in out
     assert "   0.00   0.25000  0.00000   0.25000" in out
     rows = [line for line in out.splitlines() if line.startswith("  width")]

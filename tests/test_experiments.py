@@ -209,7 +209,7 @@ def test_write_csv_deterministic(tmp_path):
 
 
 def test_smoothing_grid_midpoint():
-    rows = smoothing_grid(mu=1.0, nu=1.0, lo=-2.0, hi=2.0, count=401)
+    rows = smoothing_grid(mu=1.0, lo=-2.0, hi=2.0, count=401)
     assert len(rows) == 401
     assert len(rows[0]) == len(SMOOTHING_HEADER)
     t0 = rows[200]

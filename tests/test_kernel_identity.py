@@ -28,10 +28,11 @@ from sparselp.solver import solve_l1, solve_l2
 PENALTIES = ((1.0, refs.L1SmoothedPenalty), (2.0, refs.L2SmoothedPenalty))
 
 
-def frozen_penalty(inst, q, lam, mu, nu):
-    """The frozen penalty for q, built from SmoothedPenalty's arguments."""
+def frozen_penalty(inst, q, lam, mu):
+    """The frozen penalty for q, built from SmoothedPenalty's arguments;
+    the frozen classes take two widths, here both mu."""
     ref_cls = dict(PENALTIES)[q]
-    return ref_cls(inst, SimpleNamespace(lam=lam, mu=mu, nu=nu))
+    return ref_cls(inst, SimpleNamespace(lam=lam, mu=mu, nu=mu))
 
 
 def same_bits(a, b) -> bool:
@@ -121,15 +122,15 @@ def test_smoothed_plus_matches_frozen_kernel(rng):
 
 
 def test_smoothed_abs_matches_frozen_kernel(rng):
-    for nu in (1e-8, 1e-3, 0.59, 10.0):
-        half = 0.5 * nu
+    for mu in (1e-8, 1e-3, 0.59, 10.0):
+        half = 0.5 * mu
         t = np.concatenate([
-            rng.uniform(-3 * nu, 3 * nu, 500),
+            rng.uniform(-3 * mu, 3 * mu, 500),
             [half, -half, np.nextafter(half, 0.0), np.nextafter(half, np.inf), 0.0, -0.0,
              np.inf, -np.inf, np.nan],
         ])
-        val, der = smoothed_abs(t, nu)
-        rval, rder = refs.smoothed_abs(t, nu)
+        val, der = smoothed_abs(t, mu)
+        rval, rder = refs.smoothed_abs(t, mu)
         assert same_bits(val, rval) and same_bits(der, rder)
 
 
@@ -147,8 +148,8 @@ def _instance(rng, m=6, n=9, sigma=0.5):
     )
 
 
-def check_penalty(q, inst, lam, mu, nu, r):
-    new, ref = SmoothedPenalty(inst, q, lam, mu, nu), frozen_penalty(inst, q, lam, mu, nu)
+def check_penalty(q, inst, lam, mu, r):
+    new, ref = SmoothedPenalty(inst, q, lam, mu), frozen_penalty(inst, q, lam, mu)
     with np.errstate(all="ignore"):
         v, (vg, g) = new.value(r), penalty_value_and_grad(new, r)
         rv, (rvg, rg) = ref.value(r), ref.value_and_grad(r)
@@ -163,31 +164,30 @@ def test_penalties_match_frozen_kernels_on_seeded_draws(rng):
         inst = _instance(rng, sigma=float(rng.uniform(0.0, 3.0)))
         lam = float(10.0 ** rng.uniform(-1, 4))
         mu = float(10.0 ** rng.uniform(-6, 0))
-        nu = float(10.0 ** rng.uniform(-6, 0))
         r = rng.standard_normal(inst.m) * rng.choice((1e-4, 0.1, 1.0))
         for q, _ in PENALTIES:
-            check_penalty(q, inst, lam, mu, nu, r)
+            check_penalty(q, inst, lam, mu, r)
 
 
 def test_penalties_match_frozen_kernels_at_edges(rng):
     inst = _instance(rng, m=4, n=5)
-    lam, nu, mu = 3.0, 0.25, 0.5
-    # |r_i| exactly at nu/2, and one ulp either side
-    half = 0.5 * nu
+    lam, mu = 3.0, 0.5
+    # |r_i| exactly at mu/2, and one ulp either side
+    half = 0.5 * mu
     r = np.array([half, -half, np.nextafter(half, 0.0), np.nextafter(-half, -np.inf)])
     for q, _ in PENALTIES:
-        check_penalty(q, inst, lam, mu, nu, r)
-    # the excess s exactly at +mu/2 and -mu/2: with every |r_i| >= nu/2 the
+        check_penalty(q, inst, lam, mu, r)
+    # the excess s exactly at +mu/2 and -mu/2: with every |r_i| >= mu/2 the
     # smoothed sum is sum|r_i| = 3.5 exactly
     r = np.array([1.0, -2.0, 0.25, -0.25])
     for sigma, slope in ((3.5 - 0.5 * mu, 1.0), (3.5 + 0.5 * mu, 0.0)):
         inst_s = ProblemInstance(a=inst.a, b=inst.b, sigma=sigma, p=0.5)
-        _, g = check_penalty(1.0, inst_s, lam, mu, nu, r)
+        _, g = check_penalty(1.0, inst_s, lam, mu, r)
         assert (not g.any()) == (slope == 0.0)
     # outer == 0: deep inside the ball, the gradient is an exact zero vector
     for q, _ in PENALTIES:
         inst_in = ProblemInstance(a=inst.a, b=inst.b, sigma=100.0, p=0.5)
-        val, g = check_penalty(q, inst_in, lam, mu, nu, r)
+        val, g = check_penalty(q, inst_in, lam, mu, r)
         assert val == 0.0 and not g.any()
 
 
@@ -196,11 +196,11 @@ def test_penalties_match_frozen_kernels_on_nonfinite_residuals(rng):
     for bad in (np.nan, np.inf, -np.inf):
         r = np.array([0.3, bad, -0.2, 0.01])
         for q, _ in PENALTIES:
-            val, _ = check_penalty(q, inst, 2.0, 0.1, 0.1, r)
+            val, _ = check_penalty(q, inst, 2.0, 0.1, r)
             assert math.isnan(val) if np.isnan(bad) else val == math.inf
     big = np.full(4, 1e200)  # the squares overflow to inf
     for q, _ in PENALTIES:
-        check_penalty(q, inst, 2.0, 0.1, 0.1, big)
+        check_penalty(q, inst, 2.0, 0.1, big)
 
 
 def test_solves_are_bit_identical_on_frozen_kernels(monkeypatch):
@@ -220,9 +220,9 @@ def test_solves_are_bit_identical_on_frozen_kernels(monkeypatch):
     # from the frozen kernels
     adapters = {1.0: refs.L1ResidualPenalty, 2.0: refs.L2ResidualPenalty}
 
-    def frozen_solver_penalty(inst, q, lam, mu, nu):
+    def frozen_solver_penalty(inst, q, lam, mu):
         frozen_qs.append(q)
-        return adapters[q](inst, SimpleNamespace(lam=lam, mu=mu, nu=nu))
+        return adapters[q](inst, SimpleNamespace(lam=lam, mu=mu, nu=mu))
 
     monkeypatch.setattr(sparselp.npg, "prox_vector", frozen_prox)
     monkeypatch.setattr(sparselp.solver, "SmoothedPenalty", frozen_solver_penalty)

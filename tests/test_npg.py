@@ -25,8 +25,8 @@ def small_instance():
     return ProblemInstance(a=a, b=b, sigma=0.4, p=0.5)
 
 
-def l1_penalty(inst, lam, mu, nu):
-    return SmoothedPenalty(inst, 1.0, lam, mu, nu)
+def l1_penalty(inst, lam, mu):
+    return SmoothedPenalty(inst, 1.0, lam, mu)
 
 
 def objective(inst, pen, x):
@@ -44,7 +44,7 @@ def test_descent_relative_to_window(rng):
     # every accepted step obeys F(w) <= max(window) - (c/2)||w - x||^2,
     # which implies every accepted F stays at or below F(x0)
     inst = small_instance()
-    pen = l1_penalty(inst, lam=3.0, mu=0.05, nu=0.05)
+    pen = l1_penalty(inst, lam=3.0, mu=0.05)
     x0 = rng.standard_normal(4)
     f0 = objective(inst, pen, x0)
     out, steps = run(inst, pen, x0, eps=1e-10)
@@ -64,7 +64,7 @@ def test_descent_relative_to_window(rng):
 
 def test_final_no_worse_than_start(rng):
     inst = small_instance()
-    pen = l1_penalty(inst, lam=2.0, mu=0.1, nu=0.1)
+    pen = l1_penalty(inst, lam=2.0, mu=0.1)
     for _ in range(10):
         x0 = rng.standard_normal(4) * 2
         f0 = objective(inst, pen, x0)
@@ -76,7 +76,7 @@ def test_final_no_worse_than_start(rng):
 
 def test_step_tol_exit_certifies_pre_point():
     inst = small_instance()
-    pen = l1_penalty(inst, lam=1.0, mu=0.2, nu=0.2)
+    pen = l1_penalty(inst, lam=1.0, mu=0.2)
     x0 = np.array([1.0, -0.5, 0.3, 0.0])
     out, steps = run(inst, pen, x0, eps=1e-6)
     assert out.stop_reason in ("step_tol", "obj_tol")
@@ -94,7 +94,7 @@ def test_flatline_exit_returns_moved_point():
     # start, or the caller's progress measures would vanish identically and
     # misreport convergence.
     inst = small_instance()
-    pen = l1_penalty(inst, lam=1e4, mu=0.01, nu=0.01)
+    pen = l1_penalty(inst, lam=1e4, mu=0.01)
     x0 = np.array([1.3, -0.7, 0.9, -0.2])
     first, _ = run(inst, pen, x0, eps=0.05)
     assert first.stop_reason == "obj_tol"
@@ -107,7 +107,7 @@ def test_flatline_exit_returns_moved_point():
 
 def test_iter_cap_returns_last_accepted(monkeypatch):
     inst = small_instance()
-    pen = l1_penalty(inst, lam=5.0, mu=0.02, nu=0.02)
+    pen = l1_penalty(inst, lam=5.0, mu=0.02)
     monkeypatch.setattr(sparselp.npg, "ITER_CAP", 3)
     out, steps = run(inst, pen, np.ones(4), eps=1e-14)
     assert out.stop_reason == "iter_cap"
@@ -121,7 +121,7 @@ def test_iter_cap_returns_last_accepted(monkeypatch):
 def test_monotone_for_memory_zero(rng, monkeypatch):
     # memory=0 windows compare against the previous value only: plain descent
     inst = small_instance()
-    pen = l1_penalty(inst, lam=2.0, mu=0.1, nu=0.1)
+    pen = l1_penalty(inst, lam=2.0, mu=0.1)
     monkeypatch.setattr(sparselp.npg, "MEMORY", 0)
     _, steps = run(inst, pen, rng.standard_normal(4), eps=1e-9)
     fs = [objective(inst, pen, w) for _, _, w in steps]
@@ -134,7 +134,7 @@ def test_initial_step_constant_first_iteration():
     # and the first trial of a solve uses it
     inst = small_instance()
     with recorded_trials() as rows:
-        npg_solve(inst, l1_penalty(inst, lam=1.0, mu=0.1, nu=0.1), np.ones(4), eps=1e-6)
+        npg_solve(inst, l1_penalty(inst, lam=1.0, mu=0.1), np.ones(4), eps=1e-6)
     assert rows[0][1] == 1.0
 
 
@@ -143,7 +143,7 @@ def test_carried_step_constant_starts_at_half():
     # from 1: the first trial is half of it, the floor every later
     # iteration gets from the step accepted before it
     inst = small_instance()
-    pen = l1_penalty(inst, lam=1.0, mu=0.1, nu=0.1)
+    pen = l1_penalty(inst, lam=1.0, mu=0.1)
     for l_bar in (3.0, 1e3):
         with recorded_trials() as rows:
             npg_solve(inst, pen, np.ones(4), eps=1e-6, l_bar=l_bar)
@@ -152,7 +152,7 @@ def test_carried_step_constant_starts_at_half():
 
 def test_outcome_hands_back_last_accepted_step_constant():
     inst = small_instance()
-    pen = l1_penalty(inst, lam=5.0, mu=0.02, nu=0.02)
+    pen = l1_penalty(inst, lam=5.0, mu=0.02)
     for l_bar in (None, 40.0):
         out, steps = run(inst, pen, np.ones(4), eps=1e-8, l_bar=l_bar)
         assert out.l_bar == steps[-1][1]
@@ -171,7 +171,7 @@ def test_initial_step_constant_uses_secant_curvature(monkeypatch):
 
 def test_nonfinite_start_raises():
     inst = small_instance()
-    pen = l1_penalty(inst, lam=1.0, mu=0.1, nu=0.1)
+    pen = l1_penalty(inst, lam=1.0, mu=0.1)
     with pytest.raises(NonFinite):
         npg_solve(inst, pen, np.array([np.nan, 0.0, 0.0, 0.0]), eps=1e-6)
 
@@ -180,7 +180,7 @@ def test_stationarity_decreases_with_eps(rng):
     # tighter eps must not loosen the certified bound L ||w - x|| of the
     # last accepted pair
     inst = small_instance()
-    pen = l1_penalty(inst, lam=2.0, mu=0.05, nu=0.05)
+    pen = l1_penalty(inst, lam=2.0, mu=0.05)
     x0 = rng.standard_normal(4)
     bounds, iters = [], []
     for eps in (1e-3, 1e-9):
@@ -196,7 +196,7 @@ def gen_penalty_problem(q):
     """A 30x120 draw with a planted 3-sparse point, and a penalty on its q-ball."""
     inst1, inst2, x_hat, _ = gen_matched_pair(GenSpec(m=30, n=120, s=3, delta=1e-3, seed=4))
     inst = inst1 if q == 1.0 else inst2
-    return inst, SmoothedPenalty(inst, q, lam=10.0, mu=0.1, nu=0.1), x_hat
+    return inst, SmoothedPenalty(inst, q, lam=10.0, mu=0.1), x_hat
 
 
 @pytest.mark.parametrize("q", [1.0, 2.0])

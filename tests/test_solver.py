@@ -16,6 +16,7 @@ from sparselp import (
     ProblemInstance,
     TrivialInstance,
     all_checks_pass,
+    gen_instance,
     gen_matched_pair,
     optimal_point_checks,
     replace_p,
@@ -23,7 +24,7 @@ from sparselp import (
     solve_l2,
 )
 from sparselp.smoothing import SmoothedPenalty, lp_power_sum
-from sparselp.solver import OUTER_TOL, progress_measures
+from sparselp.solver import EPS_FLOOR, OUTER_TOL, progress_measures
 
 
 def test_progress_measures_oracle():
@@ -88,9 +89,12 @@ def test_trace_is_coherent(desk_solution):
     assert all(b > a for a, b in zip(lams, lams[1:]))  # strictly growing
     mus = [r.mu for r in rep.trace]
     assert all(b < a for a, b in zip(mus, mus[1:]))
-    # growth factors multiply out: lam_{k+1} = rho_k * lam_k
+    # each round applies the schedule exactly: lam grows by rho, and the
+    # width and the inner tolerance shrink by 1/rho, the tolerance to its floor
     for prev, nxt in zip(rep.trace, rep.trace[1:]):
-        assert nxt.lam == pytest.approx(prev.lam * prev.rho, rel=1e-12)
+        assert nxt.lam == prev.lam * prev.rho
+        assert nxt.mu == prev.mu * (1.0 / prev.rho)
+        assert nxt.eps == max(prev.eps * (1.0 / prev.rho), EPS_FLOOR)
     assert np.isnan(rep.trace[-1].rho)
 
 
@@ -282,7 +286,7 @@ def test_l2_penalty_gradient(rng):
         sigma=0.4,
         p=0.5,
     )
-    pen = SmoothedPenalty(inst, 2.0, lam=2.0, mu=0.3, nu=0.3)
+    pen = SmoothedPenalty(inst, 2.0, lam=2.0, mu=0.3)
     h = 1e-6
     for _ in range(40):
         x = rng.standard_normal(4)
@@ -417,6 +421,23 @@ def test_column_permutation_known_break():
         np.sort(perm[np.flatnonzero(rep_perm.x_star)]), np.flatnonzero(rep.x_star)
     )
     assert rep_perm.objective == pytest.approx(rep.objective, rel=1e-3)
+
+
+@pytest.mark.xfail(strict=True, reason="the schedule's start constants are not scale-free")
+@pytest.mark.parametrize("b_scale, a_scale", [(1e2, 1.0), (1e6, 1.0), (1.0, 1e4), (1.0, 1e-4)])
+def test_rescaling_maps_the_solution_known_break(b_scale, a_scale):
+    # scaling (b, sigma) by c scales the solution by c and the objective by
+    # c^p; scaling A by c scales them by 1/c and c^-p.  The unit solve ends
+    # on 5 nonzeros at objective 4.1858, each scaled one on 40 nonzeros,
+    # because lam0 = mu0 = 1 does not scale with the data
+    inst = replace_p(gen_instance(GenSpec(40, 200, 5, 1e-3, "gauss", 0))[0], 0.5)
+    scaled = ProblemInstance(
+        a=inst.a * a_scale, b=inst.b * b_scale, sigma=inst.sigma * b_scale, p=inst.p
+    )
+    rep, rep_scaled = solve_l1(inst), solve_l1(scaled)
+    np.testing.assert_array_equal(np.flatnonzero(rep_scaled.x_star), np.flatnonzero(rep.x_star))
+    expected = rep.objective * (b_scale / a_scale) ** inst.p
+    assert rep_scaled.objective == pytest.approx(expected, rel=1e-3)
 
 
 def _duplicated_column_solves(noise, seed, p, q):
