@@ -197,9 +197,8 @@ def npg_solve(
     work = None
     a_w = working_columns(a, None)
     x_prev = x_prev2 = x
-    # residual-space gradients coef * u and nonzero counts of x, x_prev, x_prev2
+    # residual-space gradients coef * u of x, x_prev, x_prev2
     vs = deque([coef * u] * 3, maxlen=3)
-    nnz = deque([np.count_nonzero(x)] * 3, maxlen=3)
     f_window = deque([f_x], maxlen=MEMORY + 1)
     trials = full = 0
     for it in range(ITER_CAP):
@@ -214,9 +213,7 @@ def npg_solve(
         cut = l0 * prox_threshold(l0, p) * (1.0 - 16.0 * _EPS)
         size = n if work is None else work.size
         # rebuild when the last three supports fill at most 1/FILL of W
-        rebuild = FILL * max(nnz) <= size and FILL * np.count_nonzero(
-            (x != 0.0) | (x_prev != 0.0) | (x_prev2 != 0.0)
-        ) <= size
+        rebuild = FILL * np.count_nonzero((x != 0.0) | (x_prev != 0.0) | (x_prev2 != 0.0)) <= size
         if work is None:
             full += 1
             g_all = g
@@ -289,7 +286,6 @@ def npg_solve(
         g_prev2, g_prev = g_prev, g
         _, coef, u = penalty.value_and_grad_parts(r_w)
         vs.appendleft(coef * u)
-        nnz.appendleft(np.count_nonzero(w))
         r, f_x = r_w, f_w
         f_window.append(f_w)
 

@@ -20,16 +20,21 @@ boundary gap sigma - ||Ax-b||_q.
 certify judges a point once: it builds the report first, also for an
 infeasible point, and every check reads it, feasibility included, so the
 residual is formed once.  Its feasible check is the one feasibility
-verdict, the report only measures.  All checks use one tolerance and one
-rule, excess <= tol.  rank_aj and lambda_min (0 whenever rank_aj <
-nnz) follow linalg.singular_value_rank, the one rank rule.  At p = 0 a
-point on the boundary, or outside it within tol, needs no scaling, and a
-point inside is scaled by alpha, the entry of the segment from 0 to x into
-the ball (linalg.ball_entry), so alpha x is inside in floating point.
+verdict, the report only measures.  Every check judges one error figure
+by one rule: passed when err <= tol (a NaN fails), slack = tol - err.
+feasible judges the excess max(||Ax-b||_q - sigma, 0), boundary |err2|,
+inf_norm_sandwich err1, and support_rank nnz - rank_aj at tolerance 0,
+because a rank is an exact count.  rank_aj and lambda_min (0 whenever
+rank_aj < nnz) follow linalg.singular_value_rank, the one rank rule.  At
+p = 0 boundary_scaling judges the gap of a scaled point: a point on the
+boundary, or outside it within tol, needs no scaling, and a point inside
+is scaled by alpha, the entry of the segment from 0 to x into the ball
+(linalg.ball_entry), so alpha x is inside in floating point.
 x = 0 has no report (kkt_property_report raises EmptySupport, returned in
-its place), an x of the wrong shape raises DimensionMismatch, and an
-instance with ||b||_q <= sigma is refused whatever the point.
-optimal_point_checks is certify without the report.
+its place), so the checks that read one judge err = inf.  An exponent
+outside {0} and (0, 1] raises InvalidParam, an x of the wrong shape
+DimensionMismatch, and an instance with ||b||_q <= sigma is refused
+whatever the point.  optimal_point_checks is certify without the report.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ProblemInstance, validate_instance
-from .errors import DimensionMismatch, EmptySupport
+from .errors import DimensionMismatch, EmptySupport, InvalidParam
 from .linalg import ball_entry, gram_extremes, lq_norm, numerical_rank
 
 DEFAULT_TOL = 1e-8
@@ -56,9 +61,6 @@ class KktPropertyReport:
     upper_bound: float
     lambda_min: float
     lambda_max: float
-    # raw signed slacks; err1 clips these at zero
-    lower_slack: float
-    upper_slack: float
 
 
 def kkt_property_report(inst: ProblemInstance, x, q: float = 1.0) -> KktPropertyReport:
@@ -90,8 +92,6 @@ def kkt_property_report(inst: ProblemInstance, x, q: float = 1.0) -> KktProperty
     else:
         upper = np.inf  # rank-deficient support: the sandwich gives no ceiling
     inf_norm = lq_norm(x, np.inf)
-    lower_slack = inf_norm - lower
-    upper_slack = upper - inf_norm
     err1 = max(inf_norm - upper, lower - inf_norm, 0.0)
     err2 = inst.sigma - lq_norm(inst.residual(x), q)
     return KktPropertyReport(
@@ -104,8 +104,6 @@ def kkt_property_report(inst: ProblemInstance, x, q: float = 1.0) -> KktProperty
         upper_bound=float(upper),
         lambda_min=float(ge.lambda_min),
         lambda_max=float(ge.lambda_max),
-        lower_slack=float(lower_slack),
-        upper_slack=float(upper_slack),
     )
 
 
@@ -117,6 +115,11 @@ class CheckResult:
     detail: str
 
 
+def _judged(name: str, err: float, tol: float, detail: str) -> CheckResult:
+    """The one rule: err passes at tol when err <= tol (a NaN fails)."""
+    return CheckResult(name=name, passed=bool(err <= tol), slack=float(tol - err), detail=detail)
+
+
 def optimal_point_checks(
     inst: ProblemInstance,
     x,
@@ -124,7 +127,7 @@ def optimal_point_checks(
     q: float = 1.0,
     tol: float = DEFAULT_TOL,
 ) -> list[CheckResult]:
-    """Pass/fail list of the three optimal-point properties at x.
+    """Pass/fail list of feasibility and the three optimal-point properties at x.
 
     Feasibility is checked first and short-circuits everything else; an
     infeasible candidate cannot be optimal and the remaining checks would
@@ -140,9 +143,12 @@ def certify(inst: ProblemInstance, x, p: float, q: float = 1.0, tol: float = DEF
     The report is built first, once, also for an infeasible point, and
     every check reads it; for x = 0 the EmptySupport raised in its place
     is returned instead, and fails the checks that need a report.  Raises
-    TrivialInstance when ||b||_q <= sigma, whatever x, and DimensionMismatch
-    unless x has shape (n,).
+    InvalidParam unless p is 0 or in (0, 1], TrivialInstance when
+    ||b||_q <= sigma, whatever x, and DimensionMismatch unless x has
+    shape (n,).
     """
+    if not 0.0 <= p <= 1.0:
+        raise InvalidParam(f"p must be 0 or in (0, 1], got {p}")
     x = np.asarray(x, dtype=np.float64)
     try:
         report = kkt_property_report(inst, x, q=q)
@@ -150,22 +156,15 @@ def certify(inst: ProblemInstance, x, p: float, q: float = 1.0, tol: float = DEF
     except EmptySupport as exc:
         report = exc
         excess = lq_norm(inst.b, q) - inst.sigma  # x = 0: the residual is -b
-    eta3 = max(excess, 0.0)
-    feasible = eta3 <= tol  # False also for a NaN residual
     checks = [
-        CheckResult(
-            name="feasible",
-            passed=feasible,
-            slack=float(tol - eta3),
-            detail=f"||Ax-b||_{q:g} - sigma = {excess:.3e}",
-        )
+        _judged("feasible", max(excess, 0.0), tol, f"||Ax-b||_{q:g} - sigma = {excess:.3e}")
     ]
-    if not feasible:
+    if not checks[0].passed:
         return checks, report
+    boundary = "boundary_scaling" if p == 0.0 else "boundary"
     if isinstance(report, EmptySupport):
-        boundary = "boundary_scaling" if p == 0.0 else "boundary"
-        for name in (boundary, "support_rank"):
-            checks.append(CheckResult(name=name, passed=False, slack=-np.inf, detail=str(report)))
+        checks += [_judged(boundary, np.inf, tol, str(report)),
+                   _judged("support_rank", np.inf, 0.0, str(report))]
         return checks, report
 
     if p == 0.0:
@@ -177,43 +176,17 @@ def certify(inst: ProblemInstance, x, p: float, q: float = 1.0, tol: float = DEF
             t = ball_entry(inst.a, inst.b, np.zeros_like(x), x, inst.sigma, q)
             alpha = 1.0 if t is None else min(t, 1.0)
             gap = lq_norm(inst.residual(alpha * x), q) - inst.sigma
-        checks.append(
-            CheckResult(
-                name="boundary_scaling",
-                passed=abs(gap) <= tol,
-                slack=float(tol - abs(gap)),
-                detail=f"alpha = {alpha:.12g}, boundary gap {gap:.3e}",
-            )
-        )
+        detail = f"alpha = {alpha:.12g}, boundary gap {gap:.3e}"
     else:
-        checks.append(
-            CheckResult(
-                name="boundary",
-                passed=abs(report.err2) <= tol,
-                slack=float(tol - abs(report.err2)),
-                detail=f"err2 = {report.err2:.3e}",
-            )
-        )
-    checks.append(
-        CheckResult(
-            name="support_rank",
-            passed=report.nnz == report.rank_aj,
-            slack=float(report.rank_aj - report.nnz),
-            detail=f"nnz = {report.nnz}, rank(A_J) = {report.rank_aj}",
-        )
-    )
-    sandwich_slack = min(report.lower_slack, report.upper_slack)
-    checks.append(
-        CheckResult(
-            name="inf_norm_sandwich",
-            passed=sandwich_slack >= -tol,
-            slack=float(sandwich_slack),
-            detail=(
+        gap, detail = report.err2, f"err2 = {report.err2:.3e}"
+    checks += [
+        _judged(boundary, abs(gap), tol, detail),
+        _judged("support_rank", report.nnz - report.rank_aj, 0.0,
+                f"nnz = {report.nnz}, rank(A_J) = {report.rank_aj}"),
+        _judged("inf_norm_sandwich", report.err1, tol,
                 f"{report.lower_bound:.9g} <= ||x||_inf = {report.inf_norm:.9g}"
-                f" <= {report.upper_bound:.9g}"
-            ),
-        )
-    )
+                f" <= {report.upper_bound:.9g}"),
+    ]
     return checks, report
 
 

@@ -144,7 +144,6 @@ def test_verify_json_report_fields(tmp_path, capsys, golden):
     assert set(report) == {
         "nnz", "rank_aj", "err1", "err2", "inf_norm", "lower_bound",
         "upper_bound", "lambda_min", "lambda_max",
-        "lower_slack", "upper_slack",
     }
 
 
@@ -485,6 +484,17 @@ def test_oracle_rejects_out_of_range_p(tmp_path, capsys, golden):
                 main(argv + ["--p", bad])
             assert exc.value.code == 64
             assert "--p: exponent must be 0 or in (0, 1]" in capsys.readouterr().err
+
+
+def test_verify_rejects_out_of_range_p_from_the_file(tmp_path, capsys, golden):
+    # the file's exponent meets the range --p is held to: a runtime error
+    x_path = tmp_path / "x.json"
+    x_path.write_text(json.dumps([2.5, 0.0, 0.0]))
+    for bad in (1.5, -0.2, float("nan")):
+        inst_path = golden_file(tmp_path, dataclasses.replace(golden, p=bad))
+        code, out, err = run(capsys, "verify", "--instance", inst_path, "--x", str(x_path))
+        assert code == 1 and out == ""
+        assert "p must be 0 or in (0, 1]" in err
 
 
 def test_table_commands_reject_out_of_range_p(tmp_path, capsys, golden):

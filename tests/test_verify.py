@@ -11,7 +11,7 @@ from sparselp import (
     kkt_property_report,
     optimal_point_checks,
 )
-from sparselp.linalg import lq_norm
+from sparselp.linalg import ball_entry, lq_norm
 from sparselp.verify import DEFAULT_TOL, certify
 
 
@@ -36,8 +36,7 @@ def test_report_golden_minimizer(golden):
     assert rep.lower_bound == pytest.approx(lower, abs=1e-12)
     assert rep.upper_bound == pytest.approx(upper, abs=1e-12)
     assert rep.inf_norm == 2.5
-    assert rep.lower_slack == pytest.approx(2.5 - lower, abs=1e-12)
-    assert rep.upper_slack == pytest.approx(upper - 2.5, abs=1e-12)
+    assert rep.err1 == max(rep.lower_bound - 2.5, 2.5 - rep.upper_bound, 0.0)
 
 
 def test_report_l2_norm_factors(golden):
@@ -197,3 +196,38 @@ def test_point_of_wrong_shape_is_refused(golden):
                 certify(golden, x, p)
             with pytest.raises(DimensionMismatch):
                 optimal_point_checks(golden, x, p)
+
+
+def test_every_check_judges_one_figure_by_one_rule(golden):
+    # each check passes when its figure is <= tol and its slack is tol minus
+    # that figure; support_rank is judged at tolerance 0, whatever tol
+    battery = (
+        ([2.5, 0.0, 0.0], 0.5, DEFAULT_TOL),  # the golden minimizer
+        ([3.0, 0.0, 0.0], 0.5, DEFAULT_TOL),  # interior
+        ([9.0, 0.0, 0.0], 0.5, DEFAULT_TOL),  # infeasible
+        ([0.0, 0.0, 0.0], 0.5, 10.0),  # x = 0, feasible at this tol
+        ([2.2, 0.3, 0.2], 0.5, 5.0),  # on the boundary, nnz 3 > rank(A_J) 2
+        ([3.0, 0.0, 0.0], 0.0, DEFAULT_TOL),  # scaled by alpha = 5/6 at p = 0
+    )
+    for x, p, tol in battery:
+        x = np.array(x)
+        checks, report = certify(golden, x, p, tol=tol)
+        excess = lq_norm(golden.residual(x), 1.0) - golden.sigma
+        if isinstance(report, EmptySupport):
+            figures = {"boundary": np.inf, "support_rank": np.inf}
+        else:
+            t = ball_entry(golden.a, golden.b, np.zeros(3), x, golden.sigma, 1.0)
+            alpha = 1.0 if excess >= 0.0 or t is None else min(t, 1.0)
+            figures = {
+                "boundary": abs(report.err2),
+                "boundary_scaling": abs(lq_norm(golden.residual(alpha * x), 1.0) - golden.sigma),
+                "support_rank": report.nnz - report.rank_aj,
+                "inf_norm_sandwich": report.err1,
+            }
+        figures["feasible"] = max(excess, 0.0)
+        for check in checks:
+            judged_at = 0.0 if check.name == "support_rank" else tol
+            assert check.slack == judged_at - figures[check.name], (x, check)
+            assert check.passed == (check.slack >= 0.0), (x, check)
+    rank = optimal_point_checks(golden, np.array([2.2, 0.3, 0.2]), 0.5, tol=5.0)[2]
+    assert rank.name == "support_rank" and not rank.passed and rank.slack == -1.0
